@@ -14,6 +14,8 @@ import os
 import sys
 from pathlib import Path
 
+from .errors import DomainError
+
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NOCONV = 2
@@ -270,6 +272,7 @@ def write_fit_outputs(out_dir, model, result):
         "converged": bool(result.converged),
         "n_iter": int(result.n_iter),
         "n_alpha_escalations": int(result.n_alpha_escalations),
+        "saturated": bool(result.saturated),
         "parameters": names,
         "estimates": [float(x) for x in est],
         "std_errors": [float(x) for x in se],
@@ -291,7 +294,7 @@ def cmd_fit(args):
         opts = solver_options(
             doc, {"max_iter": args.max_iter, "algorithm": args.alg}
         )
-    except InputError as exc:
+    except (InputError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -357,7 +360,7 @@ def cmd_simulate(args):
         data_path = resolve_data_path(args, doc)
         model, _, cols, keep = build_model_and_data(doc, data_path, Path(args.spec).parent)
         theta = _read_theta(model, args.theta)
-    except InputError as exc:
+    except (InputError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -396,7 +399,7 @@ def cmd_check_derivatives(args):
         doc = load_spec_document(args.spec)
         data_path = resolve_data_path(args, doc)
         model, y, _, _ = build_model_and_data(doc, data_path, Path(args.spec).parent)
-    except InputError as exc:
+    except (InputError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -462,7 +465,6 @@ def _read_edges(path):
 
 def cmd_build_matrices(args):
     from . import matpred
-    from .errors import DomainError
 
     try:
         out = Path(args.out)

@@ -10,10 +10,11 @@ explicitly symmetrized to suppress floating-point asymmetry.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
 from .errors import DomainError
 from .functions import (
+    cholesky_inverse,
     cholesky_lower,
     covlink_apply_inverse,
     covlink_deriv,
@@ -119,7 +120,7 @@ def generalized_kronecker(responses, Sb):
                 C[s * N : (s + 1) * N, r * N : (r + 1) * N] = block.T
     C = _sym(C)
     C_chol = cholesky_lower(C)
-    C_inv = _sym(cho_solve((C_chol, True), np.eye(N * R)))
+    C_inv = cholesky_inverse(C_chol)
     return JointCovariance(C=C, C_chol=C_chol, C_inv=C_inv, responses=responses, Sb=Sb)
 
 

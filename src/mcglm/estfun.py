@@ -1,12 +1,15 @@
 """Quasi-score and Pearson estimating functions and the Godambe calculus.
 
 The central object is an EstimatingState: the full evaluation of the
-model at one theta (means, residuals, mean gradient, joint covariance,
-and the per-lambda weight matrices). Every sensitivity / variability
-block is a function of that state.
+model at one theta (means, residuals, mean gradient, joint covariance
+and its derivative dC_i in each lambda). The lambda blocks are traces
+tr(W_i M) with W_i = C^{-1} dC_i C^{-1}; they and the beta blocks are
+computed from u = C^{-1} r, G = C^{-1} D and A_i = C^{-1} dC_i, so W_i
+itself is never formed.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -19,7 +22,6 @@ from .covariance import (
     dSigma_dtau,
     generalized_kronecker,
     sigma_b_from_rho,
-    weight_matrix,
 )
 from .errors import SingularMatrixError
 from .functions import link_inverse, link_inverse_deriv
@@ -27,7 +29,10 @@ from .functions import link_inverse, link_inverse_deriv
 
 @dataclass(frozen=True)
 class EstimatingState:
-    """Model evaluated at one theta: everything the estimating functions need."""
+    """Model evaluated at one theta: everything the estimating functions need.
+
+    u = C^{-1} r, G = C^{-1} D and A[i] = C^{-1} dC_i are solved on first use.
+    """
 
     model: object
     theta: object
@@ -38,7 +43,6 @@ class EstimatingState:
     dmu_deta: tuple = field(repr=False)         # per-response derivative vectors
     assembly: object = None
     dC: tuple = field(default=(), repr=False)   # per-lambda derivative of C
-    weights: tuple = field(default=(), repr=False)
 
     @property
     def K(self):
@@ -48,9 +52,24 @@ class EstimatingState:
     def Q(self):
         return len(self.dC)
 
+    @cached_property
+    def u(self):
+        return self.assembly.C_inv @ self.residual
+
+    @cached_property
+    def G(self):
+        return self.assembly.C_inv @ self.D
+
+    @cached_property
+    def A(self):
+        return tuple(self.assembly.C_inv @ dC for dC in self.dC)
+
 
 def build_state(model, y, theta, need_weights=True):
-    """Evaluate the model at theta. Raises FactorizationError on non-PD covariance."""
+    """Evaluate the model at theta; need_weights=False skips the dC_i of the traces.
+
+    Raises FactorizationError on non-PD covariance.
+    """
     y = np.asarray(y, dtype=float).reshape(-1)
     N, R, K = model.N, model.R, model.K
     if y.size != N * R:
@@ -76,7 +95,7 @@ def build_state(model, y, theta, need_weights=True):
     Sb = sigma_b_from_rho(rho, R)
     assembly = generalized_kronecker(resp_cov, Sb)
 
-    dC_list, W_list = (), ()
+    dC_list = ()
     if need_weights:
         dC_list = []
         for role, idx, d in model.lambda_index_map():
@@ -94,7 +113,6 @@ def build_state(model, y, theta, need_weights=True):
                     mu_r, resp.variance, p[idx], tau[idx], resp.predictor, resp.covlink, d
                 )
             dC_list.append(dC_dpar_r(assembly, idx, dS))
-        W_list = tuple(weight_matrix(assembly.C_inv, dC) for dC in dC_list)
         dC_list = tuple(dC_list)
 
     return EstimatingState(
@@ -107,7 +125,6 @@ def build_state(model, y, theta, need_weights=True):
         dmu_deta=tuple(dmu_deta),
         assembly=assembly,
         dC=dC_list,
-        weights=W_list,
     )
 
 
@@ -129,8 +146,8 @@ def dC_dbeta(state, j):
 
 
 def quasi_score(state):
-    """psi_beta = D^T C^{-1} (y - mu)."""
-    return state.D.T @ (state.assembly.C_inv @ state.residual)
+    """psi_beta = D^T C^{-1} (y - mu) = D^T u."""
+    return state.D.T @ state.u
 
 
 def _check_beta_rank(M):
@@ -145,8 +162,8 @@ def _check_beta_rank(M):
 
 
 def sensitivity_beta(state):
-    """S_beta = -D^T C^{-1} D."""
-    M = state.D.T @ state.assembly.C_inv @ state.D
+    """S_beta = -D^T C^{-1} D = -D^T G."""
+    M = state.D.T @ state.G
     M = 0.5 * (M + M.T)
     _check_beta_rank(M)
     return -M
@@ -157,45 +174,31 @@ def variability_beta(state):
     return -sensitivity_beta(state)
 
 
-def pearson_fn(state, i):
-    """psi_lambda_i = tr(W_i (r r^T - C)), the moment-matching equation."""
-    W = state.weights[i]
-    r = state.residual
-    return float(r @ W @ r - np.sum(W * state.assembly.C))
-
-
 def pearson_vector(state):
-    r = state.residual
-    C = state.assembly.C
-    return np.array([float(r @ W @ r - np.sum(W * C)) for W in state.weights])
+    """psi_lambda_i = tr(W_i (r r^T - C)) = u^T dC_i u - tr(C^{-1} dC_i)."""
+    u, C_inv = state.u, state.assembly.C_inv
+    return np.array([float(u @ dC @ u - np.sum(C_inv * dC)) for dC in state.dC])
 
 
 def sensitivity_lambda(state):
-    """S_lambda[i, j] = -tr(W_i C W_j C)."""
-    Q = state.Q
-    M = [W @ state.assembly.C for W in state.weights]
-    S = np.empty((Q, Q))
-    for i in range(Q):
-        for j in range(i, Q):
-            t = -float(np.sum(M[i] * M[j].T))
-            S[i, j] = t
-            S[j, i] = t
+    """S_lambda[i, j] = -tr(W_i C W_j C) = -tr(A_i A_j)."""
+    A = state.A
+    S = np.empty((state.Q, state.Q))
+    for i in range(state.Q):
+        for j in range(i, state.Q):
+            S[i, j] = S[j, i] = -float(np.sum(A[i] * A[j].T))
     return S
 
 
 def variability_lambda(state, k4):
     """V_lambda with fourth-cumulant adjustment; k4 = 0 gives -2 S_lambda."""
     k4 = np.asarray(k4, dtype=float)
-    Q = state.Q
-    M = [W @ state.assembly.C for W in state.weights]
-    diag = [np.diag(W) for W in state.weights]
-    V = np.empty((Q, Q))
-    for i in range(Q):
-        for j in range(i, Q):
-            t = 2.0 * float(np.sum(M[i] * M[j].T))
-            t += float(np.sum(k4 * diag[i] * diag[j]))
-            V[i, j] = t
-            V[j, i] = t
+    C_inv = state.assembly.C_inv
+    diag = [np.sum(A * C_inv, axis=1) for A in state.A]  # diag(W_i)
+    V = -2.0 * sensitivity_lambda(state)
+    for i in range(state.Q):
+        for j in range(i, state.Q):
+            V[i, j] = V[j, i] = V[i, j] + float(np.sum(k4 * diag[i] * diag[j]))
     return V
 
 
@@ -206,27 +209,23 @@ def empirical_k4(residual, C):
 
 
 def cross_sensitivity_lb(state):
-    """S_lambda,beta[i, j] = -tr(W_i C W_beta_j C)."""
-    Q, K = state.Q, state.K
-    C = state.assembly.C
-    M = [W @ C for W in state.weights]
-    S = np.empty((Q, K))
-    for j in range(K):
-        Wb = weight_matrix(state.assembly.C_inv, dC_dbeta(state, j))
-        Mb = (Wb @ C).T
-        for i in range(Q):
-            S[i, j] = -float(np.sum(M[i] * Mb))
+    """S_lambda,beta[i, j] = -tr(W_i C W_beta_j C) = -tr(A_i C^{-1} dC_beta_j)."""
+    S = np.empty((state.Q, state.K))
+    for j in range(state.K):
+        Bt = (state.assembly.C_inv @ dC_dbeta(state, j)).T
+        for i, A in enumerate(state.A):
+            S[i, j] = -float(np.sum(A * Bt))
     return S
 
 
 def cross_variability_lb(state):
-    """Plug-in cross variability: (r^T W_i r) * (D^T C^{-1} r)_j.
+    """Plug-in cross variability: (r^T W_i r) * (D^T C^{-1} r)_j, r^T W_i r = u^T dC_i u.
 
     This is the empirical-third-moment contraction of the triple sum
     with the expectation dropped; the sums over (l, m) and k factorize.
     """
-    r = state.residual
-    quad = np.array([float(r @ W @ r) for W in state.weights])
+    u = state.u
+    quad = np.array([float(u @ dC @ u) for dC in state.dC])
     score = quasi_score(state)
     return np.outer(quad, score)
 
@@ -262,16 +261,16 @@ def godambe(S_theta, V_theta):
 
 
 def bias_correction(state):
-    """Bias correction b for the Pearson function: b_i = tr(D^T W_i D J_beta^{-1})."""
-    D = state.D
-    J_beta = D.T @ state.assembly.C_inv @ D
+    """Bias correction b_i = tr(D^T W_i D J_beta^{-1}), with D^T W_i D = G^T dC_i G."""
+    G = state.G
+    J_beta = state.D.T @ G
     if J_beta.size == 0:
         return np.zeros(state.Q)
     try:
         J_inv = np.linalg.inv(J_beta)
     except np.linalg.LinAlgError:
         raise SingularMatrixError("J_beta is singular in the bias correction")
-    return np.array([float(np.sum((D.T @ W @ D) * J_inv.T)) for W in state.weights])
+    return np.array([float(np.sum((G.T @ dC @ G) * J_inv.T)) for dC in state.dC])
 
 
 def build_godambe(state, corrected=True):
@@ -299,5 +298,5 @@ def build_godambe(state, corrected=True):
 
 
 def assemble_joint(model, y, theta):
-    """Light assembly of C at theta (no weight matrices)."""
+    """Light assembly of C at theta (no derivatives)."""
     return build_state(model, y, theta, need_weights=False).assembly

@@ -7,8 +7,7 @@ frozen dataclasses so they can be shared freely.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dpotri
 
 from .errors import DomainError, FactorizationError
 
@@ -160,11 +159,23 @@ def cholesky_lower(M):
     return np.tril(c)
 
 
+def cholesky_inverse(L):
+    """Inverse of L L^T from its lower Cholesky factor L (LAPACK dpotri)."""
+    inv, info = dpotri(L, lower=1)
+    if info > 0:
+        raise FactorizationError(
+            f"Cholesky factor is singular (pivot {info})", pivot=info
+        )
+    if info < 0:
+        raise ValueError(f"illegal argument {-info} to dpotri")
+    inv = np.tril(inv)
+    inv += np.tril(inv, -1).T
+    return inv
+
+
 def symmetric_inverse(M):
     """Inverse of a symmetric positive definite matrix via Cholesky."""
-    L = cholesky_lower(M)
-    inv = cho_solve((L, True), np.eye(M.shape[0]))
-    return 0.5 * (inv + inv.T)
+    return cholesky_inverse(cholesky_lower(M))
 
 
 def _dense(Z):

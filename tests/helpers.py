@@ -49,11 +49,12 @@ _SETUPS = [
 ]
 
 
-def random_instance(rng, N=None, R=None, free_rho=True):
+def random_instance(rng, N=None, R=None, free_rho=True, setups=_SETUPS):
     """Random small McGLM instance: (model, y, theta) with PD covariance.
 
     Mixes variance kinds, covariance links and predictors across
-    responses; theta is drawn well inside the PD region.
+    responses, each drawn from ``setups`` (variance kind, covariance
+    link, power known); theta is drawn well inside the PD region.
     """
     if N is None:
         N = int(rng.integers(4, 13))
@@ -63,7 +64,7 @@ def random_instance(rng, N=None, R=None, free_rho=True):
     betas, taus, powers = [], [], []
     groups = rng.integers(0, max(2, N // 3), size=N)
     for r in range(R):
-        kind, cov, power_known = _SETUPS[rng.integers(0, len(_SETUPS))]
+        kind, cov, power_known = setups[rng.integers(0, len(setups))]
         link = "log" if kind in ("tweedie_power", "poisson_tweedie") else "identity"
         k = int(rng.integers(1, 4))
         X = np.column_stack([np.ones(N)] + [rng.standard_normal(N) for _ in range(k - 1)])

@@ -1,9 +1,15 @@
 import csv
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mcglm
 from mcglm.cli import main
 
 
@@ -51,6 +57,22 @@ def gaussian_fixture(tmp_path, N=20, seed=0, missing_rows=()):
     return spec, np.column_stack([np.ones(N), x]), y
 
 
+def run_cli(*args):
+    """Run the CLI in a fresh interpreter, so an escaping exception shows as a traceback."""
+    env = dict(os.environ, PYTHONPATH=str(Path(mcglm.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "mcglm.cli", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def assert_one_error_line(proc):
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def read_estimates(out_dir):
     with open(out_dir / "estimates.csv", newline="") as fh:
         return {row["parameter"]: row for row in csv.DictReader(fh)}
@@ -75,6 +97,29 @@ class TestFit:
         )
         result = json.loads((out / "result.json").read_text())
         assert result["converged"] is True
+        assert result["saturated"] is False
+
+    def test_saturated_flag_written(self, tmp_path, monkeypatch):
+        spec, _, _ = gaussian_fixture(tmp_path)
+        fit = mcglm.solver.fit
+
+        def saturating_fit(*args, **kwargs):
+            result = fit(*args, **kwargs)
+            return dataclasses.replace(result, saturated=True)
+
+        monkeypatch.setattr(mcglm.solver, "fit", saturating_fit)
+        out = tmp_path / "out"
+        assert main(["fit", "--spec", str(spec), "--out", str(out)]) == 0
+        assert json.loads((out / "result.json").read_text())["saturated"] is True
+
+    def test_bad_alpha_options_exit_1(self, tmp_path):
+        spec, _, _ = gaussian_fixture(tmp_path)
+        doc = json.loads(spec.read_text())
+        doc["solver"].update({"alpha_step": 2.0, "alpha_max": 1.0})
+        write_json(spec, doc)
+        proc = run_cli("fit", "--spec", str(spec), "--out", str(tmp_path / "o"))
+        assert_one_error_line(proc)
+        assert "alpha_step" in proc.stderr
 
     def test_complete_case_filtering(self, tmp_path):
         spec, X, y = gaussian_fixture(tmp_path, missing_rows=(3, 7))
@@ -266,6 +311,24 @@ class TestSimulate:
             ]
         )
         assert code == 3
+
+
+@pytest.mark.parametrize("command", ["fit", "simulate", "check-derivatives"])
+def test_coincident_inverse_distance_positions_exit_1(tmp_path, command):
+    spec, _, _ = gaussian_fixture(tmp_path)
+    doc = json.loads(spec.read_text())
+    # every row has position 1 in the one group: coincident positions
+    doc["responses"][0]["predictor"].append({"type": "inverse_distance", "positions": "one"})
+    write_json(spec, doc)
+    args = {
+        "fit": ["--out", str(tmp_path / "o")],
+        "simulate": ["--theta", str(tmp_path / "theta.json"), "--n", "1",
+                     "--out", str(tmp_path / "o")],
+        "check-derivatives": [],
+    }[command]
+    proc = run_cli(command, "--spec", str(spec), *args)
+    assert_one_error_line(proc)
+    assert "coincident positions" in proc.stderr
 
 
 class TestCheckDerivatives:

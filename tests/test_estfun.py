@@ -13,6 +13,7 @@ from mcglm import (
     make_theta,
     mat_identity,
 )
+from mcglm.covariance import weight_matrix
 from mcglm.estfun import (
     bias_correction,
     build_godambe,
@@ -21,7 +22,6 @@ from mcglm.estfun import (
     dC_dbeta,
     empirical_k4,
     godambe,
-    pearson_fn,
     pearson_vector,
     quasi_score,
     sensitivity_beta,
@@ -45,6 +45,11 @@ def iid_normal_model(N, K=1, seed=0):
         MatrixPredictor((mat_identity(N),)),
     )
     return ModelSpec((resp,))
+
+
+def weights(state):
+    """Reference weight matrices W_i = C^{-1} dC_i C^{-1}."""
+    return [weight_matrix(state.assembly.C_inv, dC) for dC in state.dC]
 
 
 def iid_state(N, beta, tau0, y, K=1, seed=0):
@@ -142,21 +147,22 @@ class TestPearson:
         tau0 = 1.7
         state = iid_state(3, [0.0], tau0, y)
         expected = (np.sum(y ** 2) - 3 * tau0) / tau0 ** 2
-        assert pearson_fn(state, 0) == pytest.approx(expected, rel=1e-12)
+        assert pearson_vector(state)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_zero_at_moment_match(self):
         y = np.array([1.0, -1.0, 2.0, -2.0])
         tau0 = np.mean(y ** 2)
         state = iid_state(4, [0.0], tau0, y)
-        assert abs(pearson_fn(state, 0)) < 1e-12
+        assert abs(pearson_vector(state)[0]) < 1e-12
 
     def test_vector_consistency(self):
         rng = np.random.default_rng(5)
         model, y, theta = random_instance(rng, N=7, R=2)
         state = build_state(model, y, theta)
         vec = pearson_vector(state)
-        for i in range(state.Q):
-            assert vec[i] == pytest.approx(pearson_fn(state, i), rel=1e-12)
+        r, C = state.residual, state.assembly.C
+        for i, W in enumerate(weights(state)):
+            assert vec[i] == pytest.approx(float(r @ W @ r - np.sum(W * C)), rel=1e-12)
 
     def test_expected_value_zero_under_truth(self):
         # E[psi_lambda] = 0: Monte Carlo average over exact draws
@@ -203,7 +209,7 @@ class TestLambdaBlocks:
         # d psi_i / d lambda_j = tr(dW_i/dl_j (rr^T - C)) - tr(W_i dC_j)
         # whose expectation under r r^T = C is -tr(W_i C W_j C).
         # Here we check the trace identity directly.
-        M = [W @ state.assembly.C for W in state.weights]
+        M = [W @ state.assembly.C for W in weights(state)]
         S = sensitivity_lambda(state)
         for i in range(Q):
             for j in range(Q):
@@ -219,7 +225,7 @@ class TestLambdaBlocks:
         h = 1e-7
 
         def psi(t):
-            return pearson_fn(iid_state(3, [0.0], t, y), 0)
+            return pearson_vector(iid_state(3, [0.0], t, y))[0]
 
         fd = (psi(tau0 + h) - psi(tau0 - h)) / (2 * h)
         # analytic: psi = (ssq - 3 t)/t^2, d/dt = -ssq*2/t^3 + 3/t^2... compute
@@ -290,8 +296,7 @@ class TestCrossBlocks:
         A = state.assembly.C_inv @ state.D  # NR x K
         V = cross_variability_lb(state)
         n = r.size
-        for i in range(state.Q):
-            W = state.weights[i]
+        for i, W in enumerate(weights(state)):
             for j in range(model.K):
                 brute = 0.0
                 for l in range(n):
@@ -299,6 +304,31 @@ class TestCrossBlocks:
                         for k in range(n):
                             brute += W[l, m] * r[l] * r[m] * A[k, j] * r[k]
                 assert V[i, j] == pytest.approx(brute, rel=1e-8, abs=1e-10)
+
+
+@pytest.mark.parametrize("R", [1, 3])
+@pytest.mark.parametrize("covlink", ["identity", "inverse"])
+def test_k4_variability_and_cross_sensitivity_match_weight_formulas(covlink, R):
+    # off the easy path: W != I, non-zero k4, and dC/dbeta != 0 (power variances)
+    rng = np.random.default_rng(16 + R)
+    setups = [("tweedie_power", covlink, False), ("poisson_tweedie", covlink, False)]
+    model, y, theta = random_instance(rng, N=7, R=R, setups=setups)
+    state = build_state(model, y, theta)
+    C, C_inv = state.assembly.C, state.assembly.C_inv
+    W = weights(state)
+    k4 = rng.uniform(0.5, 3.0, size=C.shape[0])
+    V_ref = np.array(
+        [
+            [2.0 * np.trace(Wi @ C @ Wj @ C) + np.sum(k4 * np.diag(Wi) * np.diag(Wj)) for Wj in W]
+            for Wi in W
+        ]
+    )
+    W_beta = [weight_matrix(C_inv, dC_dbeta(state, j)) for j in range(model.K)]
+    S_ref = np.array([[-np.trace(Wi @ C @ Wb @ C) for Wb in W_beta] for Wi in W])
+    assert rel_err(V_ref, -2.0 * sensitivity_lambda(state)) > 1e-3
+    assert np.max(np.abs(S_ref)) > 1e-3
+    assert rel_err(variability_lambda(state, k4), V_ref) < 1e-12
+    assert rel_err(cross_sensitivity_lb(state), S_ref) < 1e-12
 
 
 class TestBiasCorrection:
@@ -317,7 +347,7 @@ class TestBiasCorrection:
         D = state.D
         J_inv = np.linalg.inv(D.T @ state.assembly.C_inv @ D)
         b = bias_correction(state)
-        for i, W in enumerate(state.weights):
+        for i, W in enumerate(weights(state)):
             assert b[i] == pytest.approx(float(np.trace(D.T @ W @ D @ J_inv)), rel=1e-9)
 
 

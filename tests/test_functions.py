@@ -3,6 +3,8 @@ import pytest
 
 from mcglm import CovLinkSpec, DomainError, FactorizationError, LinkSpec, VarianceSpec
 from mcglm.functions import (
+    cholesky_inverse,
+    cholesky_lower,
     covlink_apply_inverse,
     covlink_deriv,
     link_inverse,
@@ -223,6 +225,22 @@ class TestCovLink:
         U = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(FactorizationError) as exc:
             covlink_apply_inverse(CovLinkSpec("inverse"), U)
+        assert exc.value.pivot == 2
+
+
+class TestCholeskyInverse:
+    def test_matches_dense_inverse_and_is_symmetric(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 4, 30):
+            M = random_pd(rng, n)
+            inv = cholesky_inverse(cholesky_lower(M))
+            assert np.array_equal(inv, inv.T)
+            assert rel_err(inv, np.linalg.inv(M)) < 1e-12
+
+    def test_singular_factor_raises_with_pivot(self):
+        L = np.array([[1.0, 0.0], [0.5, 0.0]])
+        with pytest.raises(FactorizationError) as exc:
+            cholesky_inverse(L)
         assert exc.value.pivot == 2
 
 
