@@ -3,7 +3,7 @@
 import numpy as np
 
 from .errors import FactorizationError
-from .estfun import assemble_joint, build_state, dC_dbeta
+from .estfun import build_state, dC_dbeta
 from .model import make_theta
 
 FAMILIES = ("rho", "power", "tau", "beta")
@@ -12,7 +12,7 @@ FAMILIES = ("rho", "power", "tau", "beta")
 def _fd_dC(model, y, theta, kind, index, h):
     def C_at(flat):
         th = make_theta(model, flat[: model.K], flat[model.K :])
-        return assemble_joint(model, y, th).C
+        return build_state(model, y, th).assembly.C
 
     flat = theta.flat
     e = np.zeros_like(flat)

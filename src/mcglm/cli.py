@@ -9,6 +9,7 @@ entirely before assembly.
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -27,9 +28,16 @@ class InputError(Exception):
     pass
 
 
-def _load_schema():
+@functools.cache
+def _spec_validator():
+    """Validator for spec_schema.json, built (and the schema checked) once per process."""
+    from jsonschema.validators import validator_for
+
     with open(Path(__file__).with_name("spec_schema.json")) as fh:
-        return json.load(fh)
+        schema = json.load(fh)
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def load_spec_document(path):
@@ -38,13 +46,12 @@ def load_spec_document(path):
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"{path}: {exc}")
-    import jsonschema
+    from jsonschema.exceptions import best_match
 
-    try:
-        jsonschema.validate(doc, _load_schema())
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise InputError(f"{path}: schema violation at {where}: {exc.message}")
+    error = best_match(_spec_validator().iter_errors(doc))
+    if error is not None:
+        where = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise InputError(f"{path}: schema violation at {where}: {error.message}")
     return doc
 
 
@@ -61,7 +68,7 @@ def resolve_data_path(args, doc):
     return str(path)
 
 
-def read_csv_columns(path, missing="NA"):
+def read_csv_columns(path):
     """Read a CSV into {column: list-of-str}; RFC-4180 quoting."""
     try:
         with open(path, newline="") as fh:
@@ -97,18 +104,6 @@ def _numeric(cols, name, missing, path):
                     f"{path}: row {i + 2}, column {name!r}: not a number: {v!r}"
                 )
     return np.asarray(out)
-
-
-def _referenced_columns(doc):
-    cols = set()
-    for resp in doc["responses"]:
-        cols.add(resp["name"])
-        cols.update(resp["design_columns"])
-        for comp in resp["predictor"]:
-            for key in ("groups", "positions", "levels"):
-                if key in comp:
-                    cols.add(comp[key])
-    return cols
 
 
 def _build_component(comp, cols, keep, missing, data_path, spec_dir):
@@ -158,7 +153,7 @@ def build_model_and_data(doc, data_path, spec_dir):
     from .model import ModelSpec, ResponseSpec, complete_case_mask
 
     missing = doc.get("data", {}).get("missing", "NA")
-    cols = read_csv_columns(data_path, missing)
+    cols = read_csv_columns(data_path)
 
     needed_numeric = []
     for resp in doc["responses"]:
@@ -298,14 +293,17 @@ def cmd_fit(args):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    from .errors import McglmError
+    from .errors import FactorizationError, McglmError
     from .solver import fit
 
     try:
         result = fit(model, y, opts)
     except McglmError as exc:
         print(f"error: fit failed: {exc}", file=sys.stderr)
-        return EXIT_NOCONV
+        nonpd = isinstance(exc, FactorizationError) or isinstance(
+            exc.__cause__, FactorizationError
+        )
+        return EXIT_NONPD if nonpd else EXIT_NOCONV
     write_fit_outputs(args.out, model, result)
     if not result.converged:
         print(

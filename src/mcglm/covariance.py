@@ -3,8 +3,10 @@
 Builds the per-response covariances Sigma_r, couples them through the
 between-response correlation via the generalized Kronecker product, and
 provides every analytic derivative of the joint covariance C that the
-estimating-function calculus needs. All derivative assemblies are
-explicitly symmetrized to suppress floating-point asymmetry.
+estimating-function calculus needs. The Sigma_r derivatives read the
+Omega_r = h^{-1}(U_r) held by each ResponseCovariance. All derivative
+assemblies are explicitly symmetrized to suppress floating-point
+asymmetry.
 """
 
 from dataclasses import dataclass, field
@@ -29,14 +31,18 @@ def _sym(M):
     return 0.5 * (M + M.T)
 
 
+def _scaled(a, M, b):
+    """diag(a) M diag(b), the form of Sigma_r = diag(s) Omega diag(s) and its derivatives."""
+    return a[:, None] * M * b[None, :]
+
+
 @dataclass(frozen=True)
 class ResponseCovariance:
-    """Sigma_r with its lower Cholesky factor, Omega_r and predictor value U."""
+    """Sigma_r with its lower Cholesky factor and Omega_r = h^{-1}(U_r)."""
 
     sigma: np.ndarray = field(repr=False)
     chol: np.ndarray = field(repr=False)
     omega: np.ndarray = field(repr=False)
-    U: np.ndarray = field(repr=False)
 
     @property
     def dim(self):
@@ -82,15 +88,14 @@ def sigma_b_from_rho(rho, R):
 def build_sigma_r(mu, var, p, tau, pred, cl):
     """Per-response covariance Sigma_r = V^{1/2} Omega V^{1/2} (+ diag(mu) for poisson_tweedie)."""
     mu = np.asarray(mu, dtype=float)
-    U = assemble_U(tau, pred)
-    omega = covlink_apply_inverse(cl, U)
+    omega = covlink_apply_inverse(cl, assemble_U(tau, pred))
     s = np.sqrt(variance_eval(var, mu, p))
-    sigma = s[:, None] * omega * s[None, :]
+    sigma = _scaled(s, omega, s)
     if var.kind == "poisson_tweedie":
         sigma = sigma + np.diag(mu)
     sigma = _sym(sigma)
     chol = cholesky_lower(sigma)
-    return ResponseCovariance(sigma=sigma, chol=chol, omega=omega, U=U)
+    return ResponseCovariance(sigma=sigma, chol=chol, omega=omega)
 
 
 def generalized_kronecker(responses, Sb):
@@ -177,31 +182,28 @@ def dC_dpar_r(assembly, r, dSigma_r):
     return _sym(dC)
 
 
-def dSigma_dp(mu, var, p, tau, pred, cl):
-    """Derivative of Sigma_r in the power parameter."""
+def dSigma_dp(mu, var, p, rc):
+    """Derivative of Sigma_r in the power parameter, read from the stored Omega of rc."""
     mu = np.asarray(mu, dtype=float)
-    v = variance_eval(var, mu, p)
-    s = np.sqrt(v)
-    ds = 0.5 * variance_deriv_p(var, mu, p) / s
-    omega = covlink_apply_inverse(cl, assemble_U(tau, pred))
-    half = ds[:, None] * omega * s[None, :]
+    s = np.sqrt(variance_eval(var, mu, p))
+    half = _scaled(0.5 * variance_deriv_p(var, mu, p) / s, rc.omega, s)
     return _sym(half + half.T)
 
 
-def dSigma_dtau(mu, var, p, tau, pred, cl, d):
-    """Derivative of Sigma_r in the d-th matrix-predictor coefficient."""
-    mu = np.asarray(mu, dtype=float)
-    if not 0 <= d < pred.D_plus_1:
-        raise DomainError(f"component index {d} out of range")
-    s = np.sqrt(variance_eval(var, mu, p))
-    U = assemble_U(tau, pred)
-    dOmega = covlink_deriv(cl, U, pred.components[d])
-    return _sym(s[:, None] * dOmega * s[None, :])
+def dSigma_dtau(mu, var, p, rc, cl, Z):
+    """Derivative of Sigma_r in the matrix-predictor coefficient of component Z.
+
+    dOmega comes from the stored Omega of rc (Z, or -Omega Z Omega under
+    the inverse covariance link), so nothing is rebuilt or inverted.
+    """
+    s = np.sqrt(variance_eval(var, np.asarray(mu, dtype=float), p))
+    return _sym(_scaled(s, covlink_deriv(cl, rc.omega, Z), s))
 
 
-def dSigma_dmu_dir(mu, var, p, tau, pred, cl, dmu):
+def dSigma_dmu_dir(mu, var, p, rc, dmu):
     """Derivative of Sigma_r along a mean direction dmu (chain rule for beta).
 
+    Omega does not depend on mu, so the stored Omega of rc is reused.
     For poisson_tweedie only the power component enters the sandwich;
     the diag(mu) term contributes diag(dmu) directly.
     """
@@ -213,11 +215,8 @@ def dSigma_dmu_dir(mu, var, p, tau, pred, cl, dmu):
         dv = (1.0 - 2.0 * mu) * dmu
     else:  # power component of tweedie_power / poisson_tweedie
         dv = p * mu ** (p - 1.0) * dmu
-    v = variance_eval(var, mu, p)
-    s = np.sqrt(v)
-    ds = 0.5 * dv / s
-    omega = covlink_apply_inverse(cl, assemble_U(tau, pred))
-    half = ds[:, None] * omega * s[None, :]
+    s = np.sqrt(variance_eval(var, mu, p))
+    half = _scaled(0.5 * dv / s, rc.omega, s)
     out = half + half.T
     if var.kind == "poisson_tweedie":
         out = out + np.diag(dmu)

@@ -2,10 +2,10 @@
 
 The central object is an EstimatingState: the full evaluation of the
 model at one theta (means, residuals, mean gradient, joint covariance
-and its derivative dC_i in each lambda). The lambda blocks are traces
-tr(W_i M) with W_i = C^{-1} dC_i C^{-1}; they and the beta blocks are
-computed from u = C^{-1} r, G = C^{-1} D and A_i = C^{-1} dC_i, so W_i
-itself is never formed.
+and, formed on first use, its derivative dC_i in each lambda). The
+lambda blocks are traces tr(W_i M) with W_i = C^{-1} dC_i C^{-1}; they
+and the beta blocks are computed from u = C^{-1} r, G = C^{-1} D and
+A_i = C^{-1} dC_i, so W_i itself is never formed.
 """
 
 from dataclasses import dataclass, field
@@ -31,7 +31,10 @@ from .functions import link_inverse, link_inverse_deriv
 class EstimatingState:
     """Model evaluated at one theta: everything the estimating functions need.
 
-    u = C^{-1} r, G = C^{-1} D and A[i] = C^{-1} dC_i are solved on first use.
+    dC[i], the derivative of C in the i-th lambda, u = C^{-1} r,
+    G = C^{-1} D and A[i] = C^{-1} dC_i are computed on first use, so a
+    state that is only factorized (a rejected proposal, a simulation)
+    forms none of them.
     """
 
     model: object
@@ -42,7 +45,6 @@ class EstimatingState:
     D: np.ndarray = field(repr=False)           # NR x K mean gradient
     dmu_deta: tuple = field(repr=False)         # per-response derivative vectors
     assembly: object = None
-    dC: tuple = field(default=(), repr=False)   # per-lambda derivative of C
 
     @property
     def K(self):
@@ -50,7 +52,28 @@ class EstimatingState:
 
     @property
     def Q(self):
-        return len(self.dC)
+        return self.model.Q
+
+    @cached_property
+    def dC(self):
+        model, assembly = self.model, self.assembly
+        N = model.N
+        _, p, _ = model.split_lambda(self.theta.lam)
+        out = []
+        for role, idx, d in model.lambda_index_map():
+            if role == "rho":
+                out.append(dC_drho(assembly, idx))
+                continue
+            resp = model.responses[idx]
+            mu_r = self.mu[idx * N : (idx + 1) * N]
+            rc = assembly.responses[idx]
+            if role == "power":
+                dS = dSigma_dp(mu_r, resp.variance, p[idx], rc)
+            else:
+                Z = resp.predictor.components[d]
+                dS = dSigma_dtau(mu_r, resp.variance, p[idx], rc, resp.covlink, Z)
+            out.append(dC_dpar_r(assembly, idx, dS))
+        return tuple(out)
 
     @cached_property
     def u(self):
@@ -65,10 +88,12 @@ class EstimatingState:
         return tuple(self.assembly.C_inv @ dC for dC in self.dC)
 
 
-def build_state(model, y, theta, need_weights=True):
-    """Evaluate the model at theta; need_weights=False skips the dC_i of the traces.
+def build_state(model, y, theta):
+    """Evaluate the means, the mean gradient and the factorized joint covariance at theta.
 
-    Raises FactorizationError on non-PD covariance.
+    The derivatives dC_i are left to EstimatingState.dC, which forms
+    them only when an estimating function first asks for them. Raises
+    FactorizationError on non-PD covariance.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     N, R, K = model.N, model.R, model.K
@@ -95,26 +120,6 @@ def build_state(model, y, theta, need_weights=True):
     Sb = sigma_b_from_rho(rho, R)
     assembly = generalized_kronecker(resp_cov, Sb)
 
-    dC_list = ()
-    if need_weights:
-        dC_list = []
-        for role, idx, d in model.lambda_index_map():
-            if role == "rho":
-                dC_list.append(dC_drho(assembly, idx))
-                continue
-            resp = model.responses[idx]
-            mu_r = mu[idx * N : (idx + 1) * N]
-            if role == "power":
-                dS = dSigma_dp(
-                    mu_r, resp.variance, p[idx], tau[idx], resp.predictor, resp.covlink
-                )
-            else:
-                dS = dSigma_dtau(
-                    mu_r, resp.variance, p[idx], tau[idx], resp.predictor, resp.covlink, d
-                )
-            dC_list.append(dC_dpar_r(assembly, idx, dS))
-        dC_list = tuple(dC_list)
-
     return EstimatingState(
         model=model,
         theta=theta,
@@ -124,7 +129,6 @@ def build_state(model, y, theta, need_weights=True):
         D=D,
         dmu_deta=tuple(dmu_deta),
         assembly=assembly,
-        dC=dC_list,
     )
 
 
@@ -136,12 +140,11 @@ def dC_dbeta(state, j):
     owner = next(r for r, sl in enumerate(slices) if sl.start <= j < sl.stop)
     resp = model.responses[owner]
     local = j - slices[owner].start
-    _, p, tau = model.split_lambda(state.theta.lam)
+    _, p, _ = model.split_lambda(state.theta.lam)
     mu_r = state.mu[owner * N : (owner + 1) * N]
     dmu = state.dmu_deta[owner] * resp.design[:, local]
-    dS = dSigma_dmu_dir(
-        mu_r, resp.variance, p[owner], tau[owner], resp.predictor, resp.covlink, dmu
-    )
+    rc = state.assembly.responses[owner]
+    dS = dSigma_dmu_dir(mu_r, resp.variance, p[owner], rc, dmu)
     return dC_dpar_r(state.assembly, owner, dS)
 
 
@@ -167,11 +170,6 @@ def sensitivity_beta(state):
     M = 0.5 * (M + M.T)
     _check_beta_rank(M)
     return -M
-
-
-def variability_beta(state):
-    """V_beta = D^T C^{-1} D = -S_beta."""
-    return -sensitivity_beta(state)
 
 
 def pearson_vector(state):
@@ -209,12 +207,20 @@ def empirical_k4(residual, C):
 
 
 def cross_sensitivity_lb(state):
-    """S_lambda,beta[i, j] = -tr(W_i C W_beta_j C) = -tr(A_i C^{-1} dC_beta_j)."""
-    S = np.empty((state.Q, state.K))
-    for j in range(state.K):
-        Bt = (state.assembly.C_inv @ dC_dbeta(state, j)).T
-        for i, A in enumerate(state.A):
-            S[i, j] = -float(np.sum(A * Bt))
+    """S_lambda,beta[i, j] = -tr(W_i C W_beta_j C) = -tr(A_i C^{-1} dC_beta_j).
+
+    C does not depend on the beta of a constant-variance response, so
+    those columns stay zero without forming dC_beta_j.
+    """
+    model = state.model
+    S = np.zeros((state.Q, state.K))
+    for resp, sl in zip(model.responses, model.beta_slices()):
+        if resp.variance.kind == "constant":
+            continue
+        for j in range(sl.start, sl.stop):
+            Bt = (state.assembly.C_inv @ dC_dbeta(state, j)).T
+            for i, A in enumerate(state.A):
+                S[i, j] = -float(np.sum(A * Bt))
     return S
 
 
@@ -273,7 +279,7 @@ def bias_correction(state):
     return np.array([float(np.sum((G.T @ dC @ G) * J_inv.T)) for dC in state.dC])
 
 
-def build_godambe(state, corrected=True):
+def build_godambe(state):
     """Assemble the full joint S_theta / V_theta and return the sandwich.
 
     The beta-lambda cross-sensitivity block is identically zero
@@ -295,8 +301,3 @@ def build_godambe(state, corrected=True):
     V[K:, :K] = V_lb
     V[:K, K:] = V_lb.T
     return godambe(S, V)
-
-
-def assemble_joint(model, y, theta):
-    """Light assembly of C at theta (no derivatives)."""
-    return build_state(model, y, theta, need_weights=False).assembly

@@ -192,11 +192,14 @@ def covlink_apply_inverse(cl, U):
     return symmetric_inverse(U)
 
 
-def covlink_deriv(cl, U, Z):
-    """Directional derivative of h^{-1} at U along a structure matrix Z."""
+def covlink_deriv(cl, omega, Z):
+    """Directional derivative of Omega = h^{-1}(U) along a structure matrix Z.
+
+    Z under the identity link, -Omega Z Omega under the inverse link;
+    omega is the value h^{-1}(U) already computed, so nothing is inverted.
+    """
     Z = _dense(Z)
     if cl.kind == "identity":
         return Z.copy()
-    Uinv = symmetric_inverse(_dense(U))
-    out = -Uinv @ Z @ Uinv
+    out = -omega @ Z @ omega
     return 0.5 * (out + out.T)

@@ -1,6 +1,6 @@
 """Model specification and the theta = (beta, lambda) parameter layout."""
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -173,11 +173,10 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class ThetaPartition:
-    """Full parameter vector theta = (beta, lambda) with its role map."""
+    """Full parameter vector theta = (beta, lambda)."""
 
     beta: np.ndarray
     lam: np.ndarray
-    index_map: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
@@ -195,7 +194,7 @@ class ThetaPartition:
 
 
 def make_theta(model, beta, lam):
-    return ThetaPartition(beta, lam, tuple(model.lambda_index_map()))
+    return ThetaPartition(beta, lam)
 
 
 def complete_case_mask(arrays):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .estfun import assemble_joint
+from .estfun import build_state
 from .functions import link_inverse
 
 
@@ -42,7 +42,7 @@ def simulate_gaussian(spec):
     """
     model = spec.model
     mean = stacked_mean(model, spec.theta_true)
-    assembly = assemble_joint(model, np.zeros_like(mean), spec.theta_true)
+    assembly = build_state(model, np.zeros_like(mean), spec.theta_true).assembly
     L = assembly.C_chol
     n = mean.size
     out = np.empty((spec.n_replicates, n))

@@ -70,9 +70,6 @@ class FitResult:
     fitted: np.ndarray = field(default=None, repr=False)
     saturated: bool = False
 
-    def summary_names(self, model):
-        return model.parameter_names()
-
 
 def _corrected_pearson(state, correct):
     psi = pearson_vector(state)
@@ -81,12 +78,18 @@ def _corrected_pearson(state, correct):
     return psi
 
 
-def _beta_update(state):
+def _beta_step(state):
+    """Quasi-score Newton step in beta; returns the state at the new beta.
+
+    Raises FactorizationError when the covariance there is not PD.
+    """
     S_b = sensitivity_beta(state)
-    return state.theta.beta - np.linalg.solve(S_b, quasi_score(state))
+    beta_new = state.theta.beta - np.linalg.solve(S_b, quasi_score(state))
+    return build_state(state.model, state.y, state.theta.with_beta(beta_new))
 
 
-def _lambda_update(state, alpha, correct):
+def _lambda_step(state, alpha, correct):
+    """Damped Pearson step in lambda at the state's beta; returns the new theta."""
     psi = _corrected_pearson(state, correct)
     S_l = sensitivity_lambda(state)
     if alpha == 0.0:
@@ -99,7 +102,7 @@ def _lambda_update(state, alpha, correct):
         step = np.linalg.solve(M, psi)
     except np.linalg.LinAlgError as exc:
         raise StepFailureError(f"singular lambda-step matrix: {exc}")
-    return state.theta.lam - step
+    return make_theta(state.model, state.theta.beta, state.theta.lam - step)
 
 
 def chaser_step(theta, model, y, correct=True):
@@ -108,12 +111,12 @@ def chaser_step(theta, model, y, correct=True):
 
 
 def reciprocal_step(theta, model, y, alpha, correct=True):
-    """One damped update; alpha = 0 reduces exactly to the chaser step."""
-    state = build_state(model, y, theta)
-    beta_new = _beta_update(state)
-    state_b = build_state(model, y, theta.with_beta(beta_new))
-    lam_new = _lambda_update(state_b, alpha, correct)
-    return make_theta(model, beta_new, lam_new)
+    """One damped update; alpha = 0 reduces exactly to the chaser step.
+
+    fit takes the same two steps, so this is the update fit runs.
+    """
+    state_b = _beta_step(build_state(model, y, theta))
+    return _lambda_step(state_b, alpha, correct)
 
 
 def alpha_strategy(previous_alpha, proposal_outcome, eps=0.01, alpha_max=1.0):
@@ -242,22 +245,20 @@ def fit(model, y, opts=None):
             break
         prev_flat = theta.flat
 
-        beta_new = _beta_update(state)
         try:
-            state_b = build_state(model, y, theta.with_beta(beta_new))
+            state_b = _beta_step(state)
         except FactorizationError as exc:
-            raise StepFailureError(f"non-PD covariance after beta step: {exc}")
+            raise StepFailureError(f"non-PD covariance after beta step: {exc}") from exc
 
         while True:
-            lam_new = _lambda_update(state_b, alpha, opts.correct_pearson)
-            theta_new = make_theta(model, beta_new, lam_new)
+            theta = _lambda_step(state_b, alpha, opts.correct_pearson)
             try:
-                state_new = build_state(model, y, theta_new)
+                state = build_state(model, y, theta)
             except FactorizationError as exc:
                 if opts.algorithm == "chaser":
                     raise StepFailureError(
                         f"chaser proposal gives non-PD covariance: {exc}"
-                    )
+                    ) from exc
                 alpha = alpha_strategy(
                     alpha, "pd_fail", eps=opts.alpha_step, alpha_max=opts.alpha_max
                 )
@@ -265,8 +266,6 @@ def fit(model, y, opts=None):
                 continue
             alpha = alpha_strategy(alpha, "pd_ok")
             break
-        theta = theta_new
-        state = state_new
 
     god = build_godambe(state)
     saturated = False

@@ -8,10 +8,13 @@ from mcglm import (
     MatrixPredictor,
     ModelSpec,
     ResponseSpec,
+    SimSpec,
+    StructureMatrix,
     VarianceSpec,
     mat_compound_symmetry,
     mat_identity,
     make_theta,
+    simulate_gaussian,
 )
 
 
@@ -127,3 +130,35 @@ def gaussian_two_response(N=20, seed=0, rho=0.4, tau_cs=0.3):
     model = ModelSpec(tuple(responses))
     lam = model.pack_lambda([rho], [1.0, 1.0], taus)
     return model, make_theta(model, np.concatenate(betas), lam)
+
+
+def nonpd_instance():
+    """Fixture whose chaser lambda step proposes a non-PD covariance."""
+    seed = 3
+    rng = np.random.default_rng(seed)
+    N = 12
+    A = rng.standard_normal((N, N))
+    Z = 0.5 * (A + A.T)
+    X = np.ones((N, 1))
+    pred = MatrixPredictor((mat_identity(N), StructureMatrix.from_dense(Z)))
+    resp = ResponseSpec(
+        "y",
+        LinkSpec("identity"),
+        VarianceSpec("constant"),
+        CovLinkSpec("identity"),
+        X,
+        pred,
+    )
+    model = ModelSpec((resp,))
+    w = np.linalg.eigvalsh(Z)
+    t1 = 0.9 / max(abs(w[0]), w[-1])
+    theta_true = make_theta(
+        model, np.array([0.5]), model.pack_lambda([], [1.0], [np.array([1.0, t1])])
+    )
+    y = simulate_gaussian(SimSpec(model, theta_true, 1, seed=seed))[0]
+    theta0 = make_theta(
+        model,
+        np.array([np.mean(y)]),
+        model.pack_lambda([], [1.0], [np.array([np.var(y), 0.0])]),
+    )
+    return model, y, theta0

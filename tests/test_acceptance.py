@@ -21,7 +21,6 @@ from mcglm import (
     ResponseSpec,
     SolverOptions,
     StepFailureError,
-    StructureMatrix,
     VarianceSpec,
     build_state,
     chaser_step,
@@ -37,7 +36,6 @@ from mcglm.checks import derivative_report
 from mcglm.covariance import generalized_kronecker, sigma_b_from_rho
 from mcglm.errors import FactorizationError, McglmError
 from mcglm.estfun import (
-    assemble_joint,
     pearson_vector,
     sensitivity_lambda,
     variability_lambda,
@@ -46,7 +44,7 @@ from mcglm.matpred import assemble_U
 from mcglm.simulate import SimSpec, stacked_mean
 from mcglm.solver import alpha_strategy
 
-from helpers import gaussian_two_response, random_instance, random_pd
+from helpers import gaussian_two_response, nonpd_instance, random_instance, random_pd
 
 Z95 = 1.959963984540054
 TIGHT = SolverOptions(tol_score=1e-12, tol_param=1e-12, max_iter=300)
@@ -90,7 +88,7 @@ def test_criterion_02_kronecker_reductions():
         from mcglm.covariance import ResponseCovariance
 
         L = np.linalg.cholesky(sigma)
-        return ResponseCovariance(sigma=sigma, chol=L, omega=sigma, U=sigma)
+        return ResponseCovariance(sigma=sigma, chol=L, omega=sigma)
 
     for _ in range(20):
         R = int(rng.integers(2, 4))
@@ -269,8 +267,8 @@ def test_criterion_06_insensitivity():
     for j in range(theta.lam.size):
         e = np.zeros(theta.lam.size)
         e[j] = h
-        Cp_inv = assemble_joint(model, mu, theta.with_lambda(theta.lam + e)).C_inv
-        Cm_inv = assemble_joint(model, mu, theta.with_lambda(theta.lam - e)).C_inv
+        Cp_inv = build_state(model, mu, theta.with_lambda(theta.lam + e)).assembly.C_inv
+        Cm_inv = build_state(model, mu, theta.with_lambda(theta.lam - e)).assembly.C_inv
         M = D.T @ ((Cp_inv - Cm_inv) / (2 * h))
         slopes = M @ resid  # K x n_rep per-replicate slope of psi_beta
         mean = slopes.mean(axis=1)
@@ -318,38 +316,6 @@ def test_criterion_07_v_lambda_identity():
     )
 
 
-def _nonpd_fixture():
-    """Fixture whose chaser lambda step proposes a non-PD covariance."""
-    seed = 3
-    rng = np.random.default_rng(seed)
-    N = 12
-    A = rng.standard_normal((N, N))
-    Z = 0.5 * (A + A.T)
-    X = np.ones((N, 1))
-    pred = MatrixPredictor((mat_identity(N), StructureMatrix.from_dense(Z)))
-    resp = ResponseSpec(
-        "y",
-        LinkSpec("identity"),
-        VarianceSpec("constant"),
-        CovLinkSpec("identity"),
-        X,
-        pred,
-    )
-    model = ModelSpec((resp,))
-    w = np.linalg.eigvalsh(Z)
-    t1 = 0.9 / max(abs(w[0]), w[-1])
-    theta_true = make_theta(
-        model, np.array([0.5]), model.pack_lambda([], [1.0], [np.array([1.0, t1])])
-    )
-    y = simulate_gaussian(SimSpec(model, theta_true, 1, seed=seed))[0]
-    theta0 = make_theta(
-        model,
-        np.array([np.mean(y)]),
-        model.pack_lambda([], [1.0], [np.array([np.var(y), 0.0])]),
-    )
-    return model, y, theta0
-
-
 def test_criterion_08_reciprocal_contract():
     rng = np.random.default_rng(8)
     bitwise = True
@@ -364,7 +330,7 @@ def test_criterion_08_reciprocal_contract():
         bitwise = bitwise and np.array_equal(t1.flat, t2.flat)
         compared += 1
 
-    model, y, theta0 = _nonpd_fixture()
+    model, y, theta0 = nonpd_instance()
     # the chaser proposal from theta0 is non-PD
     chaser_fails = False
     try:

@@ -11,6 +11,9 @@ import pytest
 
 import mcglm
 from mcglm.cli import main
+from mcglm.matpred import save_structure_matrix
+
+from helpers import nonpd_instance
 
 
 def write_json(path, doc):
@@ -174,6 +177,43 @@ class TestFit:
         # partial outputs (including the trace) are still written
         assert (out / "result.json").exists()
         assert json.loads((out / "result.json").read_text())["converged"] is False
+
+    def test_non_pd_chaser_proposal_exits_3(self, tmp_path):
+        # a random symmetric `file` structure matrix whose chaser proposal
+        # from the starting values is not positive definite
+        model, y, _ = nonpd_instance()
+        Z = model.responses[0].predictor.components[1]
+        save_structure_matrix(Z, tmp_path / "Z.txt")
+        write_csv(tmp_path / "data.csv", ["y", "one"], [[f"{v:.17g}", "1"] for v in y])
+        spec = tmp_path / "spec.json"
+        write_json(
+            spec,
+            {
+                "schema_version": 1,
+                "responses": [
+                    {
+                        "name": "y",
+                        "link": "identity",
+                        "variance": "constant",
+                        "covlink": "identity",
+                        "design_columns": ["one"],
+                        "predictor": [
+                            {"type": "identity"},
+                            {"type": "file", "path": "Z.txt"},
+                        ],
+                    }
+                ],
+                "data": {"path": "data.csv"},
+            },
+        )
+        proc = run_cli(
+            "fit", "--spec", str(spec), "--out", str(tmp_path / "o"), "--alg", "chaser"
+        )
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "non-PD" in lines[0]
 
     def test_byte_determinism_under_single_thread(self, tmp_path):
         spec, _, _ = gaussian_fixture(tmp_path)
@@ -480,3 +520,46 @@ class TestTwoResponse:
         assert rows[0]["row"] == "y2" and rows[0]["col"] == "y1"
         assert abs(float(rows[0]["estimate"])) < 1.0
         assert float(rows[0]["std_error"]) > 0.0
+
+
+# Run in a fresh interpreter: import mcglm.cli, fit with --threads 1, then
+# ask both bundled OpenBLAS copies for their thread count through ctypes.
+THREADS_PROBE = """
+import ctypes, glob, json, sys
+from pathlib import Path
+import mcglm.cli
+numpy_loaded = "numpy" in sys.modules
+code = mcglm.cli.main(["--threads", "1", "fit", "--spec", sys.argv[1], "--out", sys.argv[2]])
+import numpy, scipy.linalg
+site = Path(numpy.__file__).resolve().parent.parent
+threads = {}
+for pkg, pattern, symbol in (
+    ("numpy", "numpy.libs/libscipy_openblas64_-*.so", "scipy_openblas_get_num_threads64_"),
+    ("scipy", "scipy.libs/libscipy_openblas-*.so", "scipy_openblas_get_num_threads"),
+):
+    found = glob.glob(str(site / pattern))
+    if len(found) == 1:
+        get = getattr(ctypes.CDLL(found[0]), symbol)
+        get.argtypes = []
+        get.restype = ctypes.c_int
+        threads[pkg] = get()
+print(json.dumps({"numpy_loaded": numpy_loaded, "code": code, "threads": threads}))
+"""
+
+
+def test_threads_option_pins_both_openblas_copies(tmp_path):
+    spec, _, _ = gaussian_fixture(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(Path(mcglm.__file__).parents[1]))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "2"
+    proc = subprocess.run(
+        [sys.executable, "-c", THREADS_PROBE, str(spec), str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["numpy_loaded"] is False
+    assert report["code"] == 0
+    if len(report["threads"]) != 2:
+        pytest.skip("bundled OpenBLAS libraries not found")
+    assert report["threads"] == {"numpy": 1, "scipy": 1}

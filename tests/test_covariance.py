@@ -29,7 +29,7 @@ from helpers import random_pd, random_symmetric, rel_err
 
 def rc_from_sigma(sigma):
     L = np.linalg.cholesky(sigma)
-    return ResponseCovariance(sigma=sigma, chol=L, omega=sigma, U=sigma)
+    return ResponseCovariance(sigma=sigma, chol=L, omega=sigma)
 
 
 class TestSigmaBFromRho:
@@ -259,18 +259,18 @@ class TestDSigma:
         self.cl = CovLinkSpec("identity")
 
     def test_dp_zero_at_unit_mean(self):
-        dS = dSigma_dp(
-            np.ones(3), VarianceSpec("tweedie_power"), 1.3, [1.0], self.pred, self.cl
-        )
+        var = VarianceSpec("tweedie_power")
+        rc = build_sigma_r(np.ones(3), var, 1.3, [1.0], self.pred, self.cl)
+        dS = dSigma_dp(np.ones(3), var, 1.3, rc)
         assert np.max(np.abs(dS)) < 1e-14
 
     def test_dp_scalar_oracle(self):
         mu = np.array([np.e])
         pred = MatrixPredictor((mat_identity(1),))
         omega = 1.7
-        dS = dSigma_dp(
-            mu, VarianceSpec("tweedie_power"), 0.0, [omega], pred, self.cl
-        )
+        var = VarianceSpec("tweedie_power")
+        rc = build_sigma_r(mu, var, 0.0, [omega], pred, self.cl)
+        dS = dSigma_dp(mu, var, 0.0, rc)
         # d/dp of omega * mu^p at p=0 is omega * ln mu = omega
         assert dS[0, 0] == pytest.approx(omega, rel=1e-12)
 
@@ -284,29 +284,24 @@ class TestDSigma:
             var = VarianceSpec("tweedie_power")
             f = lambda pp: build_sigma_r(mu, var, pp, tau, self.pred, self.cl).sigma
             fd = (f(p + h) - f(p - h)) / (2 * h)
-            assert rel_err(dSigma_dp(mu, var, p, tau, self.pred, self.cl), fd) < 1e-6
+            rc = build_sigma_r(mu, var, p, tau, self.pred, self.cl)
+            assert rel_err(dSigma_dp(mu, var, p, rc), fd) < 1e-6
 
     def test_dtau_identity_link_constant_variance(self):
         Z = random_symmetric(np.random.default_rng(16), 3)
         pred = MatrixPredictor((mat_identity(3), StructureMatrix.from_dense(Z)))
-        dS = dSigma_dtau(
-            np.ones(3), VarianceSpec("constant"), 1.0, [1.0, 0.1], pred, self.cl, 1
-        )
+        var = VarianceSpec("constant")
+        rc = build_sigma_r(np.ones(3), var, 1.0, [1.0, 0.1], pred, self.cl)
+        dS = dSigma_dtau(np.ones(3), var, 1.0, rc, self.cl, pred.components[1])
         assert np.allclose(dS, 0.5 * (Z + Z.T), atol=1e-12)
 
     def test_dtau_inverse_covlink_at_identity(self):
         Z = random_symmetric(np.random.default_rng(17), 3)
         Zs = StructureMatrix.from_dense(Z)
         pred = MatrixPredictor((mat_identity(3), Zs))
-        dS = dSigma_dtau(
-            np.ones(3),
-            VarianceSpec("constant"),
-            1.0,
-            [1.0, 0.0],
-            pred,
-            CovLinkSpec("inverse"),
-            1,
-        )
+        var, cl = VarianceSpec("constant"), CovLinkSpec("inverse")
+        rc = build_sigma_r(np.ones(3), var, 1.0, [1.0, 0.0], pred, cl)
+        dS = dSigma_dtau(np.ones(3), var, 1.0, rc, cl, Zs)
         assert np.allclose(dS, -Zs.dense(), atol=1e-12)
 
     def test_dtau_fd(self):
@@ -326,13 +321,14 @@ class TestDSigma:
                     return build_sigma_r(mu, var, 1.4, tt, pred, cl).sigma
 
                 fd = (f(tau[d] + h) - f(tau[d] - h)) / (2 * h)
-                assert rel_err(dSigma_dtau(mu, var, 1.4, tau, pred, cl, d), fd) < 1e-6
+                rc = build_sigma_r(mu, var, 1.4, tau, pred, cl)
+                dS = dSigma_dtau(mu, var, 1.4, rc, cl, pred.components[d])
+                assert rel_err(dS, fd) < 1e-6
 
     def test_dmu_constant_variance_is_zero(self):
-        dS = dSigma_dmu_dir(
-            np.ones(3), VarianceSpec("constant"), 1.0, [1.0], self.pred, self.cl,
-            np.array([1.0, 2.0, 3.0]),
-        )
+        var = VarianceSpec("constant")
+        rc = build_sigma_r(np.ones(3), var, 1.0, [1.0], self.pred, self.cl)
+        dS = dSigma_dmu_dir(np.ones(3), var, 1.0, rc, np.array([1.0, 2.0, 3.0]))
         assert np.all(dS == 0.0)
 
     def test_dmu_fd(self):
@@ -348,7 +344,8 @@ class TestDSigma:
                 return build_sigma_r(mu + t * dmu, var, 1.6, tau, self.pred, self.cl).sigma
 
             fd = (f(h) - f(-h)) / (2 * h)
-            dS = dSigma_dmu_dir(mu, var, 1.6, tau, self.pred, self.cl, dmu)
+            rc = build_sigma_r(mu, var, 1.6, tau, self.pred, self.cl)
+            dS = dSigma_dmu_dir(mu, var, 1.6, rc, dmu)
             assert rel_err(dS, fd) < 1e-6
 
 

@@ -26,7 +26,6 @@ from mcglm.estfun import (
     quasi_score,
     sensitivity_beta,
     sensitivity_lambda,
-    variability_beta,
     variability_lambda,
 )
 
@@ -93,12 +92,6 @@ class TestBetaBlocks:
         state = iid_state(5, [0.0], 2.0, np.zeros(5))
         assert sensitivity_beta(state)[0, 0] == pytest.approx(-5.0 / 2.0)
 
-    def test_variability_is_negative_sensitivity(self):
-        rng = np.random.default_rng(3)
-        model, y, theta = random_instance(rng, N=8, R=2)
-        state = build_state(model, y, theta)
-        assert np.allclose(variability_beta(state), -sensitivity_beta(state))
-
     def test_rank_deficient_names_columns(self):
         X = np.column_stack([np.ones(4), np.ones(4)])
         resp = ResponseSpec(
@@ -121,17 +114,17 @@ class TestBetaBlocks:
         rng = np.random.default_rng(4)
         model, y, theta = random_instance(rng, N=8, R=2)
         h = 1e-6
-        state = build_state(model, y, theta, need_weights=False)
+        state = build_state(model, y, theta)
         K = model.K
         fd = np.zeros((K, K))
         for j in range(K):
             e = np.zeros(K)
             e[j] = h
             sp = quasi_score(
-                build_state(model, y, theta.with_beta(theta.beta + e), need_weights=False)
+                build_state(model, y, theta.with_beta(theta.beta + e))
             )
             sm = quasi_score(
-                build_state(model, y, theta.with_beta(theta.beta - e), need_weights=False)
+                build_state(model, y, theta.with_beta(theta.beta - e))
             )
             fd[:, j] = (sp - sm) / (2 * h)
         # for identity links the mean is linear so the C-fixed part dominates;
@@ -274,16 +267,16 @@ class TestCrossBlocks:
             model, y, theta = random_instance(rng, N=6, R=2)
             if all(r.variance.kind == "constant" for r in model.responses):
                 continue
-            state = build_state(model, y, theta, need_weights=False)
+            state = build_state(model, y, theta)
             h = 1e-6
             for j in range(model.K):
                 e = np.zeros(model.K)
                 e[j] = h
                 Cp = build_state(
-                    model, y, theta.with_beta(theta.beta + e), need_weights=False
+                    model, y, theta.with_beta(theta.beta + e)
                 ).assembly.C
                 Cm = build_state(
-                    model, y, theta.with_beta(theta.beta - e), need_weights=False
+                    model, y, theta.with_beta(theta.beta - e)
                 ).assembly.C
                 assert rel_err(dC_dbeta(state, j), (Cp - Cm) / (2 * h)) < 1e-5
             found += 1
@@ -331,6 +324,30 @@ def test_k4_variability_and_cross_sensitivity_match_weight_formulas(covlink, R):
     assert rel_err(cross_sensitivity_lb(state), S_ref) < 1e-12
 
 
+def test_cross_sensitivity_constant_variance_columns_are_zero():
+    # R=2 with one constant and one Tweedie response: C does not depend
+    # on the constant response's beta, so its columns are exactly zero
+    rng = np.random.default_rng(30)
+    setups = [("constant", "identity", True), ("tweedie_power", "identity", False)]
+    kinds = None
+    while kinds != ["constant", "tweedie_power"]:
+        model, y, theta = random_instance(rng, N=7, R=2, setups=setups)
+        kinds = sorted(resp.variance.kind for resp in model.responses)
+    state = build_state(model, y, theta)
+    C, C_inv = state.assembly.C, state.assembly.C_inv
+    W = weights(state)
+    S = cross_sensitivity_lb(state)
+    for resp, sl in zip(model.responses, model.beta_slices()):
+        if resp.variance.kind == "constant":
+            assert np.all(S[:, sl] == 0.0)
+            continue
+        cols = range(sl.start, sl.stop)
+        W_beta = [weight_matrix(C_inv, dC_dbeta(state, j)) for j in cols]
+        S_ref = np.array([[-np.trace(Wi @ C @ Wb @ C) for Wb in W_beta] for Wi in W])
+        assert np.max(np.abs(S_ref)) > 1e-3
+        assert rel_err(S[:, sl], S_ref) < 1e-12
+
+
 class TestBiasCorrection:
     def test_iid_normal_closed_form(self):
         # b_tau0 = K / tau0 for the iid normal model
@@ -375,7 +392,7 @@ class TestGodambe:
         # insensitivity: the beta-lambda block of S is exactly zero
         assert np.all(res.S_theta[:K, K:] == 0.0)
         assert np.allclose(res.S_theta[:K, :K], sensitivity_beta(state))
-        assert np.allclose(res.V_theta[:K, :K], variability_beta(state))
+        assert np.allclose(res.V_theta[:K, :K], -sensitivity_beta(state))
         assert np.allclose(res.V_theta, res.V_theta.T)
         assert np.all(res.std_errors >= 0.0)
 

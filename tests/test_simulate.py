@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mcglm import DomainError, SimSpec, simulate_counts_marginal, simulate_gaussian
-from mcglm.estfun import assemble_joint
+from mcglm.estfun import build_state
 from mcglm.simulate import stacked_mean
 
 from helpers import gaussian_two_response, random_instance
@@ -47,7 +47,7 @@ class TestGaussian:
         n_rep = 20_000
         out = simulate_gaussian(SimSpec(model, theta, n_rep, seed=13))
         mean = stacked_mean(model, theta)
-        C = assemble_joint(model, np.zeros(12), theta).C
+        C = build_state(model, np.zeros(12), theta).assembly.C
         emp_mean = out.mean(axis=0)
         emp_cov = np.cov(out.T)
         sd = np.sqrt(np.diag(C))
@@ -61,7 +61,7 @@ class TestGaussian:
         n_rep = 20_000
         out = simulate_gaussian(SimSpec(model, theta, n_rep, seed=17))
         mean = stacked_mean(model, theta)
-        C = assemble_joint(model, np.zeros(10), theta).C
+        C = build_state(model, np.zeros(10), theta).assembly.C
         sd = np.sqrt(np.diag(C))
         assert np.max(np.abs(out.mean(axis=0) - mean) / (sd / np.sqrt(n_rep))) < 5.0
 

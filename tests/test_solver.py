@@ -107,6 +107,14 @@ class TestStepAlgebra:
             t2 = reciprocal_step(theta, model, y, alpha=0.0)
             assert np.array_equal(t1.flat, t2.flat)
 
+    def test_fit_takes_the_chaser_step(self):
+        # fit runs the same step function: its second iterate is chaser_step's
+        model, theta_true = gaussian_two_response(N=16, seed=7)
+        y = simulate_gaussian(SimSpec(model, theta_true, 1, seed=8))[0]
+        res = fit(model, y, SolverOptions(max_iter=2))
+        expected = chaser_step(initialize(model, y), model, y).flat
+        assert np.array_equal(res.trace[1].theta, expected)
+
     def test_chaser_fixed_point_iid_normal(self):
         # at beta = OLS and tau0 = RSS/(N-K) the corrected step is stationary
         N, K = 15, 3
@@ -143,7 +151,7 @@ class TestStepAlgebra:
         rng = np.random.default_rng(6)
         y = rng.standard_normal(20)
         t1 = chaser_step(theta, model, y)
-        state = build_state(model, y, theta, need_weights=False)
+        state = build_state(model, y, theta)
         C_inv = state.assembly.C_inv
         D = state.D
         gls = np.linalg.solve(D.T @ C_inv @ D, D.T @ C_inv @ y)
