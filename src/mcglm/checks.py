@@ -50,7 +50,7 @@ def derivative_report(model, y, theta, h=1e-6, corrupt=None):
         record(family, state.dC[pos], fd)
     for j in range(model.K):
         fd = _fd_dC(model, y, theta, "beta", j, h)
-        record("beta", dC_dbeta(state, j), fd)
+        record("beta", state.assembly.dense(dC_dbeta(state, j)), fd)
     return worst
 
 

@@ -275,6 +275,7 @@ def write_fit_outputs(out_dir, model, result):
             {"score_norm": float(t.score_norm), "alpha": float(t.alpha)}
             for t in result.trace
         ],
+        "warnings": list(result.warnings),
     }
     with open(out / "result.json", "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

@@ -7,12 +7,18 @@ estimating-function calculus needs. The Sigma_r derivatives read the
 Omega_r = h^{-1}(U_r) held by each ResponseCovariance. All derivative
 assemblies are explicitly symmetrized to suppress floating-point
 asymmetry.
+
+Every function takes one matrix per response or, batched, a stack
+(n_units, m, m) of the blocks of independent units of one size; the
+joint blocks are then (n_units, R m, R m), response by response within
+a unit. UnitCovariance gathers the stacks of every unit size and
+scatters them to dense N R x N R matrices on demand.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DomainError
 from .functions import (
@@ -20,6 +26,7 @@ from .functions import (
     cholesky_lower,
     covlink_apply_inverse,
     covlink_deriv,
+    triangular_inverse,
     variance_eval,
     variance_deriv_p,
 )
@@ -27,13 +34,21 @@ from .matpred import assemble_U
 from .model import rho_index_pairs
 
 
+def _T(M):
+    return np.swapaxes(M, -1, -2)
+
+
 def _sym(M):
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + _T(M))
 
 
 def _scaled(a, M, b):
     """diag(a) M diag(b), the form of Sigma_r = diag(s) Omega diag(s) and its derivatives."""
-    return a[:, None] * M * b[None, :]
+    return a[..., :, None] * M * b[..., None, :]
+
+
+def _diag(v):
+    return v[..., :, None] * np.eye(v.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -46,18 +61,27 @@ class ResponseCovariance:
 
     @property
     def dim(self):
-        return self.sigma.shape[0]
+        return self.sigma.shape[-1]
+
+    @cached_property
+    def chol_inv(self):
+        return triangular_inverse(self.chol)
 
 
 @dataclass(frozen=True)
 class JointCovariance:
-    """Joint covariance C = Bdiag(chol_r) (Sigma_b kron I) Bdiag(chol_r)^T."""
+    """Joint covariance C = Bdiag(chol_r) (Sigma_b kron I) Bdiag(chol_r)^T.
 
-    C: np.ndarray = field(repr=False)
-    C_chol: np.ndarray = field(repr=False)
+    Its lower Cholesky factor is Bdiag(chol_r) (Lb kron I), with Lb the
+    factor of Sigma_b, and block (r, s) of its inverse is
+    (Sigma_b^{-1})_rs chol_r^{-T} chol_s^{-1}, so no joint factorization
+    is taken. C and its factor are formed on first use.
+    """
+
     C_inv: np.ndarray = field(repr=False)
     responses: tuple
     Sb: np.ndarray = field(repr=False)
+    Lb: np.ndarray = field(repr=False)
 
     @property
     def N(self):
@@ -69,7 +93,75 @@ class JointCovariance:
 
     def block(self, M, r, s):
         N = self.N
-        return M[r * N : (r + 1) * N, s * N : (s + 1) * N]
+        return M[..., r * N : (r + 1) * N, s * N : (s + 1) * N]
+
+    @cached_property
+    def C(self):
+        """Block (r, s) is Sb[r, s] chol_r chol_s^T; the diagonal blocks are Sigma_r exactly."""
+        C = np.empty(self.C_inv.shape)
+        rcs = self.responses
+        for r in range(self.R):
+            for s in range(r, self.R):
+                if r == s:
+                    block = rcs[r].sigma
+                else:
+                    block = self.Sb[r, s] * (rcs[r].chol @ _T(rcs[s].chol))
+                self.block(C, r, s)[...] = block
+                if s != r:
+                    self.block(C, s, r)[...] = _T(block)
+        return C
+
+    @cached_property
+    def C_chol(self):
+        """Block (r, s <= r) is Lb[r, s] chol_r; for R = 1 that is chol_1 itself."""
+        L = np.zeros(self.C_inv.shape)
+        for r in range(self.R):
+            for s in range(r + 1):
+                self.block(L, r, s)[...] = self.Lb[r, s] * self.responses[r].chol
+        return L
+
+
+@dataclass(frozen=True)
+class UnitCovariance:
+    """Joint covariance of a model as one JointCovariance per size of unit.
+
+    ``groups[g]`` holds (n_units, R m) stacks; ``index[g]`` gives the
+    positions of their rows and columns in the stacked N R vector. The
+    dense C, C_chol and C_inv are scattered from the blocks on first use.
+    """
+
+    groups: tuple
+    index: tuple
+
+    def dense(self, blocks):
+        """Scatter one stack of unit blocks per group into a dense N R x N R matrix."""
+        n = sum(idx.size for idx in self.index)
+        out = np.zeros((n, n))
+        for idx, b in zip(self.index, blocks):
+            out[idx[:, :, None], idx[:, None, :]] = b
+        return out
+
+    @cached_property
+    def C(self):
+        return self.dense([g.C for g in self.groups])
+
+    @cached_property
+    def C_chol(self):
+        return self.dense([g.C_chol for g in self.groups])
+
+    @cached_property
+    def C_inv(self):
+        return self.dense([g.C_inv for g in self.groups])
+
+    @cached_property
+    def variance(self):
+        """diag(C), the marginal variances of the stacked responses."""
+        out = np.empty(sum(idx.size for idx in self.index))
+        for idx, g in zip(self.index, self.groups):
+            out[idx] = np.concatenate(
+                [np.diagonal(rc.sigma, axis1=-2, axis2=-1) for rc in g.responses], axis=-1
+            )
+        return out
 
 
 def sigma_b_from_rho(rho, R):
@@ -92,7 +184,7 @@ def build_sigma_r(mu, var, p, tau, pred, cl):
     s = np.sqrt(variance_eval(var, mu, p))
     sigma = _scaled(s, omega, s)
     if var.kind == "poisson_tweedie":
-        sigma = sigma + np.diag(mu)
+        sigma = sigma + _diag(mu)
     sigma = _sym(sigma)
     chol = cholesky_lower(sigma)
     return ResponseCovariance(sigma=sigma, chol=chol, omega=omega)
@@ -101,8 +193,10 @@ def build_sigma_r(mu, var, p, tau, pred, cl):
 def generalized_kronecker(responses, Sb):
     """Couple per-response Cholesky factors through the between correlation.
 
-    Block (r, s) of the result is Sb[r, s] * chol_r chol_s^T, so the
-    diagonal blocks reproduce Sigma_r exactly.
+    The joint factor and inverse come from the per-response factors and
+    the factor of Sigma_b, which raises FactorizationError exactly when C
+    is not positive definite though every Sigma_r is. A 1 x 1 Sigma_b is
+    [1], its own factor, so for R = 1 the joint factor is chol_1 itself.
     """
     responses = tuple(responses)
     R = len(responses)
@@ -112,39 +206,33 @@ def generalized_kronecker(responses, Sb):
     dims = {rc.dim for rc in responses}
     if len(dims) != 1:
         raise DomainError("per-response covariances must share one dimension")
+    Lb = cholesky_lower(Sb) if R > 1 else np.ones((1, 1))
+    Sb_inv = cholesky_inverse(Lb) if R > 1 else Lb
     N = responses[0].dim
-    C = np.empty((N * R, N * R))
+    C_inv = np.empty(responses[0].sigma.shape[:-2] + (N * R, N * R))
     for r in range(R):
         for s in range(r, R):
-            if r == s:
-                block = responses[r].sigma
-            else:
-                block = Sb[r, s] * (responses[r].chol @ responses[s].chol.T)
-            C[r * N : (r + 1) * N, s * N : (s + 1) * N] = block
-            if s != r:
-                C[s * N : (s + 1) * N, r * N : (r + 1) * N] = block.T
-    C = _sym(C)
-    C_chol = cholesky_lower(C)
-    C_inv = cholesky_inverse(C_chol)
-    return JointCovariance(C=C, C_chol=C_chol, C_inv=C_inv, responses=responses, Sb=Sb)
+            block = Sb_inv[r, s] * (_T(responses[r].chol_inv) @ responses[s].chol_inv)
+            C_inv[..., r * N : (r + 1) * N, s * N : (s + 1) * N] = block
+            if s > r:
+                C_inv[..., s * N : (s + 1) * N, r * N : (r + 1) * N] = _T(block)
+    return JointCovariance(C_inv=_sym(C_inv), responses=responses, Sb=Sb, Lb=Lb)
 
 
 def phi_operator(M):
     """Lower-triangle projection with half diagonal; Phi(M) + Phi(M)^T = M for symmetric M."""
     M = np.asarray(M, dtype=float)
-    return np.tril(M, -1) + 0.5 * np.diag(np.diag(M))
+    return np.tril(M, -1) + 0.5 * _diag(np.diagonal(M, axis1=-2, axis2=-1))
 
 
-def chol_deriv(chol, dSigma):
+def chol_deriv(chol, chol_inv, dSigma):
     """Derivative of the lower Cholesky factor along a symmetric direction.
 
     Returns dL = L Phi(L^{-1} dSigma L^{-T}), which satisfies the
-    reconstruction identity dL L^T + L dL^T = dSigma.
+    reconstruction identity dL L^T + L dL^T = dSigma; chol_inv is L^{-1}.
     """
-    L = np.asarray(chol, dtype=float)
-    inner = solve_triangular(L, np.asarray(dSigma, dtype=float), lower=True)
-    inner = solve_triangular(L, inner.T, lower=True).T
-    return L @ phi_operator(inner)
+    inner = chol_inv @ np.asarray(dSigma, dtype=float) @ _T(chol_inv)
+    return chol @ phi_operator(inner)
 
 
 def dC_drho(assembly, i):
@@ -153,13 +241,10 @@ def dC_drho(assembly, i):
     if not 0 <= i < len(pairs):
         raise DomainError(f"rho index {i} out of range")
     a, b = pairs[i]
-    N, R = assembly.N, assembly.R
-    dC = np.zeros((N * R, N * R))
-    La = assembly.responses[a].chol
-    Lb = assembly.responses[b].chol
-    block = La @ Lb.T
-    dC[a * N : (a + 1) * N, b * N : (b + 1) * N] = block
-    dC[b * N : (b + 1) * N, a * N : (a + 1) * N] = block.T
+    dC = np.zeros(assembly.C_inv.shape)
+    block = assembly.responses[a].chol @ _T(assembly.responses[b].chol)
+    assembly.block(dC, a, b)[...] = block
+    assembly.block(dC, b, a)[...] = _T(block)
     return dC
 
 
@@ -170,15 +255,14 @@ def dC_dpar_r(assembly, r, dSigma_r):
     the Cholesky-factor derivative is propagated through the product
     rule of the generalized Kronecker product.
     """
-    N, R = assembly.N, assembly.R
-    dL = chol_deriv(assembly.responses[r].chol, dSigma_r)
+    rc = assembly.responses[r]
+    dL = chol_deriv(rc.chol, rc.chol_inv, dSigma_r)
     Sb = assembly.Sb
-    dC = np.zeros((N * R, N * R))
-    for s in range(R):
-        Ls = assembly.responses[s].chol
-        block = Sb[r, s] * (dL @ Ls.T)
-        dC[r * N : (r + 1) * N, s * N : (s + 1) * N] += block
-        dC[s * N : (s + 1) * N, r * N : (r + 1) * N] += block.T
+    dC = np.zeros(assembly.C_inv.shape)
+    for s in range(assembly.R):
+        block = Sb[r, s] * (dL @ _T(assembly.responses[s].chol))
+        assembly.block(dC, r, s)[...] += block
+        assembly.block(dC, s, r)[...] += _T(block)
     return _sym(dC)
 
 
@@ -187,7 +271,7 @@ def dSigma_dp(mu, var, p, rc):
     mu = np.asarray(mu, dtype=float)
     s = np.sqrt(variance_eval(var, mu, p))
     half = _scaled(0.5 * variance_deriv_p(var, mu, p) / s, rc.omega, s)
-    return _sym(half + half.T)
+    return _sym(half + _T(half))
 
 
 def dSigma_dtau(mu, var, p, rc, cl, Z):
@@ -210,19 +294,15 @@ def dSigma_dmu_dir(mu, var, p, rc, dmu):
     mu = np.asarray(mu, dtype=float)
     dmu = np.asarray(dmu, dtype=float)
     if var.kind == "constant":
-        return np.zeros((mu.size, mu.size))
+        return np.zeros(rc.sigma.shape)
     if var.kind == "binomial":
         dv = (1.0 - 2.0 * mu) * dmu
     else:  # power component of tweedie_power / poisson_tweedie
         dv = p * mu ** (p - 1.0) * dmu
     s = np.sqrt(variance_eval(var, mu, p))
     half = _scaled(0.5 * dv / s, rc.omega, s)
-    out = half + half.T
+    out = half + _T(half)
     if var.kind == "poisson_tweedie":
-        out = out + np.diag(dmu)
+        out = out + _diag(dmu)
     return _sym(out)
 
-
-def weight_matrix(C_inv, dC):
-    """W = C^{-1} dC C^{-1}, the negated derivative of C^{-1}."""
-    return _sym(C_inv @ dC @ C_inv)

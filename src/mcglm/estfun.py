@@ -2,10 +2,13 @@
 
 The central object is an EstimatingState: the full evaluation of the
 model at one theta (means, residuals, mean gradient, joint covariance
-and, formed on first use, its derivative dC_i in each lambda). The
-lambda blocks are traces tr(W_i M) with W_i = C^{-1} dC_i C^{-1}; they
-and the beta blocks are computed from u = C^{-1} r, G = C^{-1} D and
-A_i = C^{-1} dC_i, so W_i itself is never formed.
+and, formed on first use, its derivative dC_i in each lambda). C, C^{-1}
+and every dC_i are block diagonal over the model's independent units,
+so each quantity is computed batched over the unit blocks of every unit
+size and summed over the units. The lambda blocks are traces tr(W_i M)
+with W_i = C^{-1} dC_i C^{-1}; they and the beta blocks are computed
+from u = C^{-1} r, G = C^{-1} D and A_i = C^{-1} dC_i, so W_i itself is
+never formed.
 """
 
 from dataclasses import dataclass, field
@@ -14,6 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .covariance import (
+    UnitCovariance,
     build_sigma_r,
     dC_dpar_r,
     dC_drho,
@@ -31,10 +35,13 @@ from .functions import link_inverse, link_inverse_deriv
 class EstimatingState:
     """Model evaluated at one theta: everything the estimating functions need.
 
-    dC[i], the derivative of C in the i-th lambda, u = C^{-1} r,
-    G = C^{-1} D and A[i] = C^{-1} dC_i are computed on first use, so a
-    state that is only factorized (a rejected proposal, a simulation)
-    forms none of them.
+    The ``*_units`` attributes hold one entry per size of unit (as
+    ``model.unit_groups``): the rows of each unit of the mean gradient D,
+    the (Q, n_units, R m, R m) stack of the unit blocks of every dC_i,
+    u = C^{-1} r, G = C^{-1} D and A_i = C^{-1} dC_i.
+    They are computed on first use, so a state that is only factorized
+    (a rejected proposal, a simulation) forms none of them. dC is the
+    dense scatter of dC_units, for checks and tests.
     """
 
     model: object
@@ -44,7 +51,7 @@ class EstimatingState:
     residual: np.ndarray = field(repr=False)    # y - mu
     D: np.ndarray = field(repr=False)           # NR x K mean gradient
     dmu_deta: tuple = field(repr=False)         # per-response derivative vectors
-    assembly: object = None
+    assembly: object = None                     # UnitCovariance
 
     @property
     def K(self):
@@ -55,45 +62,61 @@ class EstimatingState:
         return self.model.Q
 
     @cached_property
-    def dC(self):
-        model, assembly = self.model, self.assembly
-        N = model.N
+    def D_units(self):
+        return tuple(self.D[idx] for idx in self.assembly.index)
+
+    @cached_property
+    def dC_units(self):
+        model = self.model
         _, p, _ = model.split_lambda(self.theta.lam)
         out = []
-        for role, idx, d in model.lambda_index_map():
-            if role == "rho":
-                out.append(dC_drho(assembly, idx))
-                continue
-            resp = model.responses[idx]
-            mu_r = self.mu[idx * N : (idx + 1) * N]
-            rc = assembly.responses[idx]
-            if role == "power":
-                dS = dSigma_dp(mu_r, resp.variance, p[idx], rc)
-            else:
-                Z = resp.predictor.components[d]
-                dS = dSigma_dtau(mu_r, resp.variance, p[idx], rc, resp.covlink, Z)
-            out.append(dC_dpar_r(assembly, idx, dS))
+        for grp, joint in zip(model.unit_groups, self.assembly.groups):
+            blocks = np.empty((self.Q,) + joint.C_inv.shape)
+            for i, (role, idx, d) in enumerate(model.lambda_index_map()):
+                if role == "rho":
+                    blocks[i] = dC_drho(joint, idx)
+                    continue
+                resp, rc = model.responses[idx], joint.responses[idx]
+                mu_r = self.mu[idx * model.N + grp.index]
+                if role == "power":
+                    dS = dSigma_dp(mu_r, resp.variance, p[idx], rc)
+                else:
+                    Z = grp.predictors[idx].components[d]
+                    dS = dSigma_dtau(mu_r, resp.variance, p[idx], rc, resp.covlink, Z)
+                blocks[i] = dC_dpar_r(joint, idx, dS)
+            out.append(blocks)
         return tuple(out)
 
     @cached_property
-    def u(self):
-        return self.assembly.C_inv @ self.residual
+    def dC(self):
+        return tuple(
+            self.assembly.dense([b[i] for b in self.dC_units]) for i in range(self.Q)
+        )
 
     @cached_property
-    def G(self):
-        return self.assembly.C_inv @ self.D
+    def u_units(self):
+        return tuple(
+            (g.C_inv @ self.residual[idx][..., None])[..., 0]
+            for g, idx in zip(self.assembly.groups, self.assembly.index)
+        )
 
     @cached_property
-    def A(self):
-        return tuple(self.assembly.C_inv @ dC for dC in self.dC)
+    def G_units(self):
+        return tuple(g.C_inv @ D for g, D in zip(self.assembly.groups, self.D_units))
+
+    @cached_property
+    def A_units(self):
+        return tuple(g.C_inv @ dC for g, dC in zip(self.assembly.groups, self.dC_units))
 
 
 def build_state(model, y, theta):
     """Evaluate the means, the mean gradient and the factorized joint covariance at theta.
 
-    The derivatives dC_i are left to EstimatingState.dC, which forms
-    them only when an estimating function first asks for them. Raises
-    FactorizationError on non-PD covariance.
+    The joint covariance is built batched over the model's units, one
+    JointCovariance per unit size. The derivatives dC_i are left to
+    EstimatingState.dC_units, which forms them only when an estimating
+    function first asks for them. Raises FactorizationError on non-PD
+    covariance.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     N, R, K = model.N, model.R, model.K
@@ -105,7 +128,6 @@ def build_state(model, y, theta):
     mu = np.empty(N * R)
     dmu_deta = []
     D = np.zeros((N * R, K))
-    resp_cov = []
     for r, resp in enumerate(model.responses):
         beta_r = theta.beta[slices[r]]
         eta = resp.design @ beta_r
@@ -114,11 +136,20 @@ def build_state(model, y, theta):
         mu[r * N : (r + 1) * N] = mu_r
         dmu_deta.append(d_r)
         D[r * N : (r + 1) * N, slices[r]] = d_r[:, None] * resp.design
-        resp_cov.append(
-            build_sigma_r(mu_r, resp.variance, p[r], tau[r], resp.predictor, resp.covlink)
-        )
     Sb = sigma_b_from_rho(rho, R)
-    assembly = generalized_kronecker(resp_cov, Sb)
+    joint = []
+    for grp in model.unit_groups:
+        resp_cov = [
+            build_sigma_r(
+                mu[r * N + grp.index], resp.variance, p[r], tau[r], grp.predictors[r],
+                resp.covlink,
+            )
+            for r, resp in enumerate(model.responses)
+        ]
+        joint.append(generalized_kronecker(resp_cov, Sb))
+    assembly = UnitCovariance(
+        groups=tuple(joint), index=tuple(grp.joint for grp in model.unit_groups)
+    )
 
     return EstimatingState(
         model=model,
@@ -133,7 +164,11 @@ def build_state(model, y, theta):
 
 
 def dC_dbeta(state, j):
-    """Derivative of C in the j-th regression coefficient (chain rule via mu)."""
+    """Derivative of C in the j-th regression coefficient (chain rule via mu).
+
+    One stack of unit blocks per unit size; state.assembly.dense scatters
+    it to the dense matrix.
+    """
     model = state.model
     N = model.N
     slices = model.beta_slices()
@@ -141,16 +176,44 @@ def dC_dbeta(state, j):
     resp = model.responses[owner]
     local = j - slices[owner].start
     _, p, _ = model.split_lambda(state.theta.lam)
-    mu_r = state.mu[owner * N : (owner + 1) * N]
     dmu = state.dmu_deta[owner] * resp.design[:, local]
-    rc = state.assembly.responses[owner]
-    dS = dSigma_dmu_dir(mu_r, resp.variance, p[owner], rc, dmu)
-    return dC_dpar_r(state.assembly, owner, dS)
+    out = []
+    for grp, joint in zip(model.unit_groups, state.assembly.groups):
+        rc = joint.responses[owner]
+        mu_r = state.mu[owner * N + grp.index]
+        dS = dSigma_dmu_dir(mu_r, resp.variance, p[owner], rc, dmu[grp.index])
+        out.append(dC_dpar_r(joint, owner, dS))
+    return tuple(out)
+
+
+def _flat(X):
+    """(Q, ...) -> (Q, n): each leading entry as one row."""
+    return X.reshape(X.shape[0], -1)
+
+
+def _T(X):
+    return np.swapaxes(X, -1, -2)
+
+
+def _DtG(state):
+    """D^T C^{-1} D = D^T G, summed over units."""
+    K = state.K
+    return sum(
+        D.reshape(-1, K).T @ G.reshape(-1, K) for D, G in zip(state.D_units, state.G_units)
+    )
+
+
+def _quad(state):
+    """r^T W_i r = u^T dC_i u for every i, summed over units."""
+    return sum(
+        _flat(dC @ u[..., None]) @ u.ravel() for u, dC in zip(state.u_units, state.dC_units)
+    )
 
 
 def quasi_score(state):
     """psi_beta = D^T C^{-1} (y - mu) = D^T u."""
-    return state.D.T @ state.u
+    K = state.K
+    return sum(D.reshape(-1, K).T @ u.ravel() for D, u in zip(state.D_units, state.u_units))
 
 
 def _check_beta_rank(M):
@@ -166,7 +229,7 @@ def _check_beta_rank(M):
 
 def sensitivity_beta(state):
     """S_beta = -D^T C^{-1} D = -D^T G."""
-    M = state.D.T @ state.G
+    M = _DtG(state)
     M = 0.5 * (M + M.T)
     _check_beta_rank(M)
     return -M
@@ -174,36 +237,36 @@ def sensitivity_beta(state):
 
 def pearson_vector(state):
     """psi_lambda_i = tr(W_i (r r^T - C)) = u^T dC_i u - tr(C^{-1} dC_i)."""
-    u, C_inv = state.u, state.assembly.C_inv
-    return np.array([float(u @ dC @ u - np.sum(C_inv * dC)) for dC in state.dC])
+    trace = sum(
+        _flat(dC) @ g.C_inv.ravel() for g, dC in zip(state.assembly.groups, state.dC_units)
+    )
+    return _quad(state) - trace
 
 
 def sensitivity_lambda(state):
     """S_lambda[i, j] = -tr(W_i C W_j C) = -tr(A_i A_j)."""
-    A = state.A
-    S = np.empty((state.Q, state.Q))
-    for i in range(state.Q):
-        for j in range(i, state.Q):
-            S[i, j] = S[j, i] = -float(np.sum(A[i] * A[j].T))
-    return S
+    S = -sum(np.einsum("iuab,juba->ij", A, A) for A in state.A_units)
+    return 0.5 * (S + S.T)
 
 
 def variability_lambda(state, k4):
-    """V_lambda with fourth-cumulant adjustment; k4 = 0 gives -2 S_lambda."""
+    """V_lambda with fourth-cumulant adjustment; k4 = 0 gives -2 S_lambda.
+
+    k4 is indexed like the stacked responses; diag(W_i) is the row sums
+    of A_i o C^{-1}.
+    """
     k4 = np.asarray(k4, dtype=float)
-    C_inv = state.assembly.C_inv
-    diag = [np.sum(A * C_inv, axis=1) for A in state.A]  # diag(W_i)
     V = -2.0 * sensitivity_lambda(state)
-    for i in range(state.Q):
-        for j in range(i, state.Q):
-            V[i, j] = V[j, i] = V[i, j] + float(np.sum(k4 * diag[i] * diag[j]))
+    for idx, g, A in zip(state.assembly.index, state.assembly.groups, state.A_units):
+        w = _flat(np.einsum("iuab,uab->iua", A, g.C_inv))
+        V = V + (w * k4[idx].ravel()) @ w.T
     return V
 
 
-def empirical_k4(residual, C):
-    """Empirical fourth cumulants r_l^4 - 3 C_ll^2, elementwise."""
+def empirical_k4(residual, variance):
+    """Empirical fourth cumulants r_l^4 - 3 C_ll^2, elementwise; variance is diag(C)."""
     r = np.asarray(residual, dtype=float)
-    return r ** 4 - 3.0 * np.diag(C) ** 2
+    return r ** 4 - 3.0 * np.asarray(variance, dtype=float) ** 2
 
 
 def cross_sensitivity_lb(state):
@@ -212,15 +275,16 @@ def cross_sensitivity_lb(state):
     C does not depend on the beta of a constant-variance response, so
     those columns stay zero without forming dC_beta_j.
     """
-    model = state.model
+    model, groups = state.model, state.assembly.groups
     S = np.zeros((state.Q, state.K))
     for resp, sl in zip(model.responses, model.beta_slices()):
         if resp.variance.kind == "constant":
             continue
         for j in range(sl.start, sl.stop):
-            Bt = (state.assembly.C_inv @ dC_dbeta(state, j)).T
-            for i, A in enumerate(state.A):
-                S[i, j] = -float(np.sum(A * Bt))
+            S[:, j] = -sum(
+                _flat(A) @ _T(g.C_inv @ dCb).ravel()
+                for A, g, dCb in zip(state.A_units, groups, dC_dbeta(state, j))
+            )
     return S
 
 
@@ -230,10 +294,7 @@ def cross_variability_lb(state):
     This is the empirical-third-moment contraction of the triple sum
     with the expectation dropped; the sums over (l, m) and k factorize.
     """
-    u = state.u
-    quad = np.array([float(u @ dC @ u) for dC in state.dC])
-    score = quasi_score(state)
-    return np.outer(quad, score)
+    return np.outer(_quad(state), quasi_score(state))
 
 
 @dataclass(frozen=True)
@@ -268,15 +329,17 @@ def godambe(S_theta, V_theta):
 
 def bias_correction(state):
     """Bias correction b_i = tr(D^T W_i D J_beta^{-1}), with D^T W_i D = G^T dC_i G."""
-    G = state.G
-    J_beta = state.D.T @ G
+    J_beta = _DtG(state)
     if J_beta.size == 0:
         return np.zeros(state.Q)
     try:
         J_inv = np.linalg.inv(J_beta)
     except np.linalg.LinAlgError:
         raise SingularMatrixError("J_beta is singular in the bias correction")
-    return np.array([float(np.sum((G.T @ dC @ G) * J_inv.T)) for dC in state.dC])
+    GdCG = sum(
+        np.sum(_T(G) @ (dC @ G), axis=1) for G, dC in zip(state.G_units, state.dC_units)
+    )
+    return _flat(GdCG) @ J_inv.T.ravel()
 
 
 def build_godambe(state):
@@ -295,7 +358,7 @@ def build_godambe(state):
     S[K:, :K] = cross_sensitivity_lb(state)
     S[K:, K:] = sensitivity_lambda(state)
     V[:K, :K] = -S_b
-    k4 = empirical_k4(state.residual, state.assembly.C)
+    k4 = empirical_k4(state.residual, state.assembly.variance)
     V[K:, K:] = variability_lambda(state, k4)
     V_lb = cross_variability_lb(state)
     V[K:, :K] = V_lb

@@ -7,7 +7,7 @@ frozen dataclasses so they can be shared freely.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotri
+from scipy.linalg.lapack import dpotrf
 
 from .errors import DomainError, FactorizationError
 
@@ -147,40 +147,57 @@ def variance_deriv_mu(var, mu, p=None):
 
 
 def cholesky_lower(M):
-    """Lower Cholesky factor; raises FactorizationError with the pivot index."""
+    """Lower Cholesky factor of a matrix, or of every matrix in a stack (..., m, m).
+
+    Raises FactorizationError with the 1-based pivot of the first matrix
+    that is not positive definite.
+    """
     M = np.asarray(M, dtype=float)
-    c, info = dpotrf(M, lower=1)
-    if info > 0:
+    try:
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        pass
+    for Mk in M.reshape(-1, *M.shape[-2:]):  # failure path: find the pivot
+        info = dpotrf(Mk, lower=1)[1]
+        if info > 0:
+            raise FactorizationError(
+                f"matrix is not positive definite (pivot {info})", pivot=info
+            )
+    raise FactorizationError("matrix is not positive definite")
+
+
+def triangular_inverse(L):
+    """Inverse of a lower-triangular matrix, or of every matrix in a stack.
+
+    Raises FactorizationError with the 1-based position of the first zero
+    diagonal entry of the first singular matrix.
+    """
+    L = np.asarray(L, dtype=float)
+    zero = (np.diagonal(L, axis1=-2, axis2=-1) == 0.0).reshape(-1, L.shape[-1])
+    singular = zero.any(axis=1)
+    if singular.any():
+        pivot = int(np.argmax(zero[np.argmax(singular)])) + 1
         raise FactorizationError(
-            f"matrix is not positive definite (pivot {info})", pivot=info
+            f"Cholesky factor is singular (pivot {pivot})", pivot=pivot
         )
-    if info < 0:
-        raise ValueError(f"illegal argument {-info} to dpotrf")
-    return np.tril(c)
+    return np.tril(np.linalg.inv(L))
 
 
 def cholesky_inverse(L):
-    """Inverse of L L^T from its lower Cholesky factor L (LAPACK dpotri)."""
-    inv, info = dpotri(L, lower=1)
-    if info > 0:
-        raise FactorizationError(
-            f"Cholesky factor is singular (pivot {info})", pivot=info
-        )
-    if info < 0:
-        raise ValueError(f"illegal argument {-info} to dpotri")
-    inv = np.tril(inv)
-    inv += np.tril(inv, -1).T
-    return inv
+    """Inverse of L L^T from its lower Cholesky factor L (or a stack of factors)."""
+    Li = triangular_inverse(L)
+    inv = np.swapaxes(Li, -1, -2) @ Li
+    return 0.5 * (inv + np.swapaxes(inv, -1, -2))
 
 
 def symmetric_inverse(M):
-    """Inverse of a symmetric positive definite matrix via Cholesky."""
+    """Inverse of a symmetric positive definite matrix (or stack) via Cholesky."""
     return cholesky_inverse(cholesky_lower(M))
 
 
 def _dense(Z):
     if hasattr(Z, "dense"):
-        return Z.dense()
+        return Z.data.toarray() if Z.is_sparse else Z.data
     return np.asarray(Z, dtype=float)
 
 
@@ -195,11 +212,12 @@ def covlink_apply_inverse(cl, U):
 def covlink_deriv(cl, omega, Z):
     """Directional derivative of Omega = h^{-1}(U) along a structure matrix Z.
 
-    Z under the identity link, -Omega Z Omega under the inverse link;
-    omega is the value h^{-1}(U) already computed, so nothing is inverted.
+    Z under the identity link (returned as is, not copied), -Omega Z Omega
+    under the inverse link; omega is the value h^{-1}(U) already computed,
+    so nothing is inverted. Z and omega may be stacks of unit blocks.
     """
     Z = _dense(Z)
     if cl.kind == "identity":
-        return Z.copy()
+        return Z
     out = -omega @ Z @ omega
-    return 0.5 * (out + out.T)
+    return 0.5 * (out + np.swapaxes(out, -1, -2))

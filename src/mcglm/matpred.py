@@ -4,7 +4,8 @@ A StructureMatrix is a known symmetric N x N matrix entering the matrix
 linear predictor U = tau_0 Z_0 + ... + tau_D Z_D. Builders cover the
 structures needed for repeated measures, longitudinal and neighborhood
 (CAR-style) covariance modelling. Grouping labels give block-diagonal
-replication across independent units.
+replication across independent units; unit_partition finds those units
+and unit_blocks restricts a structure matrix to them.
 """
 
 from dataclasses import dataclass, field
@@ -21,14 +22,18 @@ SPARSE_DENSITY_THRESHOLD = 0.25
 
 @dataclass(frozen=True)
 class StructureMatrix:
-    """Known symmetric matrix Z_d, stored dense or sparse."""
+    """Known symmetric matrix Z_d, stored dense or sparse.
+
+    Restricted to the units of one size m (unit_blocks), data is the
+    read-only (n_units, m, m) stack of its diagonal blocks.
+    """
 
     data: object = field(repr=False)
     label: str = ""
 
     @property
     def dim(self):
-        return self.data.shape[0]
+        return self.data.shape[-1]
 
     @property
     def is_sparse(self):
@@ -51,6 +56,29 @@ class StructureMatrix:
         M.setflags(write=False)
         return cls(data=M, label=label)
 
+    def nonzeros(self):
+        """Row indices, column indices and values of the stored entries."""
+        if self.is_sparse:
+            coo = self.data.tocoo()
+            return coo.row, coo.col, coo.data
+        rows, cols = np.nonzero(self.data)
+        return rows, cols, self.data[rows, cols]
+
+    def unit_blocks(self, index):
+        """Restriction to the units of one size: index is (n_units, m), sorted within each unit."""
+        n, m = index.shape
+        unit = np.full(self.dim, -1)
+        unit[index] = np.arange(n)[:, None]
+        pos = np.zeros(self.dim, dtype=int)
+        pos[index] = np.arange(m)
+        rows, cols, vals = self.nonzeros()
+        keep = unit[rows] >= 0  # the other end of each such entry is in the same unit
+        rows, cols = rows[keep], cols[keep]
+        blocks = np.zeros((n, m, m))
+        blocks[unit[rows], pos[rows], pos[cols]] = vals[keep]
+        blocks.setflags(write=False)
+        return StructureMatrix(data=blocks, label=self.label)
+
 
 @dataclass(frozen=True)
 class MatrixPredictor:
@@ -72,6 +100,44 @@ class MatrixPredictor:
     @property
     def D_plus_1(self):
         return len(self.components)
+
+    def unit_blocks(self, index):
+        """The predictor restricted to the units of one size (see StructureMatrix.unit_blocks)."""
+        return MatrixPredictor(tuple(z.unit_blocks(index) for z in self.components))
+
+
+def unit_partition(components):
+    """Independent units: connected components of the union nonzero pattern.
+
+    Observations i and j share a unit when some structure matrix couples
+    them. Each label hooks to a smaller label across a nonzero, and
+    labels jump to their label's label, until they settle on the
+    smallest index of their unit. Returns one (n_units, m) index array
+    per unit size m, ascending in m; indices ascend within a unit and
+    units are ordered by their smallest index. A matrix that couples
+    every observation gives a single unit.
+    """
+    N = components[0].dim
+    pairs = [z.nonzeros()[:2] for z in components]
+    rows = np.concatenate([r for r, _ in pairs] + [c for _, c in pairs])
+    cols = np.concatenate([c for _, c in pairs] + [r for r, _ in pairs])
+    label = np.arange(N)
+    while True:
+        li, lj = label[rows], label[cols]
+        lower = lj < li
+        new = label.copy()
+        new[li[lower]] = np.minimum(label[li[lower]], lj[lower])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    size = np.bincount(label, minlength=N)
+    size = size[size > 0]  # one entry per unit, by smallest index
+    start = np.cumsum(size) - size
+    order = np.argsort(label, kind="stable")
+    return tuple(
+        order[start[size == m][:, None] + np.arange(m)] for m in sorted(set(size.tolist()))
+    )
 
 
 def mat_identity(n):
@@ -178,13 +244,17 @@ def mat_sum(A, B, label=None):
 
 
 def assemble_U(tau, pred):
-    """Matrix linear predictor value U = sum_d tau_d Z_d (dense)."""
+    """Matrix linear predictor value U = sum_d tau_d Z_d.
+
+    Dense N x N, or the (n_units, m, m) stack of unit blocks when the
+    predictor is restricted to units.
+    """
     tau = np.asarray(tau, dtype=float)
     if tau.size != pred.D_plus_1:
         raise DomainError(
             f"tau has length {tau.size}, predictor has {pred.D_plus_1} components"
         )
-    U = np.zeros((pred.dim, pred.dim))
+    U = np.zeros(pred.components[0].data.shape)
     for t, z in zip(tau, pred.components):
         if z.is_sparse:
             U += t * z.data.toarray()
@@ -195,14 +265,11 @@ def assemble_U(tau, pred):
 
 def save_structure_matrix(sm, path):
     """Write coordinate-list text: 'i j value' per line, 1-based, upper triangle."""
-    M = sm.dense()
+    M = np.triu(sm.dense())
     with open(path, "w") as fh:
-        n = sm.dim
-        fh.write(f"# dim {n}\n")
-        for i in range(n):
-            for j in range(i, n):
-                if M[i, j] != 0.0:
-                    fh.write(f"{i + 1} {j + 1} {M[i, j]:.17g}\n")
+        fh.write(f"# dim {sm.dim}\n")
+        for i, j in zip(*np.nonzero(M)):
+            fh.write(f"{i + 1} {j + 1} {M[i, j]:.17g}\n")
 
 
 def load_structure_matrix(path, dim=None, label=None):

@@ -1,12 +1,13 @@
 """Model specification and the theta = (beta, lambda) parameter layout."""
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError
 from .functions import CovLinkSpec, LinkSpec, VarianceSpec
-from .matpred import MatrixPredictor
+from .matpred import MatrixPredictor, unit_partition
 
 
 def rho_index_pairs(R):
@@ -42,6 +43,21 @@ class ResponseSpec:
     @property
     def power_free(self):
         return self.variance.has_power and not self.variance.power_known
+
+
+@dataclass(frozen=True)
+class UnitGroup:
+    """The independent units of one size m.
+
+    ``index`` holds their observation indices (n_units, m); ``joint`` the
+    positions of their joint blocks in a stacked length-NR vector
+    (n_units, R m), response by response; ``predictors`` each response's
+    matrix predictor restricted to them.
+    """
+
+    index: np.ndarray
+    joint: np.ndarray
+    predictors: tuple
 
 
 @dataclass(frozen=True)
@@ -87,6 +103,24 @@ class ModelSpec:
     @property
     def rho_free(self):
         return self.rho_fixed is None and self.R > 1
+
+    @cached_property
+    def unit_groups(self):
+        """Independent units grouped by size, found on first use and kept.
+
+        The units partition the observations by the union nonzero pattern
+        of every response's structure matrices (matpred.unit_partition),
+        so C, C^{-1} and every dC_i are block diagonal over them.
+        """
+        comps = [z for resp in self.responses for z in resp.predictor.components]
+        return tuple(
+            UnitGroup(
+                index=index,
+                joint=np.concatenate([r * self.N + index for r in range(self.R)], axis=1),
+                predictors=tuple(resp.predictor.unit_blocks(index) for resp in self.responses),
+            )
+            for index in unit_partition(comps)
+        )
 
     def beta_slices(self):
         out, pos = [], 0

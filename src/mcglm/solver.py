@@ -8,6 +8,7 @@ increments and reset to zero after every successful step.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -69,6 +70,7 @@ class FitResult:
     n_alpha_escalations: int
     fitted: np.ndarray = field(default=None, repr=False)
     saturated: bool = False
+    warnings: tuple = ()
 
 
 def _corrected_pearson(state, correct):
@@ -88,21 +90,35 @@ def _beta_step(state):
     return build_state(state.model, state.y, state.theta.with_beta(beta_new))
 
 
-def _lambda_step(state, alpha, correct):
-    """Damped Pearson step in lambda at the state's beta; returns the new theta."""
-    psi = _corrected_pearson(state, correct)
-    S_l = sensitivity_lambda(state)
-    if alpha == 0.0:
-        M = S_l
-    else:
-        k4 = empirical_k4(state.residual, state.assembly.C)
-        V_l = variability_lambda(state, k4)
-        M = alpha * float(psi @ psi) * np.linalg.solve(V_l, S_l) + S_l
-    try:
-        step = np.linalg.solve(M, psi)
-    except np.linalg.LinAlgError as exc:
-        raise StepFailureError(f"singular lambda-step matrix: {exc}")
-    return make_theta(state.model, state.theta.beta, state.theta.lam - step)
+class _LambdaStep:
+    """Damped Pearson steps in lambda at one post-beta state.
+
+    psi and S_lambda are computed once; V_lambda^{-1} S_lambda the first
+    time a damped step (alpha > 0) asks for it. A PD-failure retry
+    changes only alpha, so it re-solves only M(alpha).
+    """
+
+    def __init__(self, state, correct):
+        self.state = state
+        self.psi = _corrected_pearson(state, correct)
+        self.S_l = sensitivity_lambda(state)
+
+    @cached_property
+    def VinvS(self):
+        state = self.state
+        k4 = empirical_k4(state.residual, state.assembly.variance)
+        return np.linalg.solve(variability_lambda(state, k4), self.S_l)
+
+    def theta(self, alpha):
+        """The new theta for tuning constant alpha."""
+        psi, S_l = self.psi, self.S_l
+        M = S_l if alpha == 0.0 else alpha * float(psi @ psi) * self.VinvS + S_l
+        try:
+            step = np.linalg.solve(M, psi)
+        except np.linalg.LinAlgError as exc:
+            raise StepFailureError(f"singular lambda-step matrix: {exc}")
+        state = self.state
+        return make_theta(state.model, state.theta.beta, state.theta.lam - step)
 
 
 def chaser_step(theta, model, y, correct=True):
@@ -116,7 +132,7 @@ def reciprocal_step(theta, model, y, alpha, correct=True):
     fit takes the same two steps, so this is the update fit runs.
     """
     state_b = _beta_step(build_state(model, y, theta))
-    return _lambda_step(state_b, alpha, correct)
+    return _LambdaStep(state_b, correct).theta(alpha)
 
 
 def alpha_strategy(previous_alpha, proposal_outcome, eps=0.01, alpha_max=1.0):
@@ -209,6 +225,35 @@ def _irls_single(y_r, X, resp, p0, irls_iter):
     return beta
 
 
+def _next_state(state, alpha, opts):
+    """The beta step, then lambda steps at escalating alpha until one is PD.
+
+    Returns the accepted state, the reset alpha and the number of
+    escalations; the chaser raises StepFailureError at the first non-PD
+    proposal instead.
+    """
+    try:
+        state_b = _beta_step(state)
+    except FactorizationError as exc:
+        raise StepFailureError(f"non-PD covariance after beta step: {exc}") from exc
+    lambda_step = _LambdaStep(state_b, opts.correct_pearson)
+    escalations = 0
+    while True:
+        try:
+            new_state = build_state(state.model, state.y, lambda_step.theta(alpha))
+        except FactorizationError as exc:
+            if opts.algorithm == "chaser":
+                raise StepFailureError(
+                    f"chaser proposal gives non-PD covariance: {exc}"
+                ) from exc
+            alpha = alpha_strategy(
+                alpha, "pd_fail", eps=opts.alpha_step, alpha_max=opts.alpha_max
+            )
+            escalations += 1
+            continue
+        return new_state, alpha_strategy(alpha, "pd_ok"), escalations
+
+
 def fit(model, y, opts=None):
     """Iterate to a joint root of the quasi-score and Pearson functions.
 
@@ -245,29 +290,18 @@ def fit(model, y, opts=None):
             break
         prev_flat = theta.flat
 
-        try:
-            state_b = _beta_step(state)
-        except FactorizationError as exc:
-            raise StepFailureError(f"non-PD covariance after beta step: {exc}") from exc
-
-        while True:
-            theta = _lambda_step(state_b, alpha, opts.correct_pearson)
-            try:
-                state = build_state(model, y, theta)
-            except FactorizationError as exc:
-                if opts.algorithm == "chaser":
-                    raise StepFailureError(
-                        f"chaser proposal gives non-PD covariance: {exc}"
-                    ) from exc
-                alpha = alpha_strategy(
-                    alpha, "pd_fail", eps=opts.alpha_step, alpha_max=opts.alpha_max
-                )
-                n_escalations += 1
-                continue
-            alpha = alpha_strategy(alpha, "pd_ok")
-            break
+        state, alpha, escalations = _next_state(state, alpha, opts)
+        theta = state.theta
+        n_escalations += escalations
 
     god = build_godambe(state)
+    variances = np.diag(god.J_inv)
+    names = model.parameter_names()
+    warnings = tuple(
+        f"sandwich variance of {names[i]} is negative ({variances[i]:.3g}); "
+        "its standard error is reported as 0"
+        for i in np.flatnonzero(variances < 0.0)
+    )
     saturated = False
     slices = model.beta_slices()
     for r, resp in enumerate(model.responses):
@@ -285,4 +319,5 @@ def fit(model, y, opts=None):
         n_alpha_escalations=n_escalations,
         fitted=state.mu.copy(),
         saturated=saturated,
+        warnings=warnings,
     )

@@ -37,6 +37,12 @@ def central_diff(f, x, h=1e-6):
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
+def weight_matrix(C_inv, dC):
+    """W = C^{-1} dC C^{-1}, the negated derivative of C^{-1} (dense test oracle)."""
+    W = C_inv @ dC @ C_inv
+    return 0.5 * (W + W.T)
+
+
 def rel_err(analytic, reference):
     scale = max(float(np.max(np.abs(reference))), 1e-8)
     return float(np.max(np.abs(np.asarray(analytic) - np.asarray(reference)))) / scale

@@ -20,11 +20,10 @@ from mcglm.covariance import (
     dSigma_dp,
     dSigma_dtau,
     phi_operator,
-    weight_matrix,
 )
 from mcglm.matpred import StructureMatrix
 
-from helpers import random_pd, random_symmetric, rel_err
+from helpers import random_pd, random_symmetric, rel_err, weight_matrix
 
 
 def rc_from_sigma(sigma):
@@ -160,12 +159,12 @@ class TestCholDeriv:
     def test_identity_base(self):
         rng = np.random.default_rng(7)
         E = random_symmetric(rng, 3)
-        assert np.allclose(chol_deriv(np.eye(3), E), phi_operator(E), atol=1e-13)
+        assert np.allclose(chol_deriv(np.eye(3), np.eye(3), E), phi_operator(E), atol=1e-13)
 
     def test_scalar_sqrt_rule(self):
         a = np.array([4.0, 9.0, 0.25])
         L = np.diag(np.sqrt(a))
-        dL = chol_deriv(L, np.eye(3))
+        dL = chol_deriv(L, np.linalg.inv(L), np.eye(3))
         assert np.allclose(np.diag(dL), 1.0 / (2.0 * np.sqrt(a)), atol=1e-13)
 
     def test_directional_fd(self):
@@ -179,7 +178,7 @@ class TestCholDeriv:
                 np.linalg.cholesky(sigma + h * direction)
                 - np.linalg.cholesky(sigma - h * direction)
             ) / (2 * h)
-            assert rel_err(chol_deriv(L, direction), fd) < 1e-6
+            assert rel_err(chol_deriv(L, np.linalg.inv(L), direction), fd) < 1e-6
 
     def test_reconstruction_identity(self):
         rng = np.random.default_rng(9)
@@ -187,7 +186,7 @@ class TestCholDeriv:
             sigma = random_pd(rng, 6)
             direction = random_symmetric(rng, 6)
             L = np.linalg.cholesky(sigma)
-            dL = chol_deriv(L, direction)
+            dL = chol_deriv(L, np.linalg.inv(L), direction)
             assert np.max(np.abs(dL @ L.T + L @ dL.T - direction)) < 1e-9
 
 

@@ -237,6 +237,26 @@ class TestCoordinateFile:
         back = load_structure_matrix(str(path))
         assert np.allclose(back.dense(), sm.dense(), atol=1e-15)
 
+    def test_exact_bytes_of_upper_triangle_nonzeros(self, tmp_path):
+        M = np.array(
+            [
+                [2.0, 0.0, -1.5, 0.0],
+                [0.0, 0.0, 0.1, 3.0],
+                [-1.5, 0.1, 0.0, 0.0],
+                [0.0, 3.0, 0.0, -7.0],
+            ]
+        )
+        path = tmp_path / "z.txt"
+        save_structure_matrix(StructureMatrix.from_dense(M), path)
+        assert path.read_bytes() == (
+            b"# dim 4\n"
+            b"1 1 2\n"
+            b"1 3 -1.5\n"
+            b"2 3 0.10000000000000001\n"
+            b"2 4 3\n"
+            b"4 4 -7\n"
+        )
+
     def test_rejects_lower_triangle(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2 1 0.5\n")

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -21,11 +23,13 @@ from mcglm import (
     reciprocal_step,
     simulate_gaussian,
 )
-from mcglm.estfun import pearson_vector, quasi_score
+import mcglm.solver
+from mcglm.cli import write_fit_outputs
+from mcglm.estfun import GodambeResult, pearson_vector, quasi_score
 from mcglm.simulate import SimSpec
 from mcglm.solver import alpha_strategy
 
-from helpers import gaussian_two_response, random_instance
+from helpers import gaussian_two_response, nonpd_instance, random_instance
 
 
 def iid_normal(N, K, seed=0):
@@ -114,6 +118,22 @@ class TestStepAlgebra:
         res = fit(model, y, SolverOptions(max_iter=2))
         expected = chaser_step(initialize(model, y), model, y).flat
         assert np.array_equal(res.trace[1].theta, expected)
+
+    def test_pd_retries_reuse_the_lambda_terms(self, monkeypatch):
+        # a retry changes only alpha: S_lambda is computed once per beta step
+        model, y, _ = nonpd_instance()
+        calls = []
+        original = mcglm.solver.sensitivity_lambda
+
+        def counted(state):
+            calls.append(state)
+            return original(state)
+
+        monkeypatch.setattr(mcglm.solver, "sensitivity_lambda", counted)
+        res = fit(model, y, SolverOptions(algorithm="reciprocal"))
+        assert res.converged and res.n_alpha_escalations > 0
+        assert len(calls) == res.n_iter - 1
+        assert len({id(state) for state in calls}) == len(calls)
 
     def test_chaser_fixed_point_iid_normal(self):
         # at beta = OLS and tau0 = RSS/(N-K) the corrected step is stationary
@@ -294,6 +314,31 @@ class TestFit:
         assert res.fitted.shape == (N,)
         assert not res.saturated
         assert res.n_alpha_escalations == 0
+
+    def test_clipped_sandwich_variance_is_named(self, monkeypatch, tmp_path):
+        model, theta_true = gaussian_two_response(N=16, seed=28)
+        y = simulate_gaussian(SimSpec(model, theta_true, 1, seed=29))[0]
+        original = mcglm.solver.build_godambe
+
+        def negative_rho_variance(state):
+            god = original(state)
+            J_inv = god.J_inv.copy()
+            J_inv[model.K, model.K] = -1e-3
+            return GodambeResult(god.S_theta, god.V_theta, J_inv)
+
+        monkeypatch.setattr(mcglm.solver, "build_godambe", negative_rho_variance)
+        res = fit(model, y)
+        assert res.std_errors[model.K] == 0.0
+        name = model.parameter_names()[model.K]
+        assert len(res.warnings) == 1 and name in res.warnings[0]
+        write_fit_outputs(tmp_path, model, res)
+        doc = json.loads((tmp_path / "result.json").read_text())
+        assert doc["warnings"] == list(res.warnings)
+
+    def test_no_warnings_without_clipping(self):
+        model, theta_true = gaussian_two_response(N=16, seed=28)
+        y = simulate_gaussian(SimSpec(model, theta_true, 1, seed=29))[0]
+        assert fit(model, y).warnings == ()
 
     def test_max_iter_exhaustion_not_converged(self):
         model, theta_true = gaussian_two_response(N=16, seed=22)

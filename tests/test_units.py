@@ -1,0 +1,297 @@
+"""The independent-unit path against the dense (N R) x (N R) formulas."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import mcglm.covariance
+import mcglm.functions
+from mcglm import (
+    CovLinkSpec,
+    LinkSpec,
+    MatrixPredictor,
+    ModelSpec,
+    ResponseSpec,
+    StructureMatrix,
+    VarianceSpec,
+    build_godambe,
+    build_state,
+    generalized_kronecker,
+    make_theta,
+    mat_compound_symmetry,
+    mat_identity,
+    mat_inverse_distance,
+    mat_kronecker,
+    mat_neighborhood,
+    sigma_b_from_rho,
+)
+from mcglm.covariance import (
+    build_sigma_r,
+    dC_dpar_r,
+    dC_drho,
+    dSigma_dmu_dir,
+    dSigma_dp,
+    dSigma_dtau,
+)
+from mcglm.estfun import (
+    bias_correction,
+    cross_sensitivity_lb,
+    cross_variability_lb,
+    empirical_k4,
+    pearson_vector,
+    sensitivity_lambda,
+    variability_lambda,
+)
+from mcglm.matpred import unit_partition
+
+from helpers import rel_err, weight_matrix
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _car(T=3, S=4):
+    Wt, Dt = mat_neighborhood([(i, i + 1) for i in range(T - 1)], T)
+    Ws, Ds = mat_neighborhood([(i, i + 1) for i in range(S - 1)], S)
+    I_T, I_S = mat_identity(T), mat_identity(S)
+    return (
+        mat_kronecker(Dt, I_S), mat_kronecker(Wt, I_S), mat_kronecker(I_T, Ds),
+        mat_kronecker(I_T, Ws), mat_kronecker(Dt, Ds), mat_kronecker(Wt, Ws),
+    )
+
+
+def build_model(N, responses, seed):
+    """(model, y, theta) from (variance kind, covariance link, power known, components).
+
+    Components after the first get small coefficients, so every
+    covariance stays positive definite; a ``tau`` list overrides them.
+    """
+    rng = np.random.default_rng(seed)
+    specs, betas, taus, powers = [], [], [], []
+    for r, (kind, cov, known, comps, *tau) in enumerate(responses):
+        link = "log" if kind in ("tweedie_power", "poisson_tweedie") else "identity"
+        X = np.column_stack([np.ones(N), rng.standard_normal(N)])
+        p_val = float(rng.uniform(1.1, 1.9)) if kind != "constant" else 1.0
+        specs.append(
+            ResponseSpec(
+                f"y{r}", LinkSpec(link), VarianceSpec(kind, power_known=known),
+                CovLinkSpec(cov), X, MatrixPredictor(tuple(comps)), power_value=p_val,
+            )
+        )
+        betas.append(np.array([0.8 if link == "log" else float(rng.uniform(-1, 1)), 0.2]))
+        if tau:
+            taus.append(np.array(tau[0], dtype=float))
+        else:
+            tau0 = float(rng.uniform(0.8, 2.0))
+            taus.append(np.array([tau0] + [0.1 * tau0] * (len(comps) - 1)))
+        powers.append(p_val)
+    R = len(specs)
+    rho = rng.uniform(-0.25, 0.25, size=R * (R - 1) // 2)
+    model = ModelSpec(tuple(specs))
+    theta = make_theta(model, np.concatenate(betas), model.pack_lambda(rho, powers, taus))
+    y = np.abs(rng.standard_normal(N * R)) + 0.5
+    return model, y, theta
+
+
+def _cs(groups):
+    return mat_compound_symmetry(np.asarray(groups))
+
+
+CASES = {
+    # units {0,3,6,9}, {1,4,7,10}, {2,5,8,11}: not contiguous
+    "interleaved": lambda: build_model(
+        12, [("tweedie_power", "identity", False, [mat_identity(12), _cs(np.arange(12) % 3)])], 1
+    ),
+    # units of sizes 1, 2, 3 and 4
+    "unequal_sizes": lambda: build_model(
+        10,
+        [("tweedie_power", "identity", True,
+          [mat_identity(10), _cs([0, 1, 1, 2, 2, 2, 3, 3, 3, 3]),
+           mat_inverse_distance(np.arange(10.0), groups=[0, 1, 1, 2, 2, 2, 3, 3, 3, 3])])],
+        2,
+    ),
+    # pairs in one response, quadruples in the other: units {0..3}, {4,5}, {6,7}
+    "merged_groupings": lambda: build_model(
+        8,
+        [("constant", "identity", True, [mat_identity(8), _cs([0, 0, 1, 1, 2, 2, 3, 3])]),
+         ("tweedie_power", "identity", False, [mat_identity(8), _cs([0, 0, 0, 0, 1, 1, 2, 2])])],
+        3,
+    ),
+    "inverse_covlink": lambda: build_model(
+        8,
+        [("tweedie_power", "inverse", True, [mat_identity(8), _cs([0, 0, 1, 1, 2, 2, 3, 3])]),
+         ("constant", "inverse", True, [mat_identity(8), _cs([0, 0, 1, 1, 2, 2, 3, 3])])],
+        4,
+    ),
+    "poisson_tweedie_free_power": lambda: build_model(
+        9, [("poisson_tweedie", "identity", False, [mat_identity(9), _cs(np.arange(9) // 3)])], 5
+    ),
+    "three_responses": lambda: build_model(
+        6,
+        [("constant", "identity", True, [mat_identity(6), _cs([0, 0, 1, 1, 2, 2])]),
+         ("tweedie_power", "identity", False, [mat_identity(6), _cs([0, 0, 1, 1, 2, 2])]),
+         ("poisson_tweedie", "identity", True, [mat_identity(6)])],
+        6,
+    ),
+    "car_single_block": lambda: build_model(
+        12, [("constant", "inverse", True, _car(), [1.0, -0.4, 0.8, -0.24, 0.5, 0.1])], 7
+    ),
+}
+
+UNIT_SIZES = {
+    "interleaved": {4: 3},
+    "unequal_sizes": {1: 1, 2: 1, 3: 1, 4: 1},
+    "merged_groupings": {2: 2, 4: 1},
+    "inverse_covlink": {2: 4},
+    "poisson_tweedie_free_power": {3: 3},
+    "three_responses": {2: 3},
+    "car_single_block": {12: 1},
+}
+
+
+def dense_oracle(state):
+    """C, C^{-1}, dC_i and dC_beta_j built from the full N x N matrices, ignoring units."""
+    model, mu = state.model, state.mu
+    N = model.N
+    rho, p, tau = model.split_lambda(state.theta.lam)
+    resps = model.responses
+    rcs = [
+        build_sigma_r(mu[r * N : (r + 1) * N], s.variance, p[r], tau[r], s.predictor, s.covlink)
+        for r, s in enumerate(resps)
+    ]
+    jc = generalized_kronecker(rcs, sigma_b_from_rho(rho, model.R))
+    dC = []
+    for role, r, d in model.lambda_index_map():
+        if role == "rho":
+            dC.append(dC_drho(jc, r))
+            continue
+        mu_r = mu[r * N : (r + 1) * N]
+        if role == "power":
+            dS = dSigma_dp(mu_r, resps[r].variance, p[r], rcs[r])
+        else:
+            Z = resps[r].predictor.components[d]
+            dS = dSigma_dtau(mu_r, resps[r].variance, p[r], rcs[r], resps[r].covlink, Z)
+        dC.append(dC_dpar_r(jc, r, dS))
+    dC_beta = []
+    for r, sl in enumerate(model.beta_slices()):
+        for local in range(sl.stop - sl.start):
+            dmu = state.dmu_deta[r] * resps[r].design[:, local]
+            dS = dSigma_dmu_dir(mu[r * N : (r + 1) * N], resps[r].variance, p[r], rcs[r], dmu)
+            dC_beta.append(dC_dpar_r(jc, r, dS))
+    return jc.C, jc.C_inv, dC, dC_beta
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_unit_path_matches_dense_weight_formulas(case):
+    model, y, theta = CASES[case]()
+    sizes = {g.index.shape[1]: g.index.shape[0] for g in model.unit_groups}
+    assert sizes == UNIT_SIZES[case]
+    state = build_state(model, y, theta)
+    C, C_inv, dC, dC_beta = dense_oracle(state)
+    assert rel_err(state.assembly.C, C) < 1e-12
+    assert rel_err(state.assembly.C_inv, C_inv) < 1e-12
+
+    r, D = state.residual, state.D
+    W = [weight_matrix(C_inv, dCi) for dCi in dC]
+    W_beta = [weight_matrix(C_inv, dCj) for dCj in dC_beta]
+    J_beta = D.T @ C_inv @ D
+    k4 = np.random.default_rng(8).uniform(0.5, 3.0, size=r.size)
+    quad = np.array([r @ Wi @ r for Wi in W])
+    WC = [Wi @ C for Wi in W]
+    S_l = -np.array([[np.sum(a * b.T) for b in WC] for a in WC])
+    k4_term = np.array([[np.sum(k4 * np.diag(a) * np.diag(b)) for b in W] for a in W])
+    S_lb = -np.array([[np.sum(a * (Wb @ C).T) for Wb in W_beta] for a in WC])
+    V_lb = np.outer(quad, D.T @ C_inv @ r)
+
+    assert rel_err(pearson_vector(state), quad - [np.sum(Wi * C) for Wi in W]) < 1e-12
+    b_ref = [np.trace(D.T @ Wi @ D @ np.linalg.inv(J_beta)) for Wi in W]
+    assert rel_err(bias_correction(state), b_ref) < 1e-12
+    assert rel_err(sensitivity_lambda(state), S_l) < 1e-12
+    assert rel_err(variability_lambda(state, k4), -2.0 * S_l + k4_term) < 1e-12
+    assert rel_err(cross_sensitivity_lb(state), S_lb) < 1e-12
+    assert rel_err(cross_variability_lb(state), V_lb) < 1e-12
+
+    K = model.K
+    k4_hat = empirical_k4(r, np.diag(C))
+    V_k4 = np.array([[np.sum(k4_hat * np.diag(a) * np.diag(b)) for b in W] for a in W])
+    S = np.block([[-J_beta, np.zeros((K, model.Q))], [S_lb, S_l]])
+    V = np.block([[J_beta, V_lb.T], [V_lb, -2.0 * S_l + V_k4]])
+    S_inv = np.linalg.inv(S)
+    god = build_godambe(state)
+    assert rel_err(god.S_theta, S) < 1e-12
+    assert rel_err(god.V_theta, V) < 1e-12
+    assert rel_err(god.J_inv, S_inv @ V @ S_inv.T) < 1e-12
+
+
+class TestUnitPartition:
+    def test_identity_gives_singletons(self):
+        (index,) = unit_partition([mat_identity(4)])
+        assert np.array_equal(index, np.arange(4)[:, None])
+
+    def test_interleaved_groups_sorted_within_units(self):
+        (index,) = unit_partition([mat_identity(6), _cs([1, 0, 1, 0, 2, 2])])
+        assert np.array_equal(index, [[0, 2], [1, 3], [4, 5]])
+
+    def test_components_merge_units_and_sizes_ascend(self):
+        parts = unit_partition([_cs([0, 0, 1, 1, 2, 2, 3]), _cs([0, 1, 1, 2, 3, 4, 5])])
+        assert [p.tolist() for p in parts] == [[[6]], [[4, 5]], [[0, 1, 2, 3]]]
+
+    def test_chain_is_one_unit(self):
+        n = 40
+        chain = np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+        (index,) = unit_partition([StructureMatrix.from_dense(chain[::-1, ::-1])])
+        assert np.array_equal(index, np.arange(n)[None, :])
+
+    def test_car_is_one_unit(self):
+        (index,) = unit_partition(_car())
+        assert index.shape == (1, 12)
+
+
+@pytest.mark.parametrize(
+    "responses, per_state",
+    [
+        ([("constant", "identity")], 1),           # Sigma_1 only: no joint factor
+        ([("constant", "inverse")], 2),            # and U_1
+        ([("constant", "identity")] * 2, 3),       # Sigma_1, Sigma_2 and Sigma_b
+        ([("constant", "inverse")] * 2, 5),
+    ],
+)
+def test_cholesky_calls_per_build_state(monkeypatch, responses, per_state):
+    groups = [0, 0, 1, 1, 1, 1]  # two unit sizes, so each count is taken twice
+    model, y, theta = build_model(
+        6, [(kind, cov, True, [mat_identity(6), _cs(groups)]) for kind, cov in responses], 9
+    )
+    calls = []
+    original = mcglm.functions.cholesky_lower
+
+    def counted(M):
+        calls.append(M.shape)
+        return original(M)
+
+    monkeypatch.setattr(mcglm.functions, "cholesky_lower", counted)
+    monkeypatch.setattr(mcglm.covariance, "cholesky_lower", counted)
+    state = build_state(model, y, theta)
+    assert len(calls) == 2 * per_state
+    if model.R == 1:
+        for joint in state.assembly.groups:
+            assert np.array_equal(joint.C_chol, joint.responses[0].chol)
+
+
+def test_fit_does_not_load_csgraph():
+    code = (
+        "import sys\n"
+        "from helpers import gaussian_two_response\n"
+        "from mcglm import SimSpec, fit, simulate_gaussian\n"
+        "model, theta = gaussian_two_response(N=20, seed=1)\n"
+        "fit(model, simulate_gaussian(SimSpec(model, theta, 1, seed=1))[0])\n"
+        "print('scipy.sparse.csgraph' in sys.modules)\n"
+    )
+    env_path = f"{ROOT / 'src'}:{ROOT / 'tests'}"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": env_path, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
