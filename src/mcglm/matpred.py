@@ -126,17 +126,19 @@ def unit_partition(components):
         li, lj = label[rows], label[cols]
         lower = lj < li
         new = label.copy()
+        # a repeated target keeps any one write: each is at most its label
         new[li[lower]] = np.minimum(label[li[lower]], lj[lower])
         new = new[new]
         if np.array_equal(new, label):
             break
         label = new
-    size = np.bincount(label, minlength=N)
-    size = size[size > 0]  # one entry per unit, by smallest index
-    start = np.cumsum(size) - size
-    order = np.argsort(label, kind="stable")
+    # row u of this incidence matrix lists, in ascending order, the
+    # observations whose unit has smallest index u
+    units = sp.csr_matrix((np.ones(N), (label, np.arange(N))), shape=(N, N))
+    start, size = units.indptr[:-1], np.diff(units.indptr)
     return tuple(
-        order[start[size == m][:, None] + np.arange(m)] for m in sorted(set(size.tolist()))
+        units.indices[start[size == m][:, None] + np.arange(m)]
+        for m in sorted(set(size.tolist()) - {0})
     )
 
 
