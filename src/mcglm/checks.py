@@ -6,32 +6,32 @@ from .errors import FactorizationError
 from .estfun import build_state, dC_dbeta
 from .model import make_theta
 
-FAMILIES = ("rho", "power", "tau", "beta")
 
-
-def _fd_dC(model, y, theta, kind, index, h):
+def _fd_dC(model, y, theta, offset, h):
+    """Central differences in theta.flat[offset] of the joint blocks of every unit size."""
     def C_at(flat):
         th = make_theta(model, flat[: model.K], flat[model.K :])
-        return build_state(model, y, th).assembly.C
+        return [g.C for g in build_state(model, y, th).assembly.groups]
 
     flat = theta.flat
     e = np.zeros_like(flat)
-    if kind == "beta":
-        e[index] = 1.0
-    else:
-        e[model.K + index] = 1.0
-    return (C_at(flat + h * e) - C_at(flat - h * e)) / (2.0 * h)
+    e[offset] = 1.0
+    plus, minus = C_at(flat + h * e), C_at(flat - h * e)
+    return [(p - m) / (2.0 * h) for p, m in zip(plus, minus)]
 
 
 def _rel_err(analytic, fd):
-    scale = max(float(np.max(np.abs(fd))), 1e-8)
-    return float(np.max(np.abs(analytic - fd))) / scale
+    """Worst absolute error over every unit block, relative to the largest difference."""
+    scale = max(max(float(np.max(np.abs(d))) for d in fd), 1e-8)
+    return max(float(np.max(np.abs(a - d))) for a, d in zip(analytic, fd)) / scale
 
 
 def derivative_report(model, y, theta, h=1e-6, corrupt=None):
     """Worst relative error of each analytic dC family vs central differences.
 
-    Returns {family: worst_rel_err}; families absent from the model are
+    Both sides are the unit blocks of every unit size; C is zero between
+    units, and so are its derivatives and their differences. Returns
+    {family: worst_rel_err}; families absent from the model are
     omitted. ``corrupt`` names a family whose analytic derivative is
     deliberately perturbed (negative-control hook).
     """
@@ -40,17 +40,16 @@ def derivative_report(model, y, theta, h=1e-6, corrupt=None):
 
     def record(family, analytic, fd):
         if corrupt == family:
-            analytic = analytic * (1.0 + 1e-3) + 1e-3
+            analytic = [a * (1.0 + 1e-3) + 1e-3 for a in analytic]
         err = _rel_err(analytic, fd)
         worst[family] = max(worst.get(family, 0.0), err)
 
-    for pos, (role, _, _) in enumerate(model.lambda_index_map()):
-        family = {"rho": "rho", "power": "power", "tau": "tau"}[role]
-        fd = _fd_dC(model, y, theta, "lambda", pos, h)
-        record(family, state.dC[pos], fd)
+    for pos, (family, _, _) in enumerate(model.lambda_index_map()):
+        fd = _fd_dC(model, y, theta, model.K + pos, h)
+        record(family, [b[pos] for b in state.dC_units], fd)
     for j in range(model.K):
-        fd = _fd_dC(model, y, theta, "beta", j, h)
-        record("beta", state.assembly.dense(dC_dbeta(state, j)), fd)
+        fd = _fd_dC(model, y, theta, j, h)
+        record("beta", dC_dbeta(state, j), fd)
     return worst
 
 

@@ -137,10 +137,7 @@ def _build_component(comp, cols, keep, missing, data_path, spec_dir):
             raise InputError(
                 f"{path}: dimension {sm.dim} does not match data rows {keep.size}"
             )
-        idx = np.flatnonzero(keep)
-        return matpred.StructureMatrix.from_dense(
-            sm.dense()[np.ix_(idx, idx)], label=sm.label
-        )
+        return sm.submatrix(np.flatnonzero(keep))
     raise InputError(f"unknown predictor component type {kind!r}")
 
 
@@ -235,7 +232,6 @@ def write_fit_outputs(out_dir, model, result):
 
         rho, _, _ = model.split_lambda(result.theta_hat.lam)
         Sb = sigma_b_from_rho(rho, model.R)
-        lam_names = names[model.K :]
         rho_se = {}
         for pos, (role, i, _) in enumerate(model.lambda_index_map()):
             if role == "rho":
@@ -283,16 +279,10 @@ def write_fit_outputs(out_dir, model, result):
 
 
 def cmd_fit(args):
-    try:
-        doc = load_spec_document(args.spec)
-        data_path = resolve_data_path(args, doc)
-        model, y, _, _ = build_model_and_data(doc, data_path, Path(args.spec).parent)
-        opts = solver_options(
-            doc, {"max_iter": args.max_iter, "algorithm": args.alg}
-        )
-    except (InputError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    doc = load_spec_document(args.spec)
+    data_path = resolve_data_path(args, doc)
+    model, y, _, _ = build_model_and_data(doc, data_path, Path(args.spec).parent)
+    opts = solver_options(doc, {"max_iter": args.max_iter, "algorithm": args.alg})
 
     from .errors import FactorizationError, McglmError
     from .solver import fit
@@ -354,14 +344,10 @@ def _read_theta(model, path):
 
 
 def cmd_simulate(args):
-    try:
-        doc = load_spec_document(args.spec)
-        data_path = resolve_data_path(args, doc)
-        model, _, cols, keep = build_model_and_data(doc, data_path, Path(args.spec).parent)
-        theta = _read_theta(model, args.theta)
-    except (InputError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    doc = load_spec_document(args.spec)
+    data_path = resolve_data_path(args, doc)
+    model, _, cols, keep = build_model_and_data(doc, data_path, Path(args.spec).parent)
+    theta = _read_theta(model, args.theta)
 
     import numpy as np
 
@@ -394,13 +380,9 @@ def cmd_simulate(args):
 
 
 def cmd_check_derivatives(args):
-    try:
-        doc = load_spec_document(args.spec)
-        data_path = resolve_data_path(args, doc)
-        model, y, _, _ = build_model_and_data(doc, data_path, Path(args.spec).parent)
-    except (InputError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    doc = load_spec_document(args.spec)
+    data_path = resolve_data_path(args, doc)
+    model, y, _, _ = build_model_and_data(doc, data_path, Path(args.spec).parent)
 
     import numpy as np
 
@@ -453,10 +435,11 @@ def _read_edges(path):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                parts = line.split()
-                if len(parts) != 2:
+                try:
+                    i, j = line.split()
+                    edges.append((int(i), int(j)))
+                except ValueError:
                     raise InputError(f"{path}:{lineno}: expected 'i j'")
-                edges.append((int(parts[0]), int(parts[1])))
     except OSError as exc:
         raise InputError(f"{path}: {exc}")
     return edges
@@ -465,31 +448,34 @@ def _read_edges(path):
 def cmd_build_matrices(args):
     from . import matpred
 
-    try:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        if args.kind == "neighborhood":
-            edges = _read_edges(args.edges)
-            W, Dg = matpred.mat_neighborhood(edges, args.n)
-            matpred.save_structure_matrix(W, out / f"{args.prefix}W.txt")
-            matpred.save_structure_matrix(Dg, out / f"{args.prefix}D.txt")
-            if args.icar:
-                Z = matpred.mat_sum(Dg, W, label="icar D+W")
-                matpred.save_structure_matrix(Z, out / f"{args.prefix}Zicar.txt")
-        else:  # kron
-            A = matpred.load_structure_matrix(args.a)
-            B = matpred.load_structure_matrix(args.b)
-            matpred.save_structure_matrix(
-                matpred.mat_kronecker(A, B), out / f"{args.prefix}kron.txt"
-            )
-    except (InputError, DomainError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if args.kind == "neighborhood":
+        edges = _read_edges(args.edges)
+        W, Dg = matpred.mat_neighborhood(edges, args.n)
+        matpred.save_structure_matrix(W, out / f"{args.prefix}W.txt")
+        matpred.save_structure_matrix(Dg, out / f"{args.prefix}D.txt")
+        if args.icar:
+            Z = matpred.mat_sum(Dg, W, label="icar D+W")
+            matpred.save_structure_matrix(Z, out / f"{args.prefix}Zicar.txt")
+    else:  # kron
+        A = matpred.load_structure_matrix(args.a)
+        B = matpred.load_structure_matrix(args.b)
+        matpred.save_structure_matrix(
+            matpred.mat_kronecker(A, B), out / f"{args.prefix}kron.txt"
+        )
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line and exit code 1."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT, f"error: {message}\n")
+
+
 def make_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mcglm",
         description="Fit multivariate covariance GLMs from second-moment assumptions.",
     )
@@ -543,10 +529,16 @@ def make_parser():
 
 def main(argv=None):
     args = make_parser().parse_args(argv)
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
-    return args.func(args)
+    try:
+        if args.threads is not None:
+            if args.threads < 1:
+                raise InputError(f"--threads must be at least 1, got {args.threads}")
+            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+                os.environ[var] = str(args.threads)
+        return args.func(args)
+    except (InputError, DomainError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

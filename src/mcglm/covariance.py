@@ -11,8 +11,7 @@ asymmetry.
 Every function takes one matrix per response or, batched, a stack
 (n_units, m, m) of the blocks of independent units of one size; the
 joint blocks are then (n_units, R m, R m), response by response within
-a unit. UnitCovariance gathers the stacks of every unit size and
-scatters them to dense N R x N R matrices on demand.
+a unit. UnitCovariance gathers the stacks of every unit size.
 """
 
 from dataclasses import dataclass, field
@@ -126,32 +125,11 @@ class UnitCovariance:
     """Joint covariance of a model as one JointCovariance per size of unit.
 
     ``groups[g]`` holds (n_units, R m) stacks; ``index[g]`` gives the
-    positions of their rows and columns in the stacked N R vector. The
-    dense C, C_chol and C_inv are scattered from the blocks on first use.
+    positions of their rows and columns in the stacked N R vector.
     """
 
     groups: tuple
     index: tuple
-
-    def dense(self, blocks):
-        """Scatter one stack of unit blocks per group into a dense N R x N R matrix."""
-        n = sum(idx.size for idx in self.index)
-        out = np.zeros((n, n))
-        for idx, b in zip(self.index, blocks):
-            out[idx[:, :, None], idx[:, None, :]] = b
-        return out
-
-    @cached_property
-    def C(self):
-        return self.dense([g.C for g in self.groups])
-
-    @cached_property
-    def C_chol(self):
-        return self.dense([g.C_chol for g in self.groups])
-
-    @cached_property
-    def C_inv(self):
-        return self.dense([g.C_inv for g in self.groups])
 
     @cached_property
     def variance(self):

@@ -40,8 +40,7 @@ class EstimatingState:
     the (Q, n_units, R m, R m) stack of the unit blocks of every dC_i,
     u = C^{-1} r, G = C^{-1} D and A_i = C^{-1} dC_i.
     They are computed on first use, so a state that is only factorized
-    (a rejected proposal, a simulation) forms none of them. dC is the
-    dense scatter of dC_units, for checks and tests.
+    (a rejected proposal, a simulation) forms none of them.
     """
 
     model: object
@@ -86,12 +85,6 @@ class EstimatingState:
                 blocks[i] = dC_dpar_r(joint, idx, dS)
             out.append(blocks)
         return tuple(out)
-
-    @cached_property
-    def dC(self):
-        return tuple(
-            self.assembly.dense([b[i] for b in self.dC_units]) for i in range(self.Q)
-        )
 
     @cached_property
     def u_units(self):
@@ -166,8 +159,7 @@ def build_state(model, y, theta):
 def dC_dbeta(state, j):
     """Derivative of C in the j-th regression coefficient (chain rule via mu).
 
-    One stack of unit blocks per unit size; state.assembly.dense scatters
-    it to the dense matrix.
+    One stack of unit blocks per unit size, as EstimatingState.dC_units.
     """
     model = state.model
     N = model.N

@@ -195,15 +195,8 @@ def symmetric_inverse(M):
     return cholesky_inverse(cholesky_lower(M))
 
 
-def _dense(Z):
-    if hasattr(Z, "dense"):
-        return Z.data.toarray() if Z.is_sparse else Z.data
-    return np.asarray(Z, dtype=float)
-
-
 def covlink_apply_inverse(cl, U):
     """Omega = h^{-1}(U): the matrix the covariance link maps to U."""
-    U = _dense(U)
     if cl.kind == "identity":
         return U.copy()
     return symmetric_inverse(U)
@@ -216,7 +209,8 @@ def covlink_deriv(cl, omega, Z):
     under the inverse link; omega is the value h^{-1}(U) already computed,
     so nothing is inverted. Z and omega may be stacks of unit blocks.
     """
-    Z = _dense(Z)
+    if hasattr(Z, "dense"):  # a structure matrix, or its unit blocks
+        Z = Z.data.toarray() if Z.is_sparse else Z.data
     if cl.kind == "identity":
         return Z
     out = -omega @ Z @ omega

@@ -1,11 +1,12 @@
 """Structure matrices and the matrix linear predictor.
 
 A StructureMatrix is a known symmetric N x N matrix entering the matrix
-linear predictor U = tau_0 Z_0 + ... + tau_D Z_D. Builders cover the
-structures needed for repeated measures, longitudinal and neighborhood
-(CAR-style) covariance modelling. Grouping labels give block-diagonal
-replication across independent units; unit_partition finds those units
-and unit_blocks restricts a structure matrix to them.
+linear predictor U = tau_0 Z_0 + ... + tau_D Z_D, stored as a CSR matrix
+built from its nonzeros. Builders cover the structures needed for
+repeated measures, longitudinal and neighborhood (CAR-style) covariance
+modelling. Grouping labels give block-diagonal replication across
+independent units; unit_partition finds those units and unit_blocks
+restricts a structure matrix to them.
 """
 
 from dataclasses import dataclass, field
@@ -15,17 +16,15 @@ import scipy.sparse as sp
 
 from .errors import DomainError
 
-# store sparse below this density; space-time Kronecker matrices are
-# unusable dense at realistic sizes
-SPARSE_DENSITY_THRESHOLD = 0.25
-
 
 @dataclass(frozen=True)
 class StructureMatrix:
-    """Known symmetric matrix Z_d, stored dense or sparse.
+    """Known symmetric matrix Z_d, stored as a CSR matrix of its nonzeros.
 
-    Restricted to the units of one size m (unit_blocks), data is the
-    read-only (n_units, m, m) stack of its diagonal blocks.
+    Its indices are sorted within each row and it stores no zeros, so
+    the stored pattern is the coupling pattern. Restricted to the units
+    of one size m (unit_blocks), data is the read-only (n_units, m, m)
+    stack of its diagonal blocks.
     """
 
     data: object = field(repr=False)
@@ -40,9 +39,8 @@ class StructureMatrix:
         return sp.issparse(self.data)
 
     def dense(self):
-        if self.is_sparse:
-            return self.data.toarray()
-        return np.array(self.data)
+        """The N x N array of a full structure matrix."""
+        return self.data.toarray()
 
     @classmethod
     def from_dense(cls, M, label=""):
@@ -50,19 +48,16 @@ class StructureMatrix:
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise DomainError("structure matrix must be square")
         M = 0.5 * (M + M.T)  # exact symmetry: a+b == b+a bitwise
-        nnz = np.count_nonzero(M)
-        if M.shape[0] > 1 and nnz < SPARSE_DENSITY_THRESHOLD * M.size:
-            return cls(data=sp.csr_matrix(M), label=label)
-        M.setflags(write=False)
-        return cls(data=M, label=label)
+        return _stored(sp.csr_matrix(M), label)
 
     def nonzeros(self):
-        """Row indices, column indices and values of the stored entries."""
-        if self.is_sparse:
-            coo = self.data.tocoo()
-            return coo.row, coo.col, coo.data
-        rows, cols = np.nonzero(self.data)
-        return rows, cols, self.data[rows, cols]
+        """Row indices, column indices and values of the stored entries, row by row."""
+        coo = self.data.tocoo()
+        return coo.row, coo.col, coo.data
+
+    def submatrix(self, index):
+        """Principal submatrix on the ascending observation indices ``index``."""
+        return _stored(self.data[index][:, index], self.label)
 
     def unit_blocks(self, index):
         """Restriction to the units of one size: index is (n_units, m), sorted within each unit."""
@@ -78,6 +73,38 @@ class StructureMatrix:
         blocks[unit[rows], pos[rows], pos[cols]] = vals[keep]
         blocks.setflags(write=False)
         return StructureMatrix(data=blocks, label=self.label)
+
+
+def _stored(M, label):
+    """StructureMatrix of a CSR matrix, its indices sorted and its zeros dropped."""
+    M.sum_duplicates()
+    M.eliminate_zeros()
+    return StructureMatrix(data=M, label=label)
+
+
+def _from_entries(vals, rows, cols, n, label):
+    """StructureMatrix of distinct entries, in any order."""
+    order = np.argsort(rows, kind="stable")
+    indptr = np.searchsorted(rows[order], np.arange(n + 1))
+    return _stored(sp.csr_matrix((vals[order], cols[order], indptr), shape=(n, n)), label)
+
+
+def _group_pairs(groups, n):
+    """Rows and columns of the pairs (i, j) with equal groups, diagonal included.
+
+    Row-major: rows ascend, and so do the columns within a row.
+    """
+    groups = np.asarray(groups)
+    if groups.shape != (n,):
+        raise DomainError(f"groups has shape {groups.shape}, expected ({n},)")
+    _, label = np.unique(groups, return_inverse=True)
+    members = np.argsort(label, kind="stable")  # each group's members, ascending
+    size = np.bincount(label)
+    start = np.cumsum(size) - size
+    width = size[label]  # number of pairs in each row
+    rows = np.repeat(np.arange(label.size), width)
+    offset = np.arange(rows.size) - np.repeat(np.cumsum(width) - width, width)
+    return rows, members[np.repeat(start[label], width) + offset]
 
 
 @dataclass(frozen=True)
@@ -146,14 +173,13 @@ def mat_identity(n):
     """Identity component (the tau_0 role for iid structures)."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    return StructureMatrix.from_dense(np.eye(n), label=f"identity n={n}")
+    return _stored(sp.identity(n, format="csr"), f"identity n={n}")
 
 
 def mat_compound_symmetry(groups):
     """Ones within a group, zeros across groups (diagonal included)."""
-    groups = np.asarray(groups)
-    M = (groups[:, None] == groups[None, :]).astype(float)
-    return StructureMatrix.from_dense(M, label="compound symmetry")
+    rows, cols = _group_pairs(groups, len(groups))
+    return _from_entries(np.ones(rows.size), rows, cols, len(groups), "compound symmetry")
 
 
 def mat_inverse_distance(positions, exponent=1, groups=None):
@@ -162,21 +188,19 @@ def mat_inverse_distance(positions, exponent=1, groups=None):
     n = positions.size
     if exponent not in (1, 2):
         raise DomainError("exponent must be 1 or 2")
-    if groups is None:
-        groups = np.zeros(n)
-    groups = np.asarray(groups)
-    same = groups[:, None] == groups[None, :]
-    dist = np.abs(positions[:, None] - positions[None, :])
-    off = same & ~np.eye(n, dtype=bool)
-    coincident = off & (dist == 0.0)
-    if np.any(coincident):
-        i, j = np.argwhere(coincident)[0]
+    rows, cols = _group_pairs(np.zeros(n) if groups is None else groups, n)
+    off = rows != cols
+    rows, cols = rows[off], cols[off]
+    dist = np.abs(positions[rows] - positions[cols])
+    coincident = np.flatnonzero(dist == 0.0)
+    if coincident.size:
+        k = coincident[0]
         raise DomainError(
-            f"coincident positions within a group at indices {i} and {j}"
+            f"coincident positions within a group at indices {rows[k]} and {cols[k]}"
         )
-    M = np.zeros((n, n))
-    M[off] = dist[off] ** (-float(exponent))
-    return StructureMatrix.from_dense(M, label=f"inverse distance^{exponent}")
+    return _from_entries(
+        dist ** (-float(exponent)), rows, cols, n, f"inverse distance^{exponent}"
+    )
 
 
 def mat_pair_indicator(levels, pair, groups):
@@ -188,61 +212,53 @@ def mat_pair_indicator(levels, pair, groups):
     covariance entry.
     """
     levels = np.asarray(levels)
-    groups = np.asarray(groups)
     a, b = pair
     for lev in (a, b):
         if lev not in levels:
             raise DomainError(f"unknown level label {lev!r}")
     n = levels.size
     if a == b:
-        M = np.diag((levels == a).astype(float))
-        return StructureMatrix.from_dense(M, label=f"level variance {a}")
-    same = groups[:, None] == groups[None, :]
+        idx = np.flatnonzero(levels == a)
+        return _from_entries(np.ones(idx.size), idx, idx, n, f"level variance {a}")
+    rows, cols = _group_pairs(groups, n)
     ia = levels == a
     ib = levels == b
-    M = (same & (np.outer(ia, ib) | np.outer(ib, ia))).astype(float)
-    return StructureMatrix.from_dense(M, label=f"level pair ({a},{b})")
+    keep = (ia[rows] & ib[cols]) | (ib[rows] & ia[cols])
+    return _from_entries(
+        np.ones(np.count_nonzero(keep)), rows[keep], cols[keep], n, f"level pair ({a},{b})"
+    )
 
 
 def mat_neighborhood(adjacency, n):
     """Binary neighborhood matrix W and diagonal neighbor-count matrix Dg."""
-    W = np.zeros((n, n))
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    ends = set()  # both directions of each edge; an edge listed twice is one edge
     for i, j in adjacency:
         if not (0 <= i < n and 0 <= j < n):
             raise DomainError(f"edge ({i},{j}) out of range for n={n}")
         if i == j:
             raise DomainError(f"self-loop at node {i}")
-        W[i, j] = 1.0
-        W[j, i] = 1.0
-    Dg = np.diag(W.sum(axis=1))
+        ends.update({(i, j), (j, i)})
+    rows, cols = np.array(list(ends), dtype=int).reshape(-1, 2).T
+    counts = np.bincount(rows, minlength=n).astype(float)
+    nodes = np.flatnonzero(counts)
     return (
-        StructureMatrix.from_dense(W, label="neighborhood W"),
-        StructureMatrix.from_dense(Dg, label="neighbor counts D"),
+        _from_entries(np.ones(rows.size), rows, cols, n, "neighborhood W"),
+        _from_entries(counts[nodes], nodes, nodes, n, "neighbor counts D"),
     )
 
 
 def mat_kronecker(A, B):
     """Kronecker product of two structure matrices."""
-    if A.is_sparse or B.is_sparse:
-        data = sp.kron(
-            A.data if A.is_sparse else sp.csr_matrix(A.data),
-            B.data if B.is_sparse else sp.csr_matrix(B.data),
-            format="csr",
-        )
-        return StructureMatrix(data=data, label=f"({A.label}) x ({B.label})")
-    return StructureMatrix.from_dense(
-        np.kron(A.dense(), B.dense()), label=f"({A.label}) x ({B.label})"
-    )
+    return _stored(sp.kron(A.data, B.data, format="csr"), f"({A.label}) x ({B.label})")
 
 
 def mat_sum(A, B, label=None):
     """Sum of two structure matrices (e.g. the ICAR merge Z = D + W)."""
     if A.dim != B.dim:
         raise DomainError("dimension mismatch")
-    M = A.dense() + B.dense()
-    return StructureMatrix.from_dense(
-        M, label=label or f"({A.label}) + ({B.label})"
-    )
+    return _stored(A.data + B.data, label or f"({A.label}) + ({B.label})")
 
 
 def assemble_U(tau, pred):
@@ -267,42 +283,57 @@ def assemble_U(tau, pred):
 
 def save_structure_matrix(sm, path):
     """Write coordinate-list text: 'i j value' per line, 1-based, upper triangle."""
-    M = np.triu(sm.dense())
+    rows, cols, vals = sm.nonzeros()
+    upper = rows <= cols
     with open(path, "w") as fh:
         fh.write(f"# dim {sm.dim}\n")
-        for i, j in zip(*np.nonzero(M)):
-            fh.write(f"{i + 1} {j + 1} {M[i, j]:.17g}\n")
+        for i, j, v in zip(rows[upper], cols[upper], vals[upper]):
+            fh.write(f"{i + 1} {j + 1} {v:.17g}\n")
 
 
-def load_structure_matrix(path, dim=None, label=None):
-    """Read the coordinate-list format written by save_structure_matrix."""
-    entries = []
-    n = dim
+def load_structure_matrix(path):
+    """Read the coordinate-list format written by save_structure_matrix.
+
+    Raises DomainError, naming the file and line, for a malformed line,
+    an index below 1, a lower-triangle or repeated entry and a
+    non-finite value.
+    """
+    entries = {}  # (i, j), 1-based -> value
+    n = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
+            where = f"{path}:{lineno}"
             if not line:
                 continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if len(parts) == 2 and parts[0] == "dim":
-                    n = int(parts[1])
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise DomainError(f"{path}:{lineno}: expected 'i j value'")
-            i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
+            try:
+                if line.startswith("#"):
+                    parts = line[1:].split()
+                    if len(parts) == 2 and parts[0] == "dim":
+                        n = int(parts[1])
+                    continue
+                si, sj, sv = line.split()
+                i, j, v = int(si), int(sj), float(sv)
+            except ValueError:
+                raise DomainError(f"{where}: malformed line, expected 'i j value' or '# dim n'")
+            if min(i, j) < 1:
+                raise DomainError(f"{where}: index below 1 in entry {i} {j}")
             if i > j:
-                raise DomainError(f"{path}:{lineno}: lower-triangle entry {i} {j}")
-            entries.append((i - 1, j - 1, v))
+                raise DomainError(f"{where}: lower-triangle entry {i} {j}")
+            if (i, j) in entries:
+                raise DomainError(f"{where}: repeated entry {i} {j}")
+            if not np.isfinite(v):
+                raise DomainError(f"{where}: non-finite value {sv}")
+            entries[i, j] = v
     if n is None:
         if not entries:
             raise DomainError(f"{path}: no dimension header and no entries")
-        n = max(max(i, j) for i, j, _ in entries) + 1
-    M = np.zeros((n, n))
-    for i, j, v in entries:
-        if i >= n or j >= n:
-            raise DomainError(f"{path}: entry ({i + 1},{j + 1}) exceeds dim {n}")
-        M[i, j] = v
-        M[j, i] = v
-    return StructureMatrix.from_dense(M, label=label or path)
+        n = max(j for _, j in entries)
+    if n < 1:
+        raise DomainError(f"{path}: dimension {n} is below 1")
+    for i, j in entries:
+        if j > n:
+            raise DomainError(f"{path}: entry ({i},{j}) exceeds dim {n}")
+    rows, cols = (np.array(list(entries), dtype=int).reshape(-1, 2) - 1).T
+    upper = _from_entries(np.array(list(entries.values())), rows, cols, n, path).data
+    return _stored(upper + sp.triu(upper, 1).T, path)  # mirror the strict upper triangle

@@ -2,8 +2,10 @@
 
 The Gaussian generator is the workhorse: the model is second-moment
 specified, so Y = M + L z (L the Cholesky factor of C) reproduces the
-joint mean and covariance exactly. Count generators exist only to
-exercise the overdispersed marginal variance, not any joint law.
+joint mean and covariance exactly. L is block diagonal over the model's
+independent units, so each unit's slice of z is multiplied by its own
+block. Count generators exist only to exercise the overdispersed
+marginal variance, not any joint law.
 """
 
 from dataclasses import dataclass
@@ -21,6 +23,10 @@ class SimSpec:
     theta_true: object
     n_replicates: int
     seed: int
+
+    def __post_init__(self):
+        if self.n_replicates < 1:
+            raise DomainError(f"n_replicates must be >= 1, got {self.n_replicates}")
 
 
 def stacked_mean(model, theta):
@@ -43,13 +49,13 @@ def simulate_gaussian(spec):
     model = spec.model
     mean = stacked_mean(model, spec.theta_true)
     assembly = build_state(model, np.zeros_like(mean), spec.theta_true).assembly
-    L = assembly.C_chol
     n = mean.size
     out = np.empty((spec.n_replicates, n))
     children = np.random.SeedSequence(spec.seed).spawn(spec.n_replicates)
     for i, child in enumerate(children):
         z = np.random.default_rng(child).standard_normal(n)
-        out[i] = mean + L @ z
+        for idx, joint in zip(assembly.index, assembly.groups):
+            out[i, idx] = mean[idx] + (joint.C_chol @ z[idx][..., None])[..., 0]
     return out
 
 

@@ -50,6 +50,8 @@ class SolverOptions:
             raise DomainError("tolerances must be positive")
         if not 0.0 < self.alpha_step <= self.alpha_max:
             raise DomainError("require 0 < alpha_step <= alpha_max")
+        if self.max_iter < 1:
+            raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -271,7 +273,6 @@ def fit(model, y, opts=None):
     converged = False
     state = build_state(model, y, theta)
     prev_flat = None
-    n_iter = 0
 
     for n_iter in range(1, opts.max_iter + 1):
         psi_b = quasi_score(state)

@@ -44,7 +44,13 @@ from mcglm.matpred import assemble_U
 from mcglm.simulate import SimSpec, stacked_mean
 from mcglm.solver import alpha_strategy
 
-from helpers import gaussian_two_response, nonpd_instance, random_instance, random_pd
+from helpers import (
+    gaussian_two_response,
+    nonpd_instance,
+    random_instance,
+    random_pd,
+    scatter,
+)
 
 Z95 = 1.959963984540054
 TIGHT = SolverOptions(tol_score=1e-12, tol_param=1e-12, max_iter=300)
@@ -258,7 +264,7 @@ def test_criterion_06_insensitivity():
     h = 1e-4
     state = build_state(model, y=np.zeros(model.N * model.R), theta=theta)
     mu = state.mu
-    L = state.assembly.C_chol
+    L = scatter(state.assembly, "C_chol")
     D = state.D
     rng = np.random.default_rng(60)
     resid = L @ rng.standard_normal((mu.size, n_rep))  # columns are replicates
@@ -267,8 +273,9 @@ def test_criterion_06_insensitivity():
     for j in range(theta.lam.size):
         e = np.zeros(theta.lam.size)
         e[j] = h
-        Cp_inv = build_state(model, mu, theta.with_lambda(theta.lam + e)).assembly.C_inv
-        Cm_inv = build_state(model, mu, theta.with_lambda(theta.lam - e)).assembly.C_inv
+        plus = build_state(model, mu, theta.with_lambda(theta.lam + e)).assembly
+        minus = build_state(model, mu, theta.with_lambda(theta.lam - e)).assembly
+        Cp_inv, Cm_inv = scatter(plus, "C_inv"), scatter(minus, "C_inv")
         M = D.T @ ((Cp_inv - Cm_inv) / (2 * h))
         slopes = M @ resid  # K x n_rep per-replicate slope of psi_beta
         mean = slopes.mean(axis=1)
@@ -295,7 +302,7 @@ def test_criterion_07_v_lambda_identity():
     state_g = build_state(model_g, np.zeros(16), theta_g)
     V = variability_lambda(state_g, np.zeros(16))
     mu = state_g.mu
-    L = state_g.assembly.C_chol
+    L = scatter(state_g.assembly, "C_chol")
     n_rep = 4000
     rng = np.random.default_rng(72)
     psis = np.empty((n_rep, state_g.Q))

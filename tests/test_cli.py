@@ -76,6 +76,20 @@ def assert_one_error_line(proc):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def exit_code(argv):
+    """main's exit code, whether it returns it or a usage error raises SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def assert_one_error_line_in_process(code, capsys):
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def read_estimates(out_dir):
     with open(out_dir / "estimates.csv", newline="") as fh:
         return {row["parameter"]: row for row in csv.DictReader(fh)}
@@ -351,6 +365,70 @@ class TestSimulate:
             ]
         )
         assert code == 3
+
+
+@pytest.mark.parametrize("content", ["# dim 20\n0 2 5.0\n", None], ids=["0-based", "missing"])
+def test_bad_structure_file_exits_1(tmp_path, capsys, content):
+    spec, _, _ = gaussian_fixture(tmp_path)
+    doc = json.loads(spec.read_text())
+    doc["responses"][0]["predictor"].append({"type": "file", "path": "z.txt"})
+    write_json(spec, doc)
+    if content is not None:
+        (tmp_path / "z.txt").write_text(content)
+    code = exit_code(["fit", "--spec", str(spec), "--out", str(tmp_path / "o")])
+    assert_one_error_line_in_process(code, capsys)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--threads", "0", "fit"],
+        ["--threads", "-1", "fit"],
+        ["--threads", "abc", "fit"],
+        ["fit", "--alg", "newton"],
+        ["fit", "--no-such-option"],
+        ["no-such-command"],
+    ],
+)
+def test_usage_errors_exit_1(tmp_path, capsys, args):
+    spec, _, _ = gaussian_fixture(tmp_path)
+    code = exit_code(args + ["--spec", str(spec), "--out", str(tmp_path / "o")])
+    assert_one_error_line_in_process(code, capsys)
+    assert not (tmp_path / "o").exists()
+
+
+def test_missing_required_option_exits_1(capsys):
+    assert_one_error_line_in_process(exit_code(["fit", "--out", "o"]), capsys)
+
+
+def test_help_exits_0(capsys):
+    assert exit_code(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_max_iter_below_one_exits_1(tmp_path, capsys):
+    spec, _, _ = gaussian_fixture(tmp_path)
+    argv = ["fit", "--spec", str(spec), "--out", str(tmp_path / "o"), "--max-iter", "0"]
+    assert_one_error_line_in_process(exit_code(argv), capsys)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("variance, beta, n", [
+    ("constant", (2.0, 0.7), "-3"),        # replicate count below 1
+    ("tweedie_power", (-5.0, 0.0), "1"),   # negative mean: outside the variance domain
+])
+def test_simulate_bad_input_exits_1(tmp_path, capsys, variance, beta, n):
+    spec, _, _ = gaussian_fixture(tmp_path)
+    doc = json.loads(spec.read_text())
+    doc["responses"][0]["variance"] = variance
+    write_json(spec, doc)
+    theta = tmp_path / "theta.json"
+    write_json(theta, {"beta": [list(beta)], "tau": [[1.5]], "p": [1.5]})
+    code = exit_code(
+        ["simulate", "--spec", str(spec), "--theta", str(theta), "--n", n,
+         "--out", str(tmp_path / "o")]
+    )
+    assert_one_error_line_in_process(code, capsys)
 
 
 @pytest.mark.parametrize("command", ["fit", "simulate", "check-derivatives"])

@@ -28,7 +28,7 @@ from mcglm.estfun import (
     variability_lambda,
 )
 
-from helpers import random_instance, rel_err, weight_matrix
+from helpers import random_instance, rel_err, scatter, weight_matrix
 
 
 def iid_normal_model(N, K=1, seed=0):
@@ -47,7 +47,11 @@ def iid_normal_model(N, K=1, seed=0):
 
 def weights(state):
     """Reference weight matrices W_i = C^{-1} dC_i C^{-1}."""
-    return [weight_matrix(state.assembly.C_inv, dC) for dC in state.dC]
+    C_inv = scatter(state.assembly, "C_inv")
+    return [
+        weight_matrix(C_inv, scatter(state.assembly, [b[i] for b in state.dC_units]))
+        for i in range(state.Q)
+    ]
 
 
 def iid_state(N, beta, tau0, y, K=1, seed=0):
@@ -152,7 +156,7 @@ class TestPearson:
         model, y, theta = random_instance(rng, N=7, R=2)
         state = build_state(model, y, theta)
         vec = pearson_vector(state)
-        r, C = state.residual, state.assembly.C
+        r, C = state.residual, scatter(state.assembly, "C")
         for i, W in enumerate(weights(state)):
             assert vec[i] == pytest.approx(float(r @ W @ r - np.sum(W * C)), rel=1e-12)
 
@@ -161,7 +165,7 @@ class TestPearson:
         rng = np.random.default_rng(6)
         model, _, theta = random_instance(rng, N=6, R=2)
         state0 = build_state(model, np.zeros(model.N * model.R), theta)
-        L = state0.assembly.C_chol
+        L = scatter(state0.assembly, "C_chol")
         mu = state0.mu
         acc = np.zeros(state0.Q)
         n_rep = 4000
@@ -201,7 +205,7 @@ class TestLambdaBlocks:
         # d psi_i / d lambda_j = tr(dW_i/dl_j (rr^T - C)) - tr(W_i dC_j)
         # whose expectation under r r^T = C is -tr(W_i C W_j C).
         # Here we check the trace identity directly.
-        M = [W @ state.assembly.C for W in weights(state)]
+        M = [W @ scatter(state.assembly, "C") for W in weights(state)]
         S = sensitivity_lambda(state)
         for i in range(Q):
             for j in range(Q):
@@ -271,13 +275,10 @@ class TestCrossBlocks:
             for j in range(model.K):
                 e = np.zeros(model.K)
                 e[j] = h
-                Cp = build_state(
-                    model, y, theta.with_beta(theta.beta + e)
-                ).assembly.C
-                Cm = build_state(
-                    model, y, theta.with_beta(theta.beta - e)
-                ).assembly.C
-                dC = state.assembly.dense(dC_dbeta(state, j))
+                Cp = build_state(model, y, theta.with_beta(theta.beta + e)).assembly
+                Cm = build_state(model, y, theta.with_beta(theta.beta - e)).assembly
+                Cp, Cm = scatter(Cp, "C"), scatter(Cm, "C")
+                dC = scatter(state.assembly, dC_dbeta(state, j))
                 assert rel_err(dC, (Cp - Cm) / (2 * h)) < 1e-5
             found += 1
 
@@ -286,7 +287,7 @@ class TestCrossBlocks:
         model, y, theta = random_instance(rng, N=5, R=2)
         state = build_state(model, y, theta)
         r = state.residual
-        A = state.assembly.C_inv @ state.D  # NR x K
+        A = scatter(state.assembly, "C_inv") @ state.D  # NR x K
         V = cross_variability_lb(state)
         n = r.size
         for i, W in enumerate(weights(state)):
@@ -307,7 +308,7 @@ def test_k4_variability_and_cross_sensitivity_match_weight_formulas(covlink, R):
     setups = [("tweedie_power", covlink, False), ("poisson_tweedie", covlink, False)]
     model, y, theta = random_instance(rng, N=7, R=R, setups=setups)
     state = build_state(model, y, theta)
-    C, C_inv = state.assembly.C, state.assembly.C_inv
+    C, C_inv = scatter(state.assembly, "C"), scatter(state.assembly, "C_inv")
     W = weights(state)
     k4 = rng.uniform(0.5, 3.0, size=C.shape[0])
     V_ref = np.array(
@@ -317,7 +318,7 @@ def test_k4_variability_and_cross_sensitivity_match_weight_formulas(covlink, R):
         ]
     )
     W_beta = [
-        weight_matrix(C_inv, state.assembly.dense(dC_dbeta(state, j))) for j in range(model.K)
+        weight_matrix(C_inv, scatter(state.assembly, dC_dbeta(state, j))) for j in range(model.K)
     ]
     S_ref = np.array([[-np.trace(Wi @ C @ Wb @ C) for Wb in W_beta] for Wi in W])
     assert rel_err(V_ref, -2.0 * sensitivity_lambda(state)) > 1e-3
@@ -336,7 +337,7 @@ def test_cross_sensitivity_constant_variance_columns_are_zero():
         model, y, theta = random_instance(rng, N=7, R=2, setups=setups)
         kinds = sorted(resp.variance.kind for resp in model.responses)
     state = build_state(model, y, theta)
-    C, C_inv = state.assembly.C, state.assembly.C_inv
+    C, C_inv = scatter(state.assembly, "C"), scatter(state.assembly, "C_inv")
     W = weights(state)
     S = cross_sensitivity_lb(state)
     for resp, sl in zip(model.responses, model.beta_slices()):
@@ -344,7 +345,7 @@ def test_cross_sensitivity_constant_variance_columns_are_zero():
             assert np.all(S[:, sl] == 0.0)
             continue
         cols = range(sl.start, sl.stop)
-        W_beta = [weight_matrix(C_inv, state.assembly.dense(dC_dbeta(state, j))) for j in cols]
+        W_beta = [weight_matrix(C_inv, scatter(state.assembly, dC_dbeta(state, j))) for j in cols]
         S_ref = np.array([[-np.trace(Wi @ C @ Wb @ C) for Wb in W_beta] for Wi in W])
         assert np.max(np.abs(S_ref)) > 1e-3
         assert rel_err(S[:, sl], S_ref) < 1e-12
@@ -364,7 +365,7 @@ class TestBiasCorrection:
         model, y, theta = random_instance(rng, N=7, R=2)
         state = build_state(model, y, theta)
         D = state.D
-        J_inv = np.linalg.inv(D.T @ state.assembly.C_inv @ D)
+        J_inv = np.linalg.inv(D.T @ scatter(state.assembly, "C_inv") @ D)
         b = bias_correction(state)
         for i, W in enumerate(weights(state)):
             assert b[i] == pytest.approx(float(np.trace(D.T @ W @ D @ J_inv)), rel=1e-9)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from mcglm.matpred import (
     mat_pair_indicator,
     mat_sum,
     save_structure_matrix,
+    unit_partition,
 )
 
 
@@ -218,9 +221,70 @@ class TestStructureMatrixStorage:
         sm = mat_identity(100)
         assert sm.is_sparse
 
-    def test_dense_kept_for_high_density(self):
-        sm = mat_compound_symmetry(["g"] * 10)
-        assert not sm.is_sparse
+    def test_dense_input_stored_as_csr(self):
+        rng = np.random.default_rng(6)
+        M = rng.standard_normal((10, 10))
+        M = M + M.T
+        sm = StructureMatrix.from_dense(M)
+        assert sm.data.format == "csr"
+        assert sm.dense().tobytes() == M.tobytes()
+        assert mat_compound_symmetry(["g"] * 10).data.format == "csr"
+
+    @pytest.mark.parametrize(
+        "groups",
+        [[1, 0, 1, 0, 2, 2, 1], ["b", "a", "b", "c", "a", "c", "b"], ["g"] * 7],
+        ids=["interleaved", "strings", "single"],
+    )
+    def test_group_builders_match_dense_formulas(self, groups):
+        g = np.asarray(groups)
+        n = g.size
+        same = g[:, None] == g[None, :]
+        pos = np.cumsum(np.random.default_rng(7).uniform(0.5, 2.0, size=n))
+        dist = np.abs(pos[:, None] - pos[None, :])
+        off = same & ~np.eye(n, dtype=bool)
+        levels = np.array(["e1", "e2", "e3"])[np.arange(n) % 3]
+        ia, ib = levels == "e1", levels == "e2"
+        pair = (same & (np.outer(ia, ib) | np.outer(ib, ia))).astype(float)
+        assert np.array_equal(mat_compound_symmetry(groups).dense(), same.astype(float))
+        assert np.array_equal(mat_pair_indicator(levels, ("e1", "e2"), groups).dense(), pair)
+        for exponent in (1, 2):
+            expected = np.zeros((n, n))
+            expected[off] = dist[off] ** (-float(exponent))
+            M = mat_inverse_distance(pos, exponent, groups).dense()
+            assert M.tobytes() == expected.tobytes()
+
+    def test_rejects_groups_of_another_length(self):
+        with pytest.raises(DomainError, match="groups"):
+            mat_pair_indicator(["a", "b", "a"], ("a", "b"), [0, 0])
+        with pytest.raises(DomainError, match="groups"):
+            mat_inverse_distance([1.0, 2.0, 3.0], 1, [0, 0])
+
+    def test_group_builders_form_no_dense_matrix(self):
+        N = 4000  # a dense N x N float matrix is 128 MB
+        groups = np.repeat(np.arange(N // 4), 4)
+        levels = np.array(["e1", "e2", "e3", "e4"])[np.arange(N) % 4]
+        positions = np.arange(N, dtype=float)
+        builders = [
+            lambda: mat_compound_symmetry(groups),
+            lambda: mat_inverse_distance(positions, 1, groups),
+            lambda: mat_pair_indicator(levels, ("e1", "e2"), groups),
+        ]
+        for build in builders:
+            tracemalloc.start()
+            try:
+                build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8e6
+
+    def test_explicit_zeros_are_not_stored(self):
+        W, Dg = mat_neighborhood([(0, 1), (2, 3)], 5)
+        Z = mat_sum(W, StructureMatrix.from_dense(-W.dense()))
+        assert Z.data.nnz == 0
+        parts = unit_partition([mat_identity(5), Z])
+        assert [p.tolist() for p in parts] == [[[0], [1], [2], [3], [4]]]
+        assert Dg.data.nnz == 4  # node 4 has no neighbors
 
     def test_predictor_dimension_check(self):
         with pytest.raises(DomainError):
@@ -262,6 +326,31 @@ class TestCoordinateFile:
         path.write_text("2 1 0.5\n")
         with pytest.raises(DomainError):
             load_structure_matrix(str(path))
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("0 2 5.0", "index below 1"),
+            ("1 2 0.5", "repeated entry"),
+            ("2 2 nan", "non-finite"),
+            ("2 3 inf", "non-finite"),
+            ("2 3 -inf", "non-finite"),
+            ("2 x 1.0", "malformed line"),
+            ("# dim x", "malformed line"),
+        ],
+    )
+    def test_rejects_malformed_line(self, tmp_path, line, reason):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# dim 3\n1 2 0.5\n{line}\n")
+        with pytest.raises(DomainError, match=f"bad.txt:3: {reason}"):
+            load_structure_matrix(str(path))
+
+    def test_zero_line_is_not_stored(self, tmp_path):
+        path = tmp_path / "z.txt"
+        path.write_text("# dim 3\n1 1 2.0\n1 2 0.0\n2 2 1.0\n3 3 1.0\n")
+        sm = load_structure_matrix(str(path))
+        assert np.array_equal(sm.dense(), np.diag([2.0, 1.0, 1.0]))
+        assert sm.data.nnz == 3
 
     def test_sum_icar_merge(self):
         W, Dg = mat_neighborhood([(0, 1), (1, 2)], 3)

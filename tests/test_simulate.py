@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from mcglm import DomainError, SimSpec, simulate_counts_marginal, simulate_gauss
 from mcglm.estfun import build_state
 from mcglm.simulate import stacked_mean
 
-from helpers import gaussian_two_response, random_instance
+from helpers import gaussian_two_response, random_instance, scatter
 
 
 class TestStackedMean:
@@ -47,7 +49,7 @@ class TestGaussian:
         n_rep = 20_000
         out = simulate_gaussian(SimSpec(model, theta, n_rep, seed=13))
         mean = stacked_mean(model, theta)
-        C = build_state(model, np.zeros(12), theta).assembly.C
+        C = scatter(build_state(model, np.zeros(12), theta).assembly, "C")
         emp_mean = out.mean(axis=0)
         emp_cov = np.cov(out.T)
         sd = np.sqrt(np.diag(C))
@@ -61,9 +63,25 @@ class TestGaussian:
         n_rep = 20_000
         out = simulate_gaussian(SimSpec(model, theta, n_rep, seed=17))
         mean = stacked_mean(model, theta)
-        C = build_state(model, np.zeros(10), theta).assembly.C
+        C = scatter(build_state(model, np.zeros(10), theta).assembly, "C")
         sd = np.sqrt(np.diag(C))
         assert np.max(np.abs(out.mean(axis=0) - mean) / (sd / np.sqrt(n_rep))) < 5.0
+
+    @pytest.mark.parametrize("n_replicates", [0, -3])
+    def test_rejects_replicate_count_below_one(self, n_replicates):
+        model, theta = gaussian_two_response(N=4, seed=8)
+        with pytest.raises(DomainError, match="n_replicates"):
+            SimSpec(model, theta, n_replicates, seed=1)
+
+    def test_forms_no_dense_factor(self):
+        model, theta = gaussian_two_response(N=2000, seed=1)  # a dense factor is 128 MB
+        tracemalloc.start()
+        try:
+            simulate_gaussian(SimSpec(model, theta, 1, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_replicate_independence(self):
         model, theta = gaussian_two_response(N=4, seed=8)

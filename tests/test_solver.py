@@ -29,7 +29,7 @@ from mcglm.estfun import GodambeResult, pearson_vector, quasi_score
 from mcglm.simulate import SimSpec
 from mcglm.solver import alpha_strategy
 
-from helpers import gaussian_two_response, nonpd_instance, random_instance
+from helpers import gaussian_two_response, nonpd_instance, random_instance, scatter
 
 
 def iid_normal(N, K, seed=0):
@@ -172,7 +172,7 @@ class TestStepAlgebra:
         y = rng.standard_normal(20)
         t1 = chaser_step(theta, model, y)
         state = build_state(model, y, theta)
-        C_inv = state.assembly.C_inv
+        C_inv = scatter(state.assembly, "C_inv")
         D = state.D
         gls = np.linalg.solve(D.T @ C_inv @ D, D.T @ C_inv @ y)
         assert np.max(np.abs(t1.beta - gls)) < 1e-10
@@ -381,3 +381,8 @@ class TestSolverOptions:
             SolverOptions(tol_score=0.0)
         with pytest.raises(DomainError):
             SolverOptions(alpha_step=2.0, alpha_max=1.0)
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_rejects_max_iter_below_one(self, max_iter):
+        with pytest.raises(DomainError, match="max_iter"):
+            SolverOptions(max_iter=max_iter)

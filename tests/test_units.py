@@ -28,6 +28,7 @@ from mcglm import (
     mat_neighborhood,
     sigma_b_from_rho,
 )
+from mcglm.checks import derivative_report
 from mcglm.covariance import (
     build_sigma_r,
     dC_dpar_r,
@@ -40,14 +41,16 @@ from mcglm.estfun import (
     bias_correction,
     cross_sensitivity_lb,
     cross_variability_lb,
+    dC_dbeta,
     empirical_k4,
     pearson_vector,
     sensitivity_lambda,
     variability_lambda,
 )
 from mcglm.matpred import unit_partition
+from mcglm.simulate import SimSpec, simulate_gaussian, stacked_mean
 
-from helpers import rel_err, weight_matrix
+from helpers import random_instance, rel_err, scatter, weight_matrix
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -190,8 +193,8 @@ def test_unit_path_matches_dense_weight_formulas(case):
     assert sizes == UNIT_SIZES[case]
     state = build_state(model, y, theta)
     C, C_inv, dC, dC_beta = dense_oracle(state)
-    assert rel_err(state.assembly.C, C) < 1e-12
-    assert rel_err(state.assembly.C_inv, C_inv) < 1e-12
+    assert rel_err(scatter(state.assembly, "C"), C) < 1e-12
+    assert rel_err(scatter(state.assembly, "C_inv"), C_inv) < 1e-12
 
     r, D = state.residual, state.D
     W = [weight_matrix(C_inv, dCi) for dCi in dC]
@@ -223,6 +226,48 @@ def test_unit_path_matches_dense_weight_formulas(case):
     assert rel_err(god.S_theta, S) < 1e-12
     assert rel_err(god.V_theta, V) < 1e-12
     assert rel_err(god.J_inv, S_inv @ V @ S_inv.T) < 1e-12
+
+
+def test_block_simulation_matches_dense_factor():
+    rng = np.random.default_rng(12)
+    cases = [random_instance(rng, R=R) for R in (1, 2, 3) for _ in range(5)]
+    cases.append(CASES["car_single_block"]())
+    for model, _, theta in cases:
+        mean = stacked_mean(model, theta)
+        L = scatter(build_state(model, np.zeros_like(mean), theta).assembly, "C_chol")
+        children = np.random.SeedSequence(3).spawn(4)
+        dense = [mean + L @ np.random.default_rng(c).standard_normal(mean.size) for c in children]
+        blocks = simulate_gaussian(SimSpec(model, theta, 4, seed=3))
+        assert rel_err(blocks, dense) < 1e-14
+
+
+def dense_derivative_report(model, y, theta, h=1e-6):
+    """derivative_report computed on the dense N R x N R scatters of C and of every dC."""
+    state = build_state(model, y, theta)
+
+    def C_at(flat):
+        th = make_theta(model, flat[: model.K], flat[model.K :])
+        return scatter(build_state(model, y, th).assembly, "C")
+
+    def fd(offset):
+        e = np.zeros(theta.flat.size)
+        e[offset] = h
+        return (C_at(theta.flat + e) - C_at(theta.flat - e)) / (2.0 * h)
+
+    worst = {}
+    for pos, (role, _, _) in enumerate(model.lambda_index_map()):
+        dC = scatter(state.assembly, [b[pos] for b in state.dC_units])
+        worst[role] = max(worst.get(role, 0.0), rel_err(dC, fd(model.K + pos)))
+    for j in range(model.K):
+        dC = scatter(state.assembly, dC_dbeta(state, j))
+        worst["beta"] = max(worst.get("beta", 0.0), rel_err(dC, fd(j)))
+    return worst
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_block_derivative_report_equals_dense_report(case):
+    model, y, theta = CASES[case]()
+    assert derivative_report(model, y, theta) == dense_derivative_report(model, y, theta)
 
 
 class TestUnitPartition:
