@@ -268,7 +268,12 @@ def write_fit_outputs(out_dir, model, result):
         "estimates": [float(x) for x in est],
         "std_errors": [float(x) for x in se],
         "trace": [
-            {"score_norm": float(t.score_norm), "alpha": float(t.alpha)}
+            {
+                "score_norm": float(t.score_norm),
+                "beta_score_norm": float(t.beta_score_norm),
+                "lambda_score_norm": float(t.lambda_score_norm),
+                "alpha": float(t.alpha),
+            }
             for t in result.trace
         ],
         "warnings": list(result.warnings),
@@ -527,18 +532,29 @@ def make_parser():
     return parser
 
 
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def main(argv=None):
+    """Run one command; the caller's BLAS thread variables are restored on return."""
     args = make_parser().parse_args(argv)
+    saved = {var: os.environ.get(var) for var in THREAD_VARS}
     try:
         if args.threads is not None:
             if args.threads < 1:
                 raise InputError(f"--threads must be at least 1, got {args.threads}")
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            for var in THREAD_VARS:
                 os.environ[var] = str(args.threads)
         return args.func(args)
     except (InputError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
 
 
 if __name__ == "__main__":

@@ -271,7 +271,7 @@ def dSigma_dmu_dir(mu, var, p, rc, dmu):
     """
     mu = np.asarray(mu, dtype=float)
     dmu = np.asarray(dmu, dtype=float)
-    if var.kind == "constant":
+    if not var.depends_on_mu:
         return np.zeros(rc.sigma.shape)
     if var.kind == "binomial":
         dv = (1.0 - 2.0 * mu) * dmu

@@ -1,8 +1,12 @@
 """Quasi-score and Pearson estimating functions and the Godambe calculus.
 
 The central object is an EstimatingState: the full evaluation of the
-model at one theta (means, residuals, mean gradient, joint covariance
-and, formed on first use, its derivative dC_i in each lambda). C, C^{-1}
+model at one theta. Its mean half holds the means, residuals and mean
+gradient; its covariance half, a StateCovariance, holds the joint
+covariance and, formed on first use, its derivative dC_i in each
+lambda. When no response's variance depends on mu, C does not depend
+on beta, and states that differ only in beta share one covariance half
+(EstimatingState.with_beta). C, C^{-1}
 and every dC_i are block diagonal over the model's independent units,
 so each quantity is computed batched over the unit blocks of every unit
 size and summed over the units. The lambda blocks are traces tr(W_i M)
@@ -11,7 +15,7 @@ from u = C^{-1} r, G = C^{-1} D and A_i = C^{-1} dC_i, so W_i itself is
 never formed.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -32,45 +36,29 @@ from .functions import link_inverse, link_inverse_deriv
 
 
 @dataclass(frozen=True)
-class EstimatingState:
-    """Model evaluated at one theta: everything the estimating functions need.
+class StateCovariance:
+    """The covariance half of an EstimatingState: C at one (mu, lambda).
 
-    The ``*_units`` attributes hold one entry per size of unit (as
-    ``model.unit_groups``): the rows of each unit of the mean gradient D,
-    the (Q, n_units, R m, R m) stack of the unit blocks of every dC_i,
-    u = C^{-1} r, G = C^{-1} D and A_i = C^{-1} dC_i.
-    They are computed on first use, so a state that is only factorized
-    (a rejected proposal, a simulation) forms none of them.
+    ``assembly`` is the factorized UnitCovariance. ``dC_units`` and
+    ``A_units`` hold one entry per size of unit (as ``model.unit_groups``):
+    the (Q, n_units, R m, R m) stacks of the unit blocks of every dC_i and
+    of A_i = C^{-1} dC_i. They are computed on first use, so a covariance
+    that is only factorized (a rejected proposal, a simulation) forms
+    none of them, and states that share this object share them.
     """
 
     model: object
-    theta: object
-    y: np.ndarray = field(repr=False)
-    mu: np.ndarray = field(repr=False)          # NR stacked means
-    residual: np.ndarray = field(repr=False)    # y - mu
-    D: np.ndarray = field(repr=False)           # NR x K mean gradient
-    dmu_deta: tuple = field(repr=False)         # per-response derivative vectors
-    assembly: object = None                     # UnitCovariance
-
-    @property
-    def K(self):
-        return self.D.shape[1]
-
-    @property
-    def Q(self):
-        return self.model.Q
-
-    @cached_property
-    def D_units(self):
-        return tuple(self.D[idx] for idx in self.assembly.index)
+    mu: np.ndarray = field(repr=False)
+    lam: np.ndarray = field(repr=False)
+    assembly: UnitCovariance = field(repr=False)
 
     @cached_property
     def dC_units(self):
         model = self.model
-        _, p, _ = model.split_lambda(self.theta.lam)
+        _, p, _ = model.split_lambda(self.lam)
         out = []
         for grp, joint in zip(model.unit_groups, self.assembly.groups):
-            blocks = np.empty((self.Q,) + joint.C_inv.shape)
+            blocks = np.empty((model.Q,) + joint.C_inv.shape)
             for i, (role, idx, d) in enumerate(model.lambda_index_map()):
                 if role == "rho":
                     blocks[i] = dC_drho(joint, idx)
@@ -87,6 +75,55 @@ class EstimatingState:
         return tuple(out)
 
     @cached_property
+    def A_units(self):
+        return tuple(g.C_inv @ dC for g, dC in zip(self.assembly.groups, self.dC_units))
+
+
+@dataclass(frozen=True)
+class EstimatingState:
+    """Model evaluated at one theta: everything the estimating functions need.
+
+    The mean half (mu, the residual, the mean gradient D) is held here;
+    the covariance half is a StateCovariance. The ``*_units`` attributes
+    hold one entry per size of unit: the rows of each unit of D,
+    u = C^{-1} r and G = C^{-1} D, computed on first use, and the
+    covariance's dC_i and A_i.
+    """
+
+    model: object
+    theta: object
+    y: np.ndarray = field(repr=False)
+    mu: np.ndarray = field(repr=False)          # NR stacked means
+    residual: np.ndarray = field(repr=False)    # y - mu
+    D: np.ndarray = field(repr=False)           # NR x K mean gradient
+    dmu_deta: tuple = field(repr=False)         # per-response derivative vectors
+    covariance: StateCovariance = field(repr=False)
+
+    @property
+    def K(self):
+        return self.D.shape[1]
+
+    @property
+    def Q(self):
+        return self.model.Q
+
+    @property
+    def assembly(self):
+        return self.covariance.assembly
+
+    @property
+    def dC_units(self):
+        return self.covariance.dC_units
+
+    @property
+    def A_units(self):
+        return self.covariance.A_units
+
+    @cached_property
+    def D_units(self):
+        return tuple(self.D[idx] for idx in self.assembly.index)
+
+    @cached_property
     def u_units(self):
         return tuple(
             (g.C_inv @ self.residual[idx][..., None])[..., 0]
@@ -97,39 +134,44 @@ class EstimatingState:
     def G_units(self):
         return tuple(g.C_inv @ D for g, D in zip(self.assembly.groups, self.D_units))
 
-    @cached_property
-    def A_units(self):
-        return tuple(g.C_inv @ dC for g, dC in zip(self.assembly.groups, self.dC_units))
+    def with_beta(self, beta):
+        """The state at a new beta with only the mean half evaluated again.
+
+        It shares this state's covariance, caches included, so it is the
+        state at the new theta only when no response's variance depends
+        on mu, where C does not depend on beta.
+        """
+        theta = self.theta.with_beta(beta)
+        mu, D, dmu_deta = _mean_half(self.model, theta.beta)
+        return replace(self, theta=theta, mu=mu, residual=self.y - mu, D=D, dmu_deta=dmu_deta)
 
 
-def build_state(model, y, theta):
-    """Evaluate the means, the mean gradient and the factorized joint covariance at theta.
-
-    The joint covariance is built batched over the model's units, one
-    JointCovariance per unit size. The derivatives dC_i are left to
-    EstimatingState.dC_units, which forms them only when an estimating
-    function first asks for them. Raises FactorizationError on non-PD
-    covariance.
-    """
-    y = np.asarray(y, dtype=float).reshape(-1)
-    N, R, K = model.N, model.R, model.K
-    if y.size != N * R:
-        raise ValueError(f"stacked response has length {y.size}, expected {N * R}")
-    rho, p, tau = model.split_lambda(theta.lam)
+def _mean_half(model, beta):
+    """The stacked means, the mean gradient D and each response's dmu/deta at beta."""
+    N, K = model.N, model.K
     slices = model.beta_slices()
-
-    mu = np.empty(N * R)
+    mu = np.empty(N * model.R)
     dmu_deta = []
-    D = np.zeros((N * R, K))
+    D = np.zeros((N * model.R, K))
     for r, resp in enumerate(model.responses):
-        beta_r = theta.beta[slices[r]]
-        eta = resp.design @ beta_r
-        mu_r = link_inverse(resp.link, eta)
+        eta = resp.design @ beta[slices[r]]
         d_r = link_inverse_deriv(resp.link, eta)
-        mu[r * N : (r + 1) * N] = mu_r
+        mu[r * N : (r + 1) * N] = link_inverse(resp.link, eta)
         dmu_deta.append(d_r)
         D[r * N : (r + 1) * N, slices[r]] = d_r[:, None] * resp.design
-    Sb = sigma_b_from_rho(rho, R)
+    return mu, D, tuple(dmu_deta)
+
+
+def build_covariance(model, mu, lam):
+    """Factorize the joint covariance at the means mu and covariance parameters lam.
+
+    The joint covariance is built batched over the model's units, one
+    JointCovariance per unit size. Raises FactorizationError on non-PD
+    covariance.
+    """
+    rho, p, tau = model.split_lambda(lam)
+    N = model.N
+    Sb = sigma_b_from_rho(rho, model.R)
     joint = []
     for grp in model.unit_groups:
         resp_cov = [
@@ -143,7 +185,20 @@ def build_state(model, y, theta):
     assembly = UnitCovariance(
         groups=tuple(joint), index=tuple(grp.joint for grp in model.unit_groups)
     )
+    return StateCovariance(model=model, mu=mu, lam=lam, assembly=assembly)
 
+
+def build_state(model, y, theta):
+    """Evaluate the means, the mean gradient and the factorized joint covariance at theta.
+
+    The derivatives dC_i are left to StateCovariance.dC_units, which
+    forms them only when an estimating function first asks for them.
+    Raises FactorizationError on non-PD covariance.
+    """
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if y.size != model.N * model.R:
+        raise ValueError(f"stacked response has length {y.size}, expected {model.N * model.R}")
+    mu, D, dmu_deta = _mean_half(model, theta.beta)
     return EstimatingState(
         model=model,
         theta=theta,
@@ -151,8 +206,8 @@ def build_state(model, y, theta):
         mu=mu,
         residual=y - mu,
         D=D,
-        dmu_deta=tuple(dmu_deta),
-        assembly=assembly,
+        dmu_deta=dmu_deta,
+        covariance=build_covariance(model, mu, theta.lam),
     )
 
 
@@ -270,7 +325,7 @@ def cross_sensitivity_lb(state):
     model, groups = state.model, state.assembly.groups
     S = np.zeros((state.Q, state.K))
     for resp, sl in zip(model.responses, model.beta_slices()):
-        if resp.variance.kind == "constant":
+        if not resp.variance.depends_on_mu:
             continue
         for j in range(sl.start, sl.stop):
             S[:, j] = -sum(

@@ -56,9 +56,20 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One iteration: theta, the max-abs quasi-score and Pearson values, and alpha.
+
+    ``score_norm`` is the larger of the two score norms, the value the
+    convergence test reads.
+    """
+
     theta: np.ndarray
-    score_norm: float
+    beta_score_norm: float
+    lambda_score_norm: float
     alpha: float
+
+    @property
+    def score_norm(self):
+        return max(self.beta_score_norm, self.lambda_score_norm)
 
 
 @dataclass(frozen=True)
@@ -85,11 +96,17 @@ def _corrected_pearson(state, correct):
 def _beta_step(state):
     """Quasi-score Newton step in beta; returns the state at the new beta.
 
-    Raises FactorizationError when the covariance there is not PD.
+    When no response's variance depends on mu, C does not depend on beta,
+    so the new state keeps this state's covariance with its dC_i and A_i.
+    Otherwise the covariance is rebuilt, which raises FactorizationError
+    when it is not PD.
     """
     S_b = sensitivity_beta(state)
     beta_new = state.theta.beta - np.linalg.solve(S_b, quasi_score(state))
-    return build_state(state.model, state.y, state.theta.with_beta(beta_new))
+    model = state.model
+    if any(resp.variance.depends_on_mu for resp in model.responses):
+        return build_state(model, state.y, state.theta.with_beta(beta_new))
+    return state.with_beta(beta_new)
 
 
 class _LambdaStep:
@@ -227,6 +244,10 @@ def _irls_single(y_r, X, resp, p0, irls_iter):
     return beta
 
 
+def _max_abs(x):
+    return float(np.max(np.abs(x))) if x.size else 0.0
+
+
 def _next_state(state, alpha, opts):
     """The beta step, then lambda steps at escalating alpha until one is PD.
 
@@ -275,16 +296,16 @@ def fit(model, y, opts=None):
     prev_flat = None
 
     for n_iter in range(1, opts.max_iter + 1):
-        psi_b = quasi_score(state)
-        psi_l = _corrected_pearson(state, opts.correct_pearson)
-        score_norm = max(
-            float(np.max(np.abs(psi_b))) if psi_b.size else 0.0,
-            float(np.max(np.abs(psi_l))) if psi_l.size else 0.0,
+        record = IterationRecord(
+            theta.flat.copy(),
+            _max_abs(quasi_score(state)),
+            _max_abs(_corrected_pearson(state, opts.correct_pearson)),
+            alpha,
         )
-        trace.append(IterationRecord(theta.flat.copy(), score_norm, alpha))
+        trace.append(record)
         if (
             prev_flat is not None
-            and score_norm < opts.tol_score
+            and record.score_norm < opts.tol_score
             and float(np.max(np.abs(theta.flat - prev_flat))) < opts.tol_param
         ):
             converged = True

@@ -1,0 +1,182 @@
+"""The beta step keeps the covariance when no response's variance depends on mu."""
+
+import numpy as np
+import pytest
+
+import mcglm.solver
+from mcglm import (
+    CovLinkSpec,
+    LinkSpec,
+    MatrixPredictor,
+    ModelSpec,
+    ResponseSpec,
+    SolverOptions,
+    VarianceSpec,
+    build_godambe,
+    build_state,
+    fit,
+    make_theta,
+    mat_identity,
+    mat_kronecker,
+    mat_neighborhood,
+    simulate_gaussian,
+)
+from mcglm.estfun import (
+    bias_correction,
+    empirical_k4,
+    pearson_vector,
+    quasi_score,
+    sensitivity_beta,
+    sensitivity_lambda,
+    variability_lambda,
+)
+from mcglm.simulate import SimSpec
+from mcglm.solver import _beta_step
+
+from helpers import gaussian_two_response, nonpd_instance, random_instance
+
+
+def paired_r2():
+    model, theta = gaussian_two_response(N=12, seed=3)
+    y = simulate_gaussian(SimSpec(model, theta, 1, seed=4))[0]
+    return model, y, theta
+
+
+def car_inverse(T=3, S=4):
+    Wt, Dt = mat_neighborhood([(i, i + 1) for i in range(T - 1)], T)
+    Ws, Ds = mat_neighborhood([(i, i + 1) for i in range(S - 1)], S)
+    comps = (
+        mat_kronecker(Dt, mat_identity(S)), mat_kronecker(Wt, mat_identity(S)),
+        mat_kronecker(mat_identity(T), Ds), mat_kronecker(mat_identity(T), Ws),
+    )
+    N = T * S
+    resp = ResponseSpec(
+        "y", LinkSpec("identity"), VarianceSpec("constant"), CovLinkSpec("inverse"),
+        np.column_stack([np.ones(N), np.arange(N) / N]), MatrixPredictor(comps),
+    )
+    model = ModelSpec((resp,))
+    lam = model.pack_lambda([], [1.0], [np.array([1.0, -0.3, 0.8, -0.2])])
+    theta = make_theta(model, np.array([1.0, 0.5]), lam)
+    y = simulate_gaussian(SimSpec(model, theta, 1, seed=5))[0]
+    return model, y, theta
+
+
+def r3_constant():
+    setups = [("constant", "identity", True), ("constant", "inverse", True)]
+    return random_instance(np.random.default_rng(11), N=9, R=3, setups=setups)
+
+
+def mean_dependent(kind):
+    setups = {
+        "tweedie": [("tweedie_power", "identity", False)],
+        "poisson_tweedie": [("poisson_tweedie", "identity", False)],
+        "mixed": [("constant", "identity", True), ("tweedie_power", "identity", True)],
+    }[kind]
+    rng = np.random.default_rng(12)
+    while True:
+        model, y, theta = random_instance(rng, N=8, R=2, setups=setups)
+        if any(r.variance.depends_on_mu for r in model.responses):
+            return model, y, theta
+
+
+def binomial():
+    N = 10
+    rng = np.random.default_rng(13)
+    resp = ResponseSpec(
+        "y", LinkSpec("logit"), VarianceSpec("binomial"), CovLinkSpec("identity"),
+        np.column_stack([np.ones(N), rng.standard_normal(N)]),
+        MatrixPredictor((mat_identity(N),)),
+    )
+    model = ModelSpec((resp,))
+    theta = make_theta(model, np.array([0.2, -0.3]), model.pack_lambda([], [1.0], [[0.8]]))
+    return model, rng.uniform(0.1, 0.9, N), theta
+
+
+def outputs(state):
+    k4 = empirical_k4(state.residual, state.assembly.variance)
+    god = build_godambe(state)
+    return [
+        quasi_score(state),
+        sensitivity_beta(state),
+        pearson_vector(state),
+        bias_correction(state),
+        sensitivity_lambda(state),
+        variability_lambda(state, k4),
+        god.S_theta,
+        god.V_theta,
+        god.J_inv,
+    ]
+
+
+def stepped(model, y, theta):
+    """The pre-step state (its dC_i and A_i formed, as fit forms them) and the post-beta state."""
+    state = build_state(model, y, theta)
+    pearson_vector(state)
+    sensitivity_lambda(state)
+    return state, _beta_step(state)
+
+
+@pytest.mark.parametrize("case", [paired_r2, car_inverse, r3_constant])
+def test_constant_variance_keeps_the_covariance(case):
+    model, y, theta = case()
+    assert not any(r.variance.depends_on_mu for r in model.responses)
+    state, state_b = stepped(model, y, theta)
+    assert state_b.covariance is state.covariance
+    assert not np.array_equal(state_b.theta.beta, state.theta.beta)
+    rebuilt = build_state(model, y, state_b.theta)
+    assert np.array_equal(state_b.theta.flat, rebuilt.theta.flat)
+    for a, b in zip(outputs(state_b), outputs(rebuilt)):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: mean_dependent("tweedie"),
+        lambda: mean_dependent("poisson_tweedie"),
+        lambda: mean_dependent("mixed"),
+        binomial,
+    ],
+    ids=["tweedie", "poisson_tweedie", "mixed", "binomial"],
+)
+def test_mean_dependent_variance_rebuilds_the_covariance(case):
+    model, y, theta = case()
+    state, state_b = stepped(model, y, theta)
+    assert state_b.covariance is not state.covariance
+    rebuilt = build_state(model, y, state_b.theta)
+    for a, b in zip(outputs(state_b), outputs(rebuilt)):
+        assert np.array_equal(a, b)
+
+
+def counted_fit(monkeypatch, model, y):
+    calls = []
+    original = mcglm.solver.build_state
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(mcglm.solver, "build_state", counted)
+    res = fit(model, y, SolverOptions(algorithm="reciprocal"))
+    assert res.converged
+    return res, len(calls)
+
+
+def test_constant_variance_fit_builds_once_per_proposal(monkeypatch):
+    model, y, _ = nonpd_instance()
+    res, n = counted_fit(monkeypatch, model, y)
+    assert res.n_alpha_escalations > 0
+    assert n == 1 + (res.n_iter - 1) + res.n_alpha_escalations
+
+
+def test_tweedie_fit_also_builds_after_each_beta_step(monkeypatch):
+    N = 30
+    rng = np.random.default_rng(14)
+    X = np.column_stack([np.ones(N), rng.standard_normal(N)])
+    resp = ResponseSpec(
+        "y", LinkSpec("log"), VarianceSpec("tweedie_power", power_known=True),
+        CovLinkSpec("identity"), X, MatrixPredictor((mat_identity(N),)), power_value=1.0,
+    )
+    y = rng.poisson(np.exp(1.0 + 0.3 * X[:, 1])).astype(float)
+    res, n = counted_fit(monkeypatch, ModelSpec((resp,)), y)
+    assert n == 1 + 2 * (res.n_iter - 1) + res.n_alpha_escalations

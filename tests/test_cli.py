@@ -641,3 +641,15 @@ def test_threads_option_pins_both_openblas_copies(tmp_path):
     if len(report["threads"]) != 2:
         pytest.skip("bundled OpenBLAS libraries not found")
     assert report["threads"] == {"numpy": 1, "scipy": 1}
+
+
+@pytest.mark.parametrize("spec_name, expected", [("spec.json", 0), ("missing.json", 1)])
+def test_threads_option_leaves_caller_environment(tmp_path, monkeypatch, spec_name, expected):
+    gaussian_fixture(tmp_path)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    argv = ["--threads", "1", "fit", "--spec", str(tmp_path / spec_name), "--out", str(tmp_path / "o")]
+    assert exit_code(argv) == expected
+    assert dict(os.environ) == before

@@ -335,6 +335,25 @@ class TestFit:
         doc = json.loads((tmp_path / "result.json").read_text())
         assert doc["warnings"] == list(res.warnings)
 
+    def test_trace_splits_the_score_norm(self, tmp_path):
+        model, theta_true = gaussian_two_response(N=16, seed=28)
+        y = simulate_gaussian(SimSpec(model, theta_true, 1, seed=29))[0]
+        res = fit(model, y)
+        last = res.trace[-1]
+        state = build_state(model, y, res.theta_hat)
+        assert last.beta_score_norm == float(np.max(np.abs(quasi_score(state))))
+        write_fit_outputs(tmp_path, model, res)
+        doc = json.loads((tmp_path / "result.json").read_text())
+        assert len(doc["trace"]) == res.n_iter
+        for t, entry in zip(res.trace, doc["trace"]):
+            assert t.score_norm == max(t.beta_score_norm, t.lambda_score_norm)
+            assert entry == {
+                "score_norm": t.score_norm,
+                "beta_score_norm": t.beta_score_norm,
+                "lambda_score_norm": t.lambda_score_norm,
+                "alpha": t.alpha,
+            }
+
     def test_no_warnings_without_clipping(self):
         model, theta_true = gaussian_two_response(N=16, seed=28)
         y = simulate_gaussian(SimSpec(model, theta_true, 1, seed=29))[0]
