@@ -11,7 +11,7 @@ def _fd_dC(model, y, theta, offset, h):
     """Central differences in theta.flat[offset] of the joint blocks of every unit size."""
     def C_at(flat):
         th = make_theta(model, flat[: model.K], flat[model.K :])
-        return [g.C for g in build_state(model, y, th).assembly.groups]
+        return [g.C for g in build_state(model, y, th).covariance.groups]
 
     flat = theta.flat
     e = np.zeros_like(flat)
@@ -46,7 +46,7 @@ def derivative_report(model, y, theta, h=1e-6, corrupt=None):
 
     for pos, (family, _, _) in enumerate(model.lambda_index_map()):
         fd = _fd_dC(model, y, theta, model.K + pos, h)
-        record(family, [b[pos] for b in state.dC_units], fd)
+        record(family, [b[pos] for b in state.covariance.dC_units], fd)
     for j in range(model.K):
         fd = _fd_dC(model, y, theta, j, h)
         record("beta", dC_dbeta(state, j), fd)

@@ -461,7 +461,7 @@ def cmd_build_matrices(args):
         matpred.save_structure_matrix(W, out / f"{args.prefix}W.txt")
         matpred.save_structure_matrix(Dg, out / f"{args.prefix}D.txt")
         if args.icar:
-            Z = matpred.mat_sum(Dg, W, label="icar D+W")
+            Z = matpred.mat_sum(Dg, W)
             matpred.save_structure_matrix(Z, out / f"{args.prefix}Zicar.txt")
     else:  # kron
         A = matpred.load_structure_matrix(args.a)

@@ -11,7 +11,7 @@ asymmetry.
 Every function takes one matrix per response or, batched, a stack
 (n_units, m, m) of the blocks of independent units of one size; the
 joint blocks are then (n_units, R m, R m), response by response within
-a unit. UnitCovariance gathers the stacks of every unit size.
+a unit.
 """
 
 from dataclasses import dataclass, field
@@ -118,28 +118,6 @@ class JointCovariance:
             for s in range(r + 1):
                 self.block(L, r, s)[...] = self.Lb[r, s] * self.responses[r].chol
         return L
-
-
-@dataclass(frozen=True)
-class UnitCovariance:
-    """Joint covariance of a model as one JointCovariance per size of unit.
-
-    ``groups[g]`` holds (n_units, R m) stacks; ``index[g]`` gives the
-    positions of their rows and columns in the stacked N R vector.
-    """
-
-    groups: tuple
-    index: tuple
-
-    @cached_property
-    def variance(self):
-        """diag(C), the marginal variances of the stacked responses."""
-        out = np.empty(sum(idx.size for idx in self.index))
-        for idx, g in zip(self.index, self.groups):
-            out[idx] = np.concatenate(
-                [np.diagonal(rc.sigma, axis1=-2, axis2=-1) for rc in g.responses], axis=-1
-            )
-        return out
 
 
 def sigma_b_from_rho(rho, R):

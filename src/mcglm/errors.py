@@ -30,8 +30,4 @@ class StepFailureError(McglmError):
 
 
 class ConvergenceError(McglmError):
-    """The solver failed to converge; carries the iteration trace."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace if trace is not None else []
+    """The solver failed to converge."""

@@ -21,7 +21,6 @@ from functools import cached_property
 import numpy as np
 
 from .covariance import (
-    UnitCovariance,
     build_sigma_r,
     dC_dpar_r,
     dC_drho,
@@ -39,25 +38,41 @@ from .functions import link_inverse, link_inverse_deriv
 class StateCovariance:
     """The covariance half of an EstimatingState: C at one (mu, lambda).
 
-    ``assembly`` is the factorized UnitCovariance. ``dC_units`` and
-    ``A_units`` hold one entry per size of unit (as ``model.unit_groups``):
-    the (Q, n_units, R m, R m) stacks of the unit blocks of every dC_i and
-    of A_i = C^{-1} dC_i. They are computed on first use, so a covariance
-    that is only factorized (a rejected proposal, a simulation) forms
-    none of them, and states that share this object share them.
+    ``groups`` holds one factorized JointCovariance per size of unit, as
+    ``model.unit_groups``: (n_units, R m, R m) stacks whose rows and
+    columns sit at ``index`` in the stacked N R vector. ``variance``,
+    ``dC_units`` and ``A_units`` (the (Q, n_units, R m, R m) stacks of the
+    unit blocks of every dC_i and of A_i = C^{-1} dC_i) are computed on
+    first use, so a covariance that is only factorized (a rejected
+    proposal, a simulation) forms none of them, and states that share
+    this object share them.
     """
 
     model: object
     mu: np.ndarray = field(repr=False)
     lam: np.ndarray = field(repr=False)
-    assembly: UnitCovariance = field(repr=False)
+    groups: tuple = field(repr=False)
+
+    @property
+    def index(self):
+        return tuple(grp.joint for grp in self.model.unit_groups)
+
+    @cached_property
+    def variance(self):
+        """diag(C), the marginal variances of the stacked responses."""
+        out = np.empty(self.model.N * self.model.R)
+        for idx, g in zip(self.index, self.groups):
+            out[idx] = np.concatenate(
+                [np.diagonal(rc.sigma, axis1=-2, axis2=-1) for rc in g.responses], axis=-1
+            )
+        return out
 
     @cached_property
     def dC_units(self):
         model = self.model
         _, p, _ = model.split_lambda(self.lam)
         out = []
-        for grp, joint in zip(model.unit_groups, self.assembly.groups):
+        for grp, joint in zip(model.unit_groups, self.groups):
             blocks = np.empty((model.Q,) + joint.C_inv.shape)
             for i, (role, idx, d) in enumerate(model.lambda_index_map()):
                 if role == "rho":
@@ -76,7 +91,7 @@ class StateCovariance:
 
     @cached_property
     def A_units(self):
-        return tuple(g.C_inv @ dC for g, dC in zip(self.assembly.groups, self.dC_units))
+        return tuple(g.C_inv @ dC for g, dC in zip(self.groups, self.dC_units))
 
 
 @dataclass(frozen=True)
@@ -86,8 +101,7 @@ class EstimatingState:
     The mean half (mu, the residual, the mean gradient D) is held here;
     the covariance half is a StateCovariance. The ``*_units`` attributes
     hold one entry per size of unit: the rows of each unit of D,
-    u = C^{-1} r and G = C^{-1} D, computed on first use, and the
-    covariance's dC_i and A_i.
+    u = C^{-1} r and G = C^{-1} D, computed on first use.
     """
 
     model: object
@@ -107,43 +121,40 @@ class EstimatingState:
     def Q(self):
         return self.model.Q
 
-    @property
-    def assembly(self):
-        return self.covariance.assembly
-
-    @property
-    def dC_units(self):
-        return self.covariance.dC_units
-
-    @property
-    def A_units(self):
-        return self.covariance.A_units
-
     @cached_property
     def D_units(self):
-        return tuple(self.D[idx] for idx in self.assembly.index)
+        return tuple(self.D[idx] for idx in self.covariance.index)
 
     @cached_property
     def u_units(self):
+        cov = self.covariance
         return tuple(
             (g.C_inv @ self.residual[idx][..., None])[..., 0]
-            for g, idx in zip(self.assembly.groups, self.assembly.index)
+            for g, idx in zip(cov.groups, cov.index)
         )
 
     @cached_property
     def G_units(self):
-        return tuple(g.C_inv @ D for g, D in zip(self.assembly.groups, self.D_units))
+        return tuple(g.C_inv @ D for g, D in zip(self.covariance.groups, self.D_units))
 
     def with_beta(self, beta):
-        """The state at a new beta with only the mean half evaluated again.
+        """The state at a new beta, its mean half evaluated again.
 
-        It shares this state's covariance, caches included, so it is the
-        state at the new theta only when no response's variance depends
-        on mu, where C does not depend on beta.
+        C depends on beta only through the variance functions, so when no
+        response's variance depends on mu the new state shares this
+        state's covariance, caches included. Otherwise the covariance is
+        rebuilt, which raises FactorizationError when it is not PD.
         """
+        model = self.model
         theta = self.theta.with_beta(beta)
-        mu, D, dmu_deta = _mean_half(self.model, theta.beta)
-        return replace(self, theta=theta, mu=mu, residual=self.y - mu, D=D, dmu_deta=dmu_deta)
+        mu, D, dmu_deta = _mean_half(model, theta.beta)
+        covariance = self.covariance
+        if any(resp.variance.depends_on_mu for resp in model.responses):
+            covariance = build_covariance(model, mu, theta.lam)
+        return replace(
+            self, theta=theta, mu=mu, residual=self.y - mu, D=D, dmu_deta=dmu_deta,
+            covariance=covariance,
+        )
 
 
 def _mean_half(model, beta):
@@ -182,10 +193,7 @@ def build_covariance(model, mu, lam):
             for r, resp in enumerate(model.responses)
         ]
         joint.append(generalized_kronecker(resp_cov, Sb))
-    assembly = UnitCovariance(
-        groups=tuple(joint), index=tuple(grp.joint for grp in model.unit_groups)
-    )
-    return StateCovariance(model=model, mu=mu, lam=lam, assembly=assembly)
+    return StateCovariance(model=model, mu=mu, lam=lam, groups=tuple(joint))
 
 
 def build_state(model, y, theta):
@@ -214,7 +222,7 @@ def build_state(model, y, theta):
 def dC_dbeta(state, j):
     """Derivative of C in the j-th regression coefficient (chain rule via mu).
 
-    One stack of unit blocks per unit size, as EstimatingState.dC_units.
+    One stack of unit blocks per unit size, as StateCovariance.dC_units.
     """
     model = state.model
     N = model.N
@@ -225,7 +233,7 @@ def dC_dbeta(state, j):
     _, p, _ = model.split_lambda(state.theta.lam)
     dmu = state.dmu_deta[owner] * resp.design[:, local]
     out = []
-    for grp, joint in zip(model.unit_groups, state.assembly.groups):
+    for grp, joint in zip(model.unit_groups, state.covariance.groups):
         rc = joint.responses[owner]
         mu_r = state.mu[owner * N + grp.index]
         dS = dSigma_dmu_dir(mu_r, resp.variance, p[owner], rc, dmu[grp.index])
@@ -253,7 +261,8 @@ def _DtG(state):
 def _quad(state):
     """r^T W_i r = u^T dC_i u for every i, summed over units."""
     return sum(
-        _flat(dC @ u[..., None]) @ u.ravel() for u, dC in zip(state.u_units, state.dC_units)
+        _flat(dC @ u[..., None]) @ u.ravel()
+        for u, dC in zip(state.u_units, state.covariance.dC_units)
     )
 
 
@@ -284,15 +293,14 @@ def sensitivity_beta(state):
 
 def pearson_vector(state):
     """psi_lambda_i = tr(W_i (r r^T - C)) = u^T dC_i u - tr(C^{-1} dC_i)."""
-    trace = sum(
-        _flat(dC) @ g.C_inv.ravel() for g, dC in zip(state.assembly.groups, state.dC_units)
-    )
+    cov = state.covariance
+    trace = sum(_flat(dC) @ g.C_inv.ravel() for g, dC in zip(cov.groups, cov.dC_units))
     return _quad(state) - trace
 
 
 def sensitivity_lambda(state):
     """S_lambda[i, j] = -tr(W_i C W_j C) = -tr(A_i A_j)."""
-    S = -sum(np.einsum("iuab,juba->ij", A, A) for A in state.A_units)
+    S = -sum(np.einsum("iuab,juba->ij", A, A) for A in state.covariance.A_units)
     return 0.5 * (S + S.T)
 
 
@@ -304,7 +312,8 @@ def variability_lambda(state, k4):
     """
     k4 = np.asarray(k4, dtype=float)
     V = -2.0 * sensitivity_lambda(state)
-    for idx, g, A in zip(state.assembly.index, state.assembly.groups, state.A_units):
+    cov = state.covariance
+    for idx, g, A in zip(cov.index, cov.groups, cov.A_units):
         w = _flat(np.einsum("iuab,uab->iua", A, g.C_inv))
         V = V + (w * k4[idx].ravel()) @ w.T
     return V
@@ -322,7 +331,7 @@ def cross_sensitivity_lb(state):
     C does not depend on the beta of a constant-variance response, so
     those columns stay zero without forming dC_beta_j.
     """
-    model, groups = state.model, state.assembly.groups
+    model, cov = state.model, state.covariance
     S = np.zeros((state.Q, state.K))
     for resp, sl in zip(model.responses, model.beta_slices()):
         if not resp.variance.depends_on_mu:
@@ -330,7 +339,7 @@ def cross_sensitivity_lb(state):
         for j in range(sl.start, sl.stop):
             S[:, j] = -sum(
                 _flat(A) @ _T(g.C_inv @ dCb).ravel()
-                for A, g, dCb in zip(state.A_units, groups, dC_dbeta(state, j))
+                for A, g, dCb in zip(cov.A_units, cov.groups, dC_dbeta(state, j))
             )
     return S
 
@@ -384,7 +393,8 @@ def bias_correction(state):
     except np.linalg.LinAlgError:
         raise SingularMatrixError("J_beta is singular in the bias correction")
     GdCG = sum(
-        np.sum(_T(G) @ (dC @ G), axis=1) for G, dC in zip(state.G_units, state.dC_units)
+        np.sum(_T(G) @ (dC @ G), axis=1)
+        for G, dC in zip(state.G_units, state.covariance.dC_units)
     )
     return _flat(GdCG) @ J_inv.T.ravel()
 
@@ -405,7 +415,7 @@ def build_godambe(state):
     S[K:, :K] = cross_sensitivity_lb(state)
     S[K:, K:] = sensitivity_lambda(state)
     V[:K, :K] = -S_b
-    k4 = empirical_k4(state.residual, state.assembly.variance)
+    k4 = empirical_k4(state.residual, state.covariance.variance)
     V[K:, K:] = variability_lambda(state, k4)
     V_lb = cross_variability_lb(state)
     V[K:, :K] = V_lb

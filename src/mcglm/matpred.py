@@ -28,7 +28,6 @@ class StructureMatrix:
     """
 
     data: object = field(repr=False)
-    label: str = ""
 
     @property
     def dim(self):
@@ -43,12 +42,12 @@ class StructureMatrix:
         return self.data.toarray()
 
     @classmethod
-    def from_dense(cls, M, label=""):
+    def from_dense(cls, M):
         M = np.asarray(M, dtype=float)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise DomainError("structure matrix must be square")
         M = 0.5 * (M + M.T)  # exact symmetry: a+b == b+a bitwise
-        return _stored(sp.csr_matrix(M), label)
+        return _stored(sp.csr_matrix(M))
 
     def nonzeros(self):
         """Row indices, column indices and values of the stored entries, row by row."""
@@ -57,7 +56,7 @@ class StructureMatrix:
 
     def submatrix(self, index):
         """Principal submatrix on the ascending observation indices ``index``."""
-        return _stored(self.data[index][:, index], self.label)
+        return _stored(self.data[index][:, index])
 
     def unit_blocks(self, index):
         """Restriction to the units of one size: index is (n_units, m), sorted within each unit."""
@@ -72,21 +71,21 @@ class StructureMatrix:
         blocks = np.zeros((n, m, m))
         blocks[unit[rows], pos[rows], pos[cols]] = vals[keep]
         blocks.setflags(write=False)
-        return StructureMatrix(data=blocks, label=self.label)
+        return StructureMatrix(data=blocks)
 
 
-def _stored(M, label):
+def _stored(M):
     """StructureMatrix of a CSR matrix, its indices sorted and its zeros dropped."""
     M.sum_duplicates()
     M.eliminate_zeros()
-    return StructureMatrix(data=M, label=label)
+    return StructureMatrix(data=M)
 
 
-def _from_entries(vals, rows, cols, n, label):
+def _from_entries(vals, rows, cols, n):
     """StructureMatrix of distinct entries, in any order."""
     order = np.argsort(rows, kind="stable")
     indptr = np.searchsorted(rows[order], np.arange(n + 1))
-    return _stored(sp.csr_matrix((vals[order], cols[order], indptr), shape=(n, n)), label)
+    return _stored(sp.csr_matrix((vals[order], cols[order], indptr), shape=(n, n)))
 
 
 def _group_pairs(groups, n):
@@ -173,13 +172,13 @@ def mat_identity(n):
     """Identity component (the tau_0 role for iid structures)."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    return _stored(sp.identity(n, format="csr"), f"identity n={n}")
+    return _stored(sp.identity(n, format="csr"))
 
 
 def mat_compound_symmetry(groups):
     """Ones within a group, zeros across groups (diagonal included)."""
     rows, cols = _group_pairs(groups, len(groups))
-    return _from_entries(np.ones(rows.size), rows, cols, len(groups), "compound symmetry")
+    return _from_entries(np.ones(rows.size), rows, cols, len(groups))
 
 
 def mat_inverse_distance(positions, exponent=1, groups=None):
@@ -198,9 +197,7 @@ def mat_inverse_distance(positions, exponent=1, groups=None):
         raise DomainError(
             f"coincident positions within a group at indices {rows[k]} and {cols[k]}"
         )
-    return _from_entries(
-        dist ** (-float(exponent)), rows, cols, n, f"inverse distance^{exponent}"
-    )
+    return _from_entries(dist ** (-float(exponent)), rows, cols, n)
 
 
 def mat_pair_indicator(levels, pair, groups):
@@ -219,14 +216,12 @@ def mat_pair_indicator(levels, pair, groups):
     n = levels.size
     if a == b:
         idx = np.flatnonzero(levels == a)
-        return _from_entries(np.ones(idx.size), idx, idx, n, f"level variance {a}")
+        return _from_entries(np.ones(idx.size), idx, idx, n)
     rows, cols = _group_pairs(groups, n)
     ia = levels == a
     ib = levels == b
     keep = (ia[rows] & ib[cols]) | (ib[rows] & ia[cols])
-    return _from_entries(
-        np.ones(np.count_nonzero(keep)), rows[keep], cols[keep], n, f"level pair ({a},{b})"
-    )
+    return _from_entries(np.ones(np.count_nonzero(keep)), rows[keep], cols[keep], n)
 
 
 def mat_neighborhood(adjacency, n):
@@ -244,21 +239,21 @@ def mat_neighborhood(adjacency, n):
     counts = np.bincount(rows, minlength=n).astype(float)
     nodes = np.flatnonzero(counts)
     return (
-        _from_entries(np.ones(rows.size), rows, cols, n, "neighborhood W"),
-        _from_entries(counts[nodes], nodes, nodes, n, "neighbor counts D"),
+        _from_entries(np.ones(rows.size), rows, cols, n),
+        _from_entries(counts[nodes], nodes, nodes, n),
     )
 
 
 def mat_kronecker(A, B):
     """Kronecker product of two structure matrices."""
-    return _stored(sp.kron(A.data, B.data, format="csr"), f"({A.label}) x ({B.label})")
+    return _stored(sp.kron(A.data, B.data, format="csr"))
 
 
-def mat_sum(A, B, label=None):
+def mat_sum(A, B):
     """Sum of two structure matrices (e.g. the ICAR merge Z = D + W)."""
     if A.dim != B.dim:
         raise DomainError("dimension mismatch")
-    return _stored(A.data + B.data, label or f"({A.label}) + ({B.label})")
+    return _stored(A.data + B.data)
 
 
 def assemble_U(tau, pred):
@@ -335,5 +330,5 @@ def load_structure_matrix(path):
         if j > n:
             raise DomainError(f"{path}: entry ({i},{j}) exceeds dim {n}")
     rows, cols = (np.array(list(entries), dtype=int).reshape(-1, 2) - 1).T
-    upper = _from_entries(np.array(list(entries.values())), rows, cols, n, path).data
-    return _stored(upper + sp.triu(upper, 1).T, path)  # mirror the strict upper triangle
+    upper = _from_entries(np.array(list(entries.values())), rows, cols, n).data
+    return _stored(upper + sp.triu(upper, 1).T)  # mirror the strict upper triangle

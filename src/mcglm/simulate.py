@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .estfun import build_state
+from .estfun import build_covariance
 from .functions import link_inverse
 
 
@@ -48,13 +48,13 @@ def simulate_gaussian(spec):
     """
     model = spec.model
     mean = stacked_mean(model, spec.theta_true)
-    assembly = build_state(model, np.zeros_like(mean), spec.theta_true).assembly
+    covariance = build_covariance(model, mean, spec.theta_true.lam)
     n = mean.size
     out = np.empty((spec.n_replicates, n))
     children = np.random.SeedSequence(spec.seed).spawn(spec.n_replicates)
     for i, child in enumerate(children):
         z = np.random.default_rng(child).standard_normal(n)
-        for idx, joint in zip(assembly.index, assembly.groups):
+        for idx, joint in zip(covariance.index, covariance.groups):
             out[i, idx] = mean[idx] + (joint.C_chol @ z[idx][..., None])[..., 0]
     return out
 

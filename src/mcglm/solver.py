@@ -58,8 +58,9 @@ class SolverOptions:
 class IterationRecord:
     """One iteration: theta, the max-abs quasi-score and Pearson values, and alpha.
 
-    ``score_norm`` is the larger of the two score norms, the value the
-    convergence test reads.
+    ``alpha`` is the tuning constant of the lambda step that gave theta
+    (0.0 for the starting values). ``score_norm`` is the larger of the
+    two score norms, the value the convergence test reads.
     """
 
     theta: np.ndarray
@@ -96,17 +97,12 @@ def _corrected_pearson(state, correct):
 def _beta_step(state):
     """Quasi-score Newton step in beta; returns the state at the new beta.
 
-    When no response's variance depends on mu, C does not depend on beta,
-    so the new state keeps this state's covariance with its dC_i and A_i.
-    Otherwise the covariance is rebuilt, which raises FactorizationError
-    when it is not PD.
+    EstimatingState.with_beta keeps the covariance when it does not
+    depend on beta and raises FactorizationError when a rebuilt one is
+    not PD.
     """
     S_b = sensitivity_beta(state)
-    beta_new = state.theta.beta - np.linalg.solve(S_b, quasi_score(state))
-    model = state.model
-    if any(resp.variance.depends_on_mu for resp in model.responses):
-        return build_state(model, state.y, state.theta.with_beta(beta_new))
-    return state.with_beta(beta_new)
+    return state.with_beta(state.theta.beta - np.linalg.solve(S_b, quasi_score(state)))
 
 
 class _LambdaStep:
@@ -125,7 +121,7 @@ class _LambdaStep:
     @cached_property
     def VinvS(self):
         state = self.state
-        k4 = empirical_k4(state.residual, state.assembly.variance)
+        k4 = empirical_k4(state.residual, state.covariance.variance)
         return np.linalg.solve(variability_lambda(state, k4), self.S_l)
 
     def theta(self, alpha):
@@ -248,19 +244,19 @@ def _max_abs(x):
     return float(np.max(np.abs(x))) if x.size else 0.0
 
 
-def _next_state(state, alpha, opts):
-    """The beta step, then lambda steps at escalating alpha until one is PD.
+def _next_state(state, opts):
+    """The beta step, then lambda steps at alpha 0, 0 + eps, ... until one is PD.
 
-    Returns the accepted state, the reset alpha and the number of
-    escalations; the chaser raises StepFailureError at the first non-PD
-    proposal instead.
+    Returns the accepted state, the alpha its proposal used and the
+    number of escalations; the chaser raises StepFailureError at the
+    first non-PD proposal instead.
     """
     try:
         state_b = _beta_step(state)
     except FactorizationError as exc:
         raise StepFailureError(f"non-PD covariance after beta step: {exc}") from exc
     lambda_step = _LambdaStep(state_b, opts.correct_pearson)
-    escalations = 0
+    alpha, escalations = 0.0, 0
     while True:
         try:
             new_state = build_state(state.model, state.y, lambda_step.theta(alpha))
@@ -274,7 +270,7 @@ def _next_state(state, alpha, opts):
             )
             escalations += 1
             continue
-        return new_state, alpha_strategy(alpha, "pd_ok"), escalations
+        return new_state, alpha, escalations
 
 
 def fit(model, y, opts=None):
@@ -312,7 +308,7 @@ def fit(model, y, opts=None):
             break
         prev_flat = theta.flat
 
-        state, alpha, escalations = _next_state(state, alpha, opts)
+        state, alpha, escalations = _next_state(state, opts)
         theta = state.theta
         n_escalations += escalations
 

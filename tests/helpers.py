@@ -43,18 +43,18 @@ def weight_matrix(C_inv, dC):
     return 0.5 * (W + W.T)
 
 
-def scatter(assembly, blocks):
+def scatter(covariance, blocks):
     """Dense N R x N R matrix from one stack of unit blocks per unit size (dense test oracle).
 
     ``blocks`` is such a sequence, or the name of a JointCovariance
     matrix ("C", "C_chol" or "C_inv") to take from every size group of
-    the UnitCovariance ``assembly``.
+    the StateCovariance ``covariance``.
     """
     if isinstance(blocks, str):
-        blocks = [getattr(g, blocks) for g in assembly.groups]
-    n = sum(idx.size for idx in assembly.index)
+        blocks = [getattr(g, blocks) for g in covariance.groups]
+    n = sum(idx.size for idx in covariance.index)
     out = np.zeros((n, n))
-    for idx, b in zip(assembly.index, blocks):
+    for idx, b in zip(covariance.index, blocks):
         out[idx[:, :, None], idx[:, None, :]] = b
     return out
 

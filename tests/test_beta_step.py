@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-import mcglm.solver
+import mcglm.estfun
 from mcglm import (
     CovLinkSpec,
     LinkSpec,
@@ -93,7 +93,7 @@ def binomial():
 
 
 def outputs(state):
-    k4 = empirical_k4(state.residual, state.assembly.variance)
+    k4 = empirical_k4(state.residual, state.covariance.variance)
     god = build_godambe(state)
     return [
         quasi_score(state),
@@ -150,13 +150,13 @@ def test_mean_dependent_variance_rebuilds_the_covariance(case):
 
 def counted_fit(monkeypatch, model, y):
     calls = []
-    original = mcglm.solver.build_state
+    original = mcglm.estfun.build_covariance
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(mcglm.solver, "build_state", counted)
+    monkeypatch.setattr(mcglm.estfun, "build_covariance", counted)
     res = fit(model, y, SolverOptions(algorithm="reciprocal"))
     assert res.converged
     return res, len(calls)

@@ -47,9 +47,9 @@ def iid_normal_model(N, K=1, seed=0):
 
 def weights(state):
     """Reference weight matrices W_i = C^{-1} dC_i C^{-1}."""
-    C_inv = scatter(state.assembly, "C_inv")
+    C_inv = scatter(state.covariance, "C_inv")
     return [
-        weight_matrix(C_inv, scatter(state.assembly, [b[i] for b in state.dC_units]))
+        weight_matrix(C_inv, scatter(state.covariance, [b[i] for b in state.covariance.dC_units]))
         for i in range(state.Q)
     ]
 
@@ -156,7 +156,7 @@ class TestPearson:
         model, y, theta = random_instance(rng, N=7, R=2)
         state = build_state(model, y, theta)
         vec = pearson_vector(state)
-        r, C = state.residual, scatter(state.assembly, "C")
+        r, C = state.residual, scatter(state.covariance, "C")
         for i, W in enumerate(weights(state)):
             assert vec[i] == pytest.approx(float(r @ W @ r - np.sum(W * C)), rel=1e-12)
 
@@ -165,7 +165,7 @@ class TestPearson:
         rng = np.random.default_rng(6)
         model, _, theta = random_instance(rng, N=6, R=2)
         state0 = build_state(model, np.zeros(model.N * model.R), theta)
-        L = scatter(state0.assembly, "C_chol")
+        L = scatter(state0.covariance, "C_chol")
         mu = state0.mu
         acc = np.zeros(state0.Q)
         n_rep = 4000
@@ -205,7 +205,7 @@ class TestLambdaBlocks:
         # d psi_i / d lambda_j = tr(dW_i/dl_j (rr^T - C)) - tr(W_i dC_j)
         # whose expectation under r r^T = C is -tr(W_i C W_j C).
         # Here we check the trace identity directly.
-        M = [W @ scatter(state.assembly, "C") for W in weights(state)]
+        M = [W @ scatter(state.covariance, "C") for W in weights(state)]
         S = sensitivity_lambda(state)
         for i in range(Q):
             for j in range(Q):
@@ -275,10 +275,10 @@ class TestCrossBlocks:
             for j in range(model.K):
                 e = np.zeros(model.K)
                 e[j] = h
-                Cp = build_state(model, y, theta.with_beta(theta.beta + e)).assembly
-                Cm = build_state(model, y, theta.with_beta(theta.beta - e)).assembly
+                Cp = build_state(model, y, theta.with_beta(theta.beta + e)).covariance
+                Cm = build_state(model, y, theta.with_beta(theta.beta - e)).covariance
                 Cp, Cm = scatter(Cp, "C"), scatter(Cm, "C")
-                dC = scatter(state.assembly, dC_dbeta(state, j))
+                dC = scatter(state.covariance, dC_dbeta(state, j))
                 assert rel_err(dC, (Cp - Cm) / (2 * h)) < 1e-5
             found += 1
 
@@ -287,7 +287,7 @@ class TestCrossBlocks:
         model, y, theta = random_instance(rng, N=5, R=2)
         state = build_state(model, y, theta)
         r = state.residual
-        A = scatter(state.assembly, "C_inv") @ state.D  # NR x K
+        A = scatter(state.covariance, "C_inv") @ state.D  # NR x K
         V = cross_variability_lb(state)
         n = r.size
         for i, W in enumerate(weights(state)):
@@ -308,7 +308,7 @@ def test_k4_variability_and_cross_sensitivity_match_weight_formulas(covlink, R):
     setups = [("tweedie_power", covlink, False), ("poisson_tweedie", covlink, False)]
     model, y, theta = random_instance(rng, N=7, R=R, setups=setups)
     state = build_state(model, y, theta)
-    C, C_inv = scatter(state.assembly, "C"), scatter(state.assembly, "C_inv")
+    C, C_inv = scatter(state.covariance, "C"), scatter(state.covariance, "C_inv")
     W = weights(state)
     k4 = rng.uniform(0.5, 3.0, size=C.shape[0])
     V_ref = np.array(
@@ -318,7 +318,7 @@ def test_k4_variability_and_cross_sensitivity_match_weight_formulas(covlink, R):
         ]
     )
     W_beta = [
-        weight_matrix(C_inv, scatter(state.assembly, dC_dbeta(state, j))) for j in range(model.K)
+        weight_matrix(C_inv, scatter(state.covariance, dC_dbeta(state, j))) for j in range(model.K)
     ]
     S_ref = np.array([[-np.trace(Wi @ C @ Wb @ C) for Wb in W_beta] for Wi in W])
     assert rel_err(V_ref, -2.0 * sensitivity_lambda(state)) > 1e-3
@@ -337,7 +337,7 @@ def test_cross_sensitivity_constant_variance_columns_are_zero():
         model, y, theta = random_instance(rng, N=7, R=2, setups=setups)
         kinds = sorted(resp.variance.kind for resp in model.responses)
     state = build_state(model, y, theta)
-    C, C_inv = scatter(state.assembly, "C"), scatter(state.assembly, "C_inv")
+    C, C_inv = scatter(state.covariance, "C"), scatter(state.covariance, "C_inv")
     W = weights(state)
     S = cross_sensitivity_lb(state)
     for resp, sl in zip(model.responses, model.beta_slices()):
@@ -345,7 +345,7 @@ def test_cross_sensitivity_constant_variance_columns_are_zero():
             assert np.all(S[:, sl] == 0.0)
             continue
         cols = range(sl.start, sl.stop)
-        W_beta = [weight_matrix(C_inv, scatter(state.assembly, dC_dbeta(state, j))) for j in cols]
+        W_beta = [weight_matrix(C_inv, scatter(state.covariance, dC_dbeta(state, j))) for j in cols]
         S_ref = np.array([[-np.trace(Wi @ C @ Wb @ C) for Wb in W_beta] for Wi in W])
         assert np.max(np.abs(S_ref)) > 1e-3
         assert rel_err(S[:, sl], S_ref) < 1e-12
@@ -365,7 +365,7 @@ class TestBiasCorrection:
         model, y, theta = random_instance(rng, N=7, R=2)
         state = build_state(model, y, theta)
         D = state.D
-        J_inv = np.linalg.inv(D.T @ scatter(state.assembly, "C_inv") @ D)
+        J_inv = np.linalg.inv(D.T @ scatter(state.covariance, "C_inv") @ D)
         b = bias_correction(state)
         for i, W in enumerate(weights(state)):
             assert b[i] == pytest.approx(float(np.trace(D.T @ W @ D @ J_inv)), rel=1e-9)

@@ -295,7 +295,7 @@ class TestCoordinateFile:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
         M = rng.standard_normal((5, 5))
-        sm = StructureMatrix.from_dense(M + M.T, label="probe")
+        sm = StructureMatrix.from_dense(M + M.T)
         path = tmp_path / "z.txt"
         save_structure_matrix(sm, path)
         back = load_structure_matrix(str(path))

@@ -172,7 +172,7 @@ class TestStepAlgebra:
         y = rng.standard_normal(20)
         t1 = chaser_step(theta, model, y)
         state = build_state(model, y, theta)
-        C_inv = scatter(state.assembly, "C_inv")
+        C_inv = scatter(state.covariance, "C_inv")
         D = state.D
         gls = np.linalg.solve(D.T @ C_inv @ D, D.T @ C_inv @ y)
         assert np.max(np.abs(t1.beta - gls)) < 1e-10
@@ -353,6 +353,18 @@ class TestFit:
                 "lambda_score_norm": t.lambda_score_norm,
                 "alpha": t.alpha,
             }
+
+    def test_trace_records_the_alpha_each_step_used(self, tmp_path):
+        model, y, _ = nonpd_instance()
+        opts = SolverOptions(algorithm="reciprocal")
+        res = fit(model, y, opts)
+        assert res.converged and res.n_alpha_escalations > 0
+        assert res.trace[0].alpha == 0.0
+        steps = [round(t.alpha / opts.alpha_step) for t in res.trace]
+        assert sum(steps) == res.n_alpha_escalations
+        write_fit_outputs(tmp_path, model, res)
+        doc = json.loads((tmp_path / "result.json").read_text())
+        assert [entry["alpha"] for entry in doc["trace"]] == [t.alpha for t in res.trace]
 
     def test_no_warnings_without_clipping(self):
         model, theta_true = gaussian_two_response(N=16, seed=28)

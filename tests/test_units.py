@@ -193,8 +193,8 @@ def test_unit_path_matches_dense_weight_formulas(case):
     assert sizes == UNIT_SIZES[case]
     state = build_state(model, y, theta)
     C, C_inv, dC, dC_beta = dense_oracle(state)
-    assert rel_err(scatter(state.assembly, "C"), C) < 1e-12
-    assert rel_err(scatter(state.assembly, "C_inv"), C_inv) < 1e-12
+    assert rel_err(scatter(state.covariance, "C"), C) < 1e-12
+    assert rel_err(scatter(state.covariance, "C_inv"), C_inv) < 1e-12
 
     r, D = state.residual, state.D
     W = [weight_matrix(C_inv, dCi) for dCi in dC]
@@ -234,7 +234,7 @@ def test_block_simulation_matches_dense_factor():
     cases.append(CASES["car_single_block"]())
     for model, _, theta in cases:
         mean = stacked_mean(model, theta)
-        L = scatter(build_state(model, np.zeros_like(mean), theta).assembly, "C_chol")
+        L = scatter(build_state(model, np.zeros_like(mean), theta).covariance, "C_chol")
         children = np.random.SeedSequence(3).spawn(4)
         dense = [mean + L @ np.random.default_rng(c).standard_normal(mean.size) for c in children]
         blocks = simulate_gaussian(SimSpec(model, theta, 4, seed=3))
@@ -247,7 +247,7 @@ def dense_derivative_report(model, y, theta, h=1e-6):
 
     def C_at(flat):
         th = make_theta(model, flat[: model.K], flat[model.K :])
-        return scatter(build_state(model, y, th).assembly, "C")
+        return scatter(build_state(model, y, th).covariance, "C")
 
     def fd(offset):
         e = np.zeros(theta.flat.size)
@@ -256,10 +256,10 @@ def dense_derivative_report(model, y, theta, h=1e-6):
 
     worst = {}
     for pos, (role, _, _) in enumerate(model.lambda_index_map()):
-        dC = scatter(state.assembly, [b[pos] for b in state.dC_units])
+        dC = scatter(state.covariance, [b[pos] for b in state.covariance.dC_units])
         worst[role] = max(worst.get(role, 0.0), rel_err(dC, fd(model.K + pos)))
     for j in range(model.K):
-        dC = scatter(state.assembly, dC_dbeta(state, j))
+        dC = scatter(state.covariance, dC_dbeta(state, j))
         worst["beta"] = max(worst.get("beta", 0.0), rel_err(dC, fd(j)))
     return worst
 
@@ -320,7 +320,7 @@ def test_cholesky_calls_per_build_state(monkeypatch, responses, per_state):
     state = build_state(model, y, theta)
     assert len(calls) == 2 * per_state
     if model.R == 1:
-        for joint in state.assembly.groups:
+        for joint in state.covariance.groups:
             assert np.array_equal(joint.C_chol, joint.responses[0].chol)
 
 
