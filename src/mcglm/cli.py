@@ -273,6 +273,7 @@ def write_fit_outputs(out_dir, model, result):
                 "beta_score_norm": float(t.beta_score_norm),
                 "lambda_score_norm": float(t.lambda_score_norm),
                 "alpha": float(t.alpha),
+                "pd_retries": int(t.pd_retries),
             }
             for t in result.trace
         ],

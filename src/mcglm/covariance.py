@@ -4,9 +4,11 @@ Builds the per-response covariances Sigma_r, couples them through the
 between-response correlation via the generalized Kronecker product, and
 provides every analytic derivative of the joint covariance C that the
 estimating-function calculus needs. The Sigma_r derivatives read the
-Omega_r = h^{-1}(U_r) held by each ResponseCovariance. All derivative
-assemblies are explicitly symmetrized to suppress floating-point
-asymmetry.
+Omega_r = h^{-1}(U_r) held by each ResponseCovariance and are
+symmetrized explicitly. In a parameter of Sigma_r, the diagonal block
+(r, r) of dC is dSigma_r itself; only the off-diagonal blocks, present
+for R > 1, go through the Cholesky-factor derivative, and each is
+written with its exact transpose.
 
 Every function takes one matrix per response or, batched, a stack
 (n_units, m, m) of the blocks of independent units of one size; the
@@ -207,19 +209,24 @@ def dC_drho(assembly, i):
 def dC_dpar_r(assembly, r, dSigma_r):
     """Derivative of C in any parameter touching only Sigma_r.
 
-    dSigma_r is the symmetric derivative of Sigma_r in that parameter;
-    the Cholesky-factor derivative is propagated through the product
-    rule of the generalized Kronecker product.
+    dSigma_r is the symmetric derivative of Sigma_r in that parameter.
+    Sigma_b has a unit diagonal, so block (r, r) is dSigma_r itself; only
+    the off-diagonal blocks (r, s) = Sb[r, s] dL_r chol_s^T and their
+    transposes need the Cholesky-factor derivative dL_r, which is not
+    formed for R = 1. Each block is written with its exact transpose, so
+    the result is symmetric without a final symmetrization.
     """
-    rc = assembly.responses[r]
-    dL = chol_deriv(rc.chol, rc.chol_inv, dSigma_r)
-    Sb = assembly.Sb
     dC = np.zeros(assembly.C_inv.shape)
-    for s in range(assembly.R):
-        block = Sb[r, s] * (dL @ _T(assembly.responses[s].chol))
-        assembly.block(dC, r, s)[...] += block
-        assembly.block(dC, s, r)[...] += _T(block)
-    return _sym(dC)
+    assembly.block(dC, r, r)[...] = dSigma_r
+    if assembly.R > 1:
+        rc = assembly.responses[r]
+        dL = chol_deriv(rc.chol, rc.chol_inv, dSigma_r)
+        for s in range(assembly.R):
+            if s != r:
+                block = assembly.Sb[r, s] * (dL @ _T(assembly.responses[s].chol))
+                assembly.block(dC, r, s)[...] = block
+                assembly.block(dC, s, r)[...] = _T(block)
+    return dC
 
 
 def dSigma_dp(mu, var, p, rc):

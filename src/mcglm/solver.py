@@ -59,14 +59,17 @@ class IterationRecord:
     """One iteration: theta, the max-abs quasi-score and Pearson values, and alpha.
 
     ``alpha`` is the tuning constant of the lambda step that gave theta
-    (0.0 for the starting values). ``score_norm`` is the larger of the
-    two score norms, the value the convergence test reads.
+    and ``pd_retries`` the number of times that step escalated it after
+    a non-PD proposal (both 0 for the starting values). ``score_norm`` is
+    the larger of the two score norms, the value the convergence test
+    reads.
     """
 
     theta: np.ndarray
     beta_score_norm: float
     lambda_score_norm: float
     alpha: float
+    pd_retries: int
 
     @property
     def score_norm(self):
@@ -277,16 +280,17 @@ def fit(model, y, opts=None):
     """Iterate to a joint root of the quasi-score and Pearson functions.
 
     Convergence requires both the max-abs estimating function and the
-    max-abs parameter change to fall below their tolerances. The final
-    state feeds the Godambe sandwich for standard errors.
+    max-abs parameter change to fall below their tolerances. No step is
+    taken after the record of iteration max_iter, so the estimate, the
+    fitted means and the Godambe sandwich always belong to the last
+    recorded iterate.
     """
     if opts is None:
         opts = SolverOptions()
     y = np.asarray(y, dtype=float).reshape(-1)
     theta = initialize(model, y)
     trace = []
-    n_escalations = 0
-    alpha = 0.0
+    alpha, retries = 0.0, 0
     converged = False
     state = build_state(model, y, theta)
     prev_flat = None
@@ -297,6 +301,7 @@ def fit(model, y, opts=None):
             _max_abs(quasi_score(state)),
             _max_abs(_corrected_pearson(state, opts.correct_pearson)),
             alpha,
+            retries,
         )
         trace.append(record)
         if (
@@ -306,11 +311,12 @@ def fit(model, y, opts=None):
         ):
             converged = True
             break
+        if n_iter == opts.max_iter:
+            break
         prev_flat = theta.flat
 
-        state, alpha, escalations = _next_state(state, opts)
+        state, alpha, retries = _next_state(state, opts)
         theta = state.theta
-        n_escalations += escalations
 
     god = build_godambe(state)
     variances = np.diag(god.J_inv)
@@ -334,7 +340,7 @@ def fit(model, y, opts=None):
         trace=tuple(trace),
         converged=converged,
         n_iter=n_iter,
-        n_alpha_escalations=n_escalations,
+        n_alpha_escalations=sum(t.pd_retries for t in trace),
         fitted=state.mu.copy(),
         saturated=saturated,
         warnings=warnings,

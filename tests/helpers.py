@@ -13,9 +13,12 @@ from mcglm import (
     VarianceSpec,
     mat_compound_symmetry,
     mat_identity,
+    mat_kronecker,
+    mat_neighborhood,
     make_theta,
     simulate_gaussian,
 )
+from mcglm.covariance import chol_deriv
 
 
 def random_pd(rng, n, jitter=None):
@@ -41,6 +44,34 @@ def weight_matrix(C_inv, dC):
     """W = C^{-1} dC C^{-1}, the negated derivative of C^{-1} (dense test oracle)."""
     W = C_inv @ dC @ C_inv
     return 0.5 * (W + W.T)
+
+
+def product_rule_dC(assembly, r, dS):
+    """dC in a parameter of Sigma_r by the full product rule (dense test oracle).
+
+    The Cholesky-factor derivative dL_r = L_r Phi(L_r^{-1} dS L_r^{-T}) is
+    pushed through every block (r, s) = Sb[r, s] dL_r L_s^T, the diagonal
+    one included, and the sum is symmetrized.
+    """
+    rc = assembly.responses[r]
+    dL = chol_deriv(rc.chol, rc.chol_inv, dS)
+    dC = np.zeros(assembly.C_inv.shape)
+    for s in range(assembly.R):
+        block = assembly.Sb[r, s] * (dL @ np.swapaxes(assembly.responses[s].chol, -1, -2))
+        assembly.block(dC, r, s)[...] += block
+        assembly.block(dC, s, r)[...] += np.swapaxes(block, -1, -2)
+    return 0.5 * (dC + np.swapaxes(dC, -1, -2))
+
+
+def car_components(T, S):
+    """The six CAR space-time components on a T x S chain-by-chain lattice."""
+    Wt, Dt = mat_neighborhood([(i, i + 1) for i in range(T - 1)], T)
+    Ws, Ds = mat_neighborhood([(i, i + 1) for i in range(S - 1)], S)
+    I_T, I_S = mat_identity(T), mat_identity(S)
+    return (
+        mat_kronecker(Dt, I_S), mat_kronecker(Wt, I_S), mat_kronecker(I_T, Ds),
+        mat_kronecker(I_T, Ws), mat_kronecker(Dt, Ds), mat_kronecker(Wt, Ws),
+    )
 
 
 def scatter(covariance, blocks):

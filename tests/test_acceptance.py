@@ -27,8 +27,6 @@ from mcglm import (
     fit,
     make_theta,
     mat_identity,
-    mat_kronecker,
-    mat_neighborhood,
     reciprocal_step,
     simulate_gaussian,
 )
@@ -45,6 +43,7 @@ from mcglm.simulate import SimSpec, stacked_mean
 from mcglm.solver import alpha_strategy
 
 from helpers import (
+    car_components,
     gaussian_two_response,
     nonpd_instance,
     random_instance,
@@ -390,22 +389,8 @@ def test_criterion_08_reciprocal_contract():
     )
 
 
-def _car_components(T=6, S=8):
-    Wt, Dt = mat_neighborhood([(i, i + 1) for i in range(T - 1)], T)
-    Ws, Ds = mat_neighborhood([(i, i + 1) for i in range(S - 1)], S)
-    I_T, I_S = mat_identity(T), mat_identity(S)
-    return (
-        mat_kronecker(Dt, I_S),
-        mat_kronecker(Wt, I_S),
-        mat_kronecker(I_T, Ds),
-        mat_kronecker(I_T, Ws),
-        mat_kronecker(Dt, Ds),
-        mat_kronecker(Wt, Ws),
-    )
-
-
 def test_criterion_09_car_construction():
-    comps = _car_components()
+    comps = car_components(6, 8)
     pred = MatrixPredictor(comps)
     N = comps[0].dim
     tau_t, rho_t = 1.0, -0.4

@@ -4,13 +4,23 @@ import pytest
 from mcglm import (
     CovLinkSpec,
     DomainError,
+    LinkSpec,
     MatrixPredictor,
+    ModelSpec,
+    ResponseSpec,
+    SimSpec,
+    SolverOptions,
     VarianceSpec,
     build_sigma_r,
+    fit,
     generalized_kronecker,
+    make_theta,
     mat_identity,
     sigma_b_from_rho,
+    simulate_gaussian,
 )
+import mcglm.covariance
+import mcglm.estfun
 from mcglm.covariance import (
     ResponseCovariance,
     chol_deriv,
@@ -23,7 +33,15 @@ from mcglm.covariance import (
 )
 from mcglm.matpred import StructureMatrix
 
-from helpers import random_pd, random_symmetric, rel_err, weight_matrix
+from helpers import (
+    car_components,
+    gaussian_two_response,
+    product_rule_dC,
+    random_pd,
+    random_symmetric,
+    rel_err,
+    weight_matrix,
+)
 
 
 def rc_from_sigma(sigma):
@@ -235,7 +253,27 @@ class TestDCdparR:
         sigma = random_pd(rng, 4)
         jc = generalized_kronecker([rc_from_sigma(sigma)], np.eye(1))
         dS = random_symmetric(rng, 4)
-        assert np.max(np.abs(dC_dpar_r(jc, 0, dS) - dS)) < 1e-9
+        assert np.array_equal(dC_dpar_r(jc, 0, dS), dS)
+
+    @pytest.mark.parametrize("n_units", [None, 5])
+    @pytest.mark.parametrize("R", [1, 2, 3])
+    def test_matches_the_product_rule(self, R, n_units):
+        # the diagonal block is dS itself; the product rule rebuilds it to rounding
+        rng = np.random.default_rng(20 + R)
+
+        def draw(make):
+            if n_units is None:
+                return make(rng, 4)
+            return np.stack([make(rng, 4) for _ in range(n_units)])
+
+        Sb = sigma_b_from_rho(rng.uniform(-0.3, 0.3, size=R * (R - 1) // 2), R)
+        jc = generalized_kronecker([rc_from_sigma(draw(random_pd)) for _ in range(R)], Sb)
+        for r in range(R):
+            dS = draw(random_symmetric)
+            dC = dC_dpar_r(jc, r, dS)
+            assert np.array_equal(jc.block(dC, r, r), dS)
+            assert np.array_equal(dC, np.swapaxes(dC, -1, -2))
+            assert rel_err(dC, product_rule_dC(jc, r, dS)) <= 1e-12
 
     def test_fd_oracle_r3(self):
         rng = np.random.default_rng(14)
@@ -250,6 +288,43 @@ class TestDCdparR:
             Cp = generalized_kronecker([rc_from_sigma(s) for s in plus], Sb).C
             Cm = generalized_kronecker([rc_from_sigma(s) for s in minus], Sb).C
             assert rel_err(dC_dpar_r(jc, r, direction), (Cp - Cm) / (2 * h)) < 1e-6
+
+
+class TestCholDerivUse:
+    """Only the off-diagonal blocks of dC, present for R > 1, take a Cholesky derivative."""
+
+    def counted_fit(self, monkeypatch, model, y, opts):
+        calls = {"chol_deriv": 0, "dC_dpar_r": 0}
+        for module, name in [(mcglm.covariance, "chol_deriv"), (mcglm.estfun, "dC_dpar_r")]:
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        res = fit(model, y, opts)
+        assert res.converged and calls["dC_dpar_r"] > 0
+        return calls["chol_deriv"]
+
+    def test_single_response_car_fit_forms_none(self, monkeypatch):
+        comps = car_components(6, 8)
+        N = comps[0].dim
+        resp = ResponseSpec(
+            "y", LinkSpec("identity"), VarianceSpec("constant"), CovLinkSpec("inverse"),
+            np.ones((N, 1)), MatrixPredictor(comps),
+        )
+        model = ModelSpec((resp,))
+        tau = np.array([1.0, -0.4, 0.8, -0.24, 0.5, 0.1])
+        theta = make_theta(model, np.array([1.0]), model.pack_lambda([], [1.0], [tau]))
+        y = simulate_gaussian(SimSpec(model, theta, 1, seed=99))[0]
+        opts = SolverOptions(algorithm="reciprocal", max_iter=500)
+        assert self.counted_fit(monkeypatch, model, y, opts) == 0
+
+    def test_two_response_fit_forms_some(self, monkeypatch):
+        model, theta = gaussian_two_response(N=16, seed=28)
+        y = simulate_gaussian(SimSpec(model, theta, 1, seed=29))[0]
+        assert self.counted_fit(monkeypatch, model, y, SolverOptions()) > 0
 
 
 class TestDSigma:

@@ -352,6 +352,7 @@ class TestFit:
                 "beta_score_norm": t.beta_score_norm,
                 "lambda_score_norm": t.lambda_score_norm,
                 "alpha": t.alpha,
+                "pd_retries": t.pd_retries,
             }
 
     def test_trace_records_the_alpha_each_step_used(self, tmp_path):
@@ -365,6 +366,29 @@ class TestFit:
         write_fit_outputs(tmp_path, model, res)
         doc = json.loads((tmp_path / "result.json").read_text())
         assert [entry["alpha"] for entry in doc["trace"]] == [t.alpha for t in res.trace]
+
+    @pytest.mark.parametrize("max_iter", [3, 200])
+    def test_trace_records_the_pd_retries_of_each_step(self, tmp_path, max_iter):
+        model, y, _ = nonpd_instance()
+        opts = SolverOptions(algorithm="reciprocal", max_iter=max_iter)
+        res = fit(model, y, opts)
+        assert res.converged == (max_iter == 200)
+        retries = [t.pd_retries for t in res.trace]
+        assert retries[0] == 0
+        assert sum(retries) == res.n_alpha_escalations > 0
+        assert retries == [round(t.alpha / opts.alpha_step) for t in res.trace]
+        write_fit_outputs(tmp_path, model, res)
+        doc = json.loads((tmp_path / "result.json").read_text())
+        assert [entry["pd_retries"] for entry in doc["trace"]] == retries
+
+    def test_max_iter_stops_at_the_last_recorded_iterate(self):
+        # no step follows the record of iteration max_iter
+        model, y, _ = nonpd_instance()
+        res = fit(model, y, SolverOptions(algorithm="reciprocal", max_iter=3))
+        assert not res.converged
+        assert res.n_iter == len(res.trace) == 3
+        assert np.array_equal(res.theta_hat.flat, res.trace[-1].theta)
+        assert np.array_equal(res.fitted, build_state(model, y, res.theta_hat).mu)
 
     def test_no_warnings_without_clipping(self):
         model, theta_true = gaussian_two_response(N=16, seed=28)

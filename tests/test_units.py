@@ -24,8 +24,6 @@ from mcglm import (
     mat_compound_symmetry,
     mat_identity,
     mat_inverse_distance,
-    mat_kronecker,
-    mat_neighborhood,
     sigma_b_from_rho,
 )
 from mcglm.checks import derivative_report
@@ -50,19 +48,9 @@ from mcglm.estfun import (
 from mcglm.matpred import unit_partition
 from mcglm.simulate import SimSpec, simulate_gaussian, stacked_mean
 
-from helpers import random_instance, rel_err, scatter, weight_matrix
+from helpers import car_components, random_instance, rel_err, scatter, weight_matrix
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def _car(T=3, S=4):
-    Wt, Dt = mat_neighborhood([(i, i + 1) for i in range(T - 1)], T)
-    Ws, Ds = mat_neighborhood([(i, i + 1) for i in range(S - 1)], S)
-    I_T, I_S = mat_identity(T), mat_identity(S)
-    return (
-        mat_kronecker(Dt, I_S), mat_kronecker(Wt, I_S), mat_kronecker(I_T, Ds),
-        mat_kronecker(I_T, Ws), mat_kronecker(Dt, Ds), mat_kronecker(Wt, Ws),
-    )
 
 
 def build_model(N, responses, seed):
@@ -139,7 +127,7 @@ CASES = {
         6,
     ),
     "car_single_block": lambda: build_model(
-        12, [("constant", "inverse", True, _car(), [1.0, -0.4, 0.8, -0.24, 0.5, 0.1])], 7
+        12, [("constant", "inverse", True, car_components(3, 4), [1.0, -0.4, 0.8, -0.24, 0.5, 0.1])], 7
     ),
 }
 
@@ -290,7 +278,7 @@ class TestUnitPartition:
         assert np.array_equal(index, np.arange(n)[None, :])
 
     def test_car_is_one_unit(self):
-        (index,) = unit_partition(_car())
+        (index,) = unit_partition(car_components(3, 4))
         assert index.shape == (1, 12)
 
 
