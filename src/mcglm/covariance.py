@@ -3,8 +3,10 @@
 Builds the per-response covariances Sigma_r, couples them through the
 between-response correlation via the generalized Kronecker product, and
 provides every analytic derivative of the joint covariance C that the
-estimating-function calculus needs. The Sigma_r derivatives read the
-Omega_r = h^{-1}(U_r) held by each ResponseCovariance and are
+estimating-function calculus needs. Under the inverse covariance link,
+Sigma_r^{-1} is read off the precision U_r (build_sigma_r), and for
+R = 1 so is each tau's A = C^{-1} dC (A_dtau). The Sigma_r derivatives
+read the Omega_r = h^{-1}(U_r) held by each ResponseCovariance and are
 symmetrized explicitly. In a parameter of Sigma_r, the diagonal block
 (r, r) of dC is dSigma_r itself; only the off-diagonal blocks, present
 for R > 1, go through the Cholesky-factor derivative, and each is
@@ -52,21 +54,39 @@ def _diag(v):
     return v[..., :, None] * np.eye(v.shape[-1])
 
 
-@dataclass(frozen=True)
 class ResponseCovariance:
-    """Sigma_r with its lower Cholesky factor and Omega_r = h^{-1}(U_r)."""
+    """Sigma_r with Omega_r = h^{-1}(U_r), its lower Cholesky factor and its inverse.
 
-    sigma: np.ndarray = field(repr=False)
-    chol: np.ndarray = field(repr=False)
-    omega: np.ndarray = field(repr=False)
+    ``precision``, when given, is Sigma_r^{-1} read straight off U_r (see
+    build_sigma_r), and ``inverse`` is then that matrix; otherwise the
+    inverse comes from the factor. A factor not given is formed on first
+    use: only simulation, R > 1 and the Cholesky-factor derivative need it.
+    """
+
+    def __init__(self, sigma, omega, chol=None, precision=None):
+        self.sigma = sigma
+        self.omega = omega
+        self.precision = precision
+        if chol is not None:
+            self.chol = chol
 
     @property
     def dim(self):
         return self.sigma.shape[-1]
 
     @cached_property
+    def chol(self):
+        return cholesky_lower(self.sigma)
+
+    @cached_property
     def chol_inv(self):
         return triangular_inverse(self.chol)
+
+    @cached_property
+    def inverse(self):
+        if self.precision is not None:
+            return self.precision
+        return _sym(_T(self.chol_inv) @ self.chol_inv)
 
 
 @dataclass(frozen=True)
@@ -136,16 +156,26 @@ def sigma_b_from_rho(rho, R):
 
 
 def build_sigma_r(mu, var, p, tau, pred, cl):
-    """Per-response covariance Sigma_r = V^{1/2} Omega V^{1/2} (+ diag(mu) for poisson_tweedie)."""
+    """Per-response covariance Sigma_r = V^{1/2} Omega V^{1/2} (+ diag(mu) for poisson_tweedie).
+
+    Under the inverse covariance link and without the poisson_tweedie
+    diag(mu) term, Sigma_r^{-1} = S^{-1} U_r S^{-1} with S = diag(sqrt(V(mu))),
+    and while every V(mu) > 0 the factor of U_r behind Omega_r is the whole
+    positive-definiteness check, so Sigma_r is not factorized. Otherwise
+    its factor is taken here, as the check.
+    """
     mu = np.asarray(mu, dtype=float)
-    omega = covlink_apply_inverse(cl, assemble_U(tau, pred))
+    U = assemble_U(tau, pred)
+    omega = covlink_apply_inverse(cl, U)
     s = np.sqrt(variance_eval(var, mu, p))
     sigma = _scaled(s, omega, s)
     if var.kind == "poisson_tweedie":
         sigma = sigma + _diag(mu)
     sigma = _sym(sigma)
-    chol = cholesky_lower(sigma)
-    return ResponseCovariance(sigma=sigma, chol=chol, omega=omega)
+    if cl.kind == "inverse" and var.kind != "poisson_tweedie" and np.all(s > 0.0):
+        precision = _sym(_scaled(1.0 / s, U, 1.0 / s))
+        return ResponseCovariance(sigma=sigma, omega=omega, precision=precision)
+    return ResponseCovariance(sigma=sigma, chol=cholesky_lower(sigma), omega=omega)
 
 
 def generalized_kronecker(responses, Sb):
@@ -154,7 +184,9 @@ def generalized_kronecker(responses, Sb):
     The joint factor and inverse come from the per-response factors and
     the factor of Sigma_b, which raises FactorizationError exactly when C
     is not positive definite though every Sigma_r is. A 1 x 1 Sigma_b is
-    [1], its own factor, so for R = 1 the joint factor is chol_1 itself.
+    [1], its own factor, so for R = 1 the joint factor is chol_1 itself
+    and the joint inverse is Sigma_1^{-1}, which needs no factor when it
+    is a precision.
     """
     responses = tuple(responses)
     R = len(responses)
@@ -164,8 +196,12 @@ def generalized_kronecker(responses, Sb):
     dims = {rc.dim for rc in responses}
     if len(dims) != 1:
         raise DomainError("per-response covariances must share one dimension")
-    Lb = cholesky_lower(Sb) if R > 1 else np.ones((1, 1))
-    Sb_inv = cholesky_inverse(Lb) if R > 1 else Lb
+    if R == 1:
+        return JointCovariance(
+            C_inv=responses[0].inverse, responses=responses, Sb=Sb, Lb=np.ones((1, 1))
+        )
+    Lb = cholesky_lower(Sb)
+    Sb_inv = cholesky_inverse(Lb)
     N = responses[0].dim
     C_inv = np.empty(responses[0].sigma.shape[:-2] + (N * R, N * R))
     for r in range(R):
@@ -269,3 +305,12 @@ def dSigma_dmu_dir(mu, var, p, rc, dmu):
         out = out + _diag(dmu)
     return _sym(out)
 
+
+def A_dtau(mu, var, p, rc, Z):
+    """A = C^{-1} dC in the matrix-predictor coefficient of component Z, from the precision.
+
+    For R = 1 with rc.precision = S^{-1} U S^{-1}, dC = -S Omega Z Omega S
+    and U Omega = I, so A = -S^{-1} (Z Omega) S: one product, no dC.
+    """
+    s = np.sqrt(variance_eval(var, np.asarray(mu, dtype=float), p))
+    return _scaled(-1.0 / s, Z.data @ rc.omega, s)

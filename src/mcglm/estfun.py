@@ -3,16 +3,19 @@
 The central object is an EstimatingState: the full evaluation of the
 model at one theta. Its mean half holds the means, residuals and mean
 gradient; its covariance half, a StateCovariance, holds the joint
-covariance and, formed on first use, its derivative dC_i in each
-lambda. When no response's variance depends on mu, C does not depend
-on beta, and states that differ only in beta share one covariance half
-(EstimatingState.with_beta). C, C^{-1}
-and every dC_i are block diagonal over the model's independent units,
-so each quantity is computed batched over the unit blocks of every unit
-size and summed over the units. The lambda blocks are traces tr(W_i M)
-with W_i = C^{-1} dC_i C^{-1}; they and the beta blocks are computed
-from u = C^{-1} r, G = C^{-1} D and A_i = C^{-1} dC_i, so W_i itself is
-never formed.
+covariance and, formed on first use, A_i = C^{-1} dC_i in each lambda.
+When no response's variance depends on mu, C does not depend on beta,
+and states that differ only in beta share one covariance half
+(EstimatingState.with_beta). C, C^{-1} and every dC_i are block
+diagonal over the model's independent units, so each quantity is
+computed batched over the unit blocks of every unit size and summed
+over the units. The lambda blocks are traces tr(W_i M) with
+W_i = C^{-1} dC_i C^{-1}; they and the beta blocks are computed from r,
+D, u = C^{-1} r, G = C^{-1} D and A_i, the only derivative they read:
+u^T dC_i u = r^T A_i u, tr(C^{-1} dC_i) = tr(A_i) and
+G^T dC_i G = D^T A_i G. So W_i is never formed, and when C^{-1} is a
+precision (R = 1 under the inverse covariance link) no tau's dC_i is
+formed either.
 """
 
 from dataclasses import dataclass, field, replace
@@ -21,6 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .covariance import (
+    A_dtau,
     build_sigma_r,
     dC_dpar_r,
     dC_drho,
@@ -40,12 +44,12 @@ class StateCovariance:
 
     ``groups`` holds one factorized JointCovariance per size of unit, as
     ``model.unit_groups``: (n_units, R m, R m) stacks whose rows and
-    columns sit at ``index`` in the stacked N R vector. ``variance``,
-    ``dC_units`` and ``A_units`` (the (Q, n_units, R m, R m) stacks of the
-    unit blocks of every dC_i and of A_i = C^{-1} dC_i) are computed on
-    first use, so a covariance that is only factorized (a rejected
-    proposal, a simulation) forms none of them, and states that share
-    this object share them.
+    columns sit at ``index`` in the stacked N R vector. ``variance`` and
+    ``A_units`` (the (Q, n_units, R m, R m) stacks of the unit blocks of
+    every A_i = C^{-1} dC_i) are computed on first use, so a covariance
+    that is only factorized (a rejected proposal, a simulation) forms
+    neither, and states that share this object share them. ``dC_units``,
+    the same stacks of every dC_i, serves the derivative checks.
     """
 
     model: object
@@ -67,31 +71,55 @@ class StateCovariance:
             )
         return out
 
+    def _dC(self, grp, joint, entries):
+        """The unit blocks of dC_i for the lambda positions ``entries``, stacked."""
+        model = self.model
+        _, p, _ = model.split_lambda(self.lam)
+        lambda_map = model.lambda_index_map()
+        blocks = np.empty((len(entries),) + joint.C_inv.shape)
+        for k, i in enumerate(entries):
+            role, idx, d = lambda_map[i]
+            if role == "rho":
+                blocks[k] = dC_drho(joint, idx)
+                continue
+            resp, rc = model.responses[idx], joint.responses[idx]
+            mu_r = self.mu[idx * model.N + grp.index]
+            if role == "power":
+                dS = dSigma_dp(mu_r, resp.variance, p[idx], rc)
+            else:
+                Z = grp.predictors[idx].components[d]
+                dS = dSigma_dtau(mu_r, resp.variance, p[idx], rc, resp.covlink, Z)
+            blocks[k] = dC_dpar_r(joint, idx, dS)
+        return blocks
+
     @cached_property
     def dC_units(self):
+        entries = range(self.model.Q)
+        return tuple(
+            self._dC(grp, joint, entries) for grp, joint in zip(self.model.unit_groups, self.groups)
+        )
+
+    @cached_property
+    def A_units(self):
+        """A_i = C^{-1} dC_i; a tau's A_i is read off Z when the joint inverse is a precision."""
         model = self.model
         _, p, _ = model.split_lambda(self.lam)
         out = []
         for grp, joint in zip(model.unit_groups, self.groups):
-            blocks = np.empty((model.Q,) + joint.C_inv.shape)
-            for i, (role, idx, d) in enumerate(model.lambda_index_map()):
-                if role == "rho":
-                    blocks[i] = dC_drho(joint, idx)
-                    continue
-                resp, rc = model.responses[idx], joint.responses[idx]
-                mu_r = self.mu[idx * model.N + grp.index]
-                if role == "power":
-                    dS = dSigma_dp(mu_r, resp.variance, p[idx], rc)
+            A = np.empty((model.Q,) + joint.C_inv.shape)
+            rc = joint.responses[0]
+            precise = joint.R == 1 and rc.precision is not None
+            rest = []
+            for i, (role, _, d) in enumerate(model.lambda_index_map()):
+                if precise and role == "tau":
+                    Z = grp.predictors[0].components[d]
+                    A[i] = A_dtau(self.mu[grp.index], model.responses[0].variance, p[0], rc, Z)
                 else:
-                    Z = grp.predictors[idx].components[d]
-                    dS = dSigma_dtau(mu_r, resp.variance, p[idx], rc, resp.covlink, Z)
-                blocks[i] = dC_dpar_r(joint, idx, dS)
-            out.append(blocks)
+                    rest.append(i)
+            if rest:
+                A[rest] = joint.C_inv @ self._dC(grp, joint, rest)
+            out.append(A)
         return tuple(out)
-
-    @cached_property
-    def A_units(self):
-        return tuple(g.C_inv @ dC for g, dC in zip(self.groups, self.dC_units))
 
 
 @dataclass(frozen=True)
@@ -100,8 +128,8 @@ class EstimatingState:
 
     The mean half (mu, the residual, the mean gradient D) is held here;
     the covariance half is a StateCovariance. The ``*_units`` attributes
-    hold one entry per size of unit: the rows of each unit of D,
-    u = C^{-1} r and G = C^{-1} D, computed on first use.
+    hold one entry per size of unit: the rows of each unit of D, of the
+    residual r, of u = C^{-1} r and of G = C^{-1} D, computed on first use.
     """
 
     model: object
@@ -126,11 +154,13 @@ class EstimatingState:
         return tuple(self.D[idx] for idx in self.covariance.index)
 
     @cached_property
+    def r_units(self):
+        return tuple(self.residual[idx] for idx in self.covariance.index)
+
+    @cached_property
     def u_units(self):
-        cov = self.covariance
         return tuple(
-            (g.C_inv @ self.residual[idx][..., None])[..., 0]
-            for g, idx in zip(cov.groups, cov.index)
+            (g.C_inv @ r[..., None])[..., 0] for g, r in zip(self.covariance.groups, self.r_units)
         )
 
     @cached_property
@@ -199,8 +229,8 @@ def build_covariance(model, mu, lam):
 def build_state(model, y, theta):
     """Evaluate the means, the mean gradient and the factorized joint covariance at theta.
 
-    The derivatives dC_i are left to StateCovariance.dC_units, which
-    forms them only when an estimating function first asks for them.
+    The derivatives are left to StateCovariance.A_units, which forms
+    them only when an estimating function first asks for them.
     Raises FactorizationError on non-PD covariance.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -259,10 +289,10 @@ def _DtG(state):
 
 
 def _quad(state):
-    """r^T W_i r = u^T dC_i u for every i, summed over units."""
+    """r^T W_i r = u^T dC_i u = r^T A_i u for every i, summed over units."""
     return sum(
-        _flat(dC @ u[..., None]) @ u.ravel()
-        for u, dC in zip(state.u_units, state.covariance.dC_units)
+        _flat(A @ u[..., None]) @ r.ravel()
+        for r, u, A in zip(state.r_units, state.u_units, state.covariance.A_units)
     )
 
 
@@ -292,15 +322,16 @@ def sensitivity_beta(state):
 
 
 def pearson_vector(state):
-    """psi_lambda_i = tr(W_i (r r^T - C)) = u^T dC_i u - tr(C^{-1} dC_i)."""
-    cov = state.covariance
-    trace = sum(_flat(dC) @ g.C_inv.ravel() for g, dC in zip(cov.groups, cov.dC_units))
+    """psi_lambda_i = tr(W_i (r r^T - C)) = u^T dC_i u - tr(A_i)."""
+    trace = sum(
+        np.trace(A, axis1=-2, axis2=-1).sum(axis=1) for A in state.covariance.A_units
+    )
     return _quad(state) - trace
 
 
 def sensitivity_lambda(state):
     """S_lambda[i, j] = -tr(W_i C W_j C) = -tr(A_i A_j)."""
-    S = -sum(np.einsum("iuab,juba->ij", A, A) for A in state.covariance.A_units)
+    S = -sum(_flat(A) @ _flat(_T(A)).T for A in state.covariance.A_units)
     return 0.5 * (S + S.T)
 
 
@@ -384,7 +415,7 @@ def godambe(S_theta, V_theta):
 
 
 def bias_correction(state):
-    """Bias correction b_i = tr(D^T W_i D J_beta^{-1}), with D^T W_i D = G^T dC_i G."""
+    """Bias correction b_i = tr(D^T W_i D J_beta^{-1}), with D^T W_i D = D^T A_i G."""
     J_beta = _DtG(state)
     if J_beta.size == 0:
         return np.zeros(state.Q)
@@ -392,11 +423,11 @@ def bias_correction(state):
         J_inv = np.linalg.inv(J_beta)
     except np.linalg.LinAlgError:
         raise SingularMatrixError("J_beta is singular in the bias correction")
-    GdCG = sum(
-        np.sum(_T(G) @ (dC @ G), axis=1)
-        for G, dC in zip(state.G_units, state.covariance.dC_units)
+    DWD = sum(
+        np.sum(_T(D) @ (A @ G), axis=1)
+        for D, G, A in zip(state.D_units, state.G_units, state.covariance.A_units)
     )
-    return _flat(GdCG) @ J_inv.T.ravel()
+    return _flat(DWD) @ J_inv.T.ravel()
 
 
 def build_godambe(state):

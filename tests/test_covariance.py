@@ -294,8 +294,12 @@ class TestCholDerivUse:
     """Only the off-diagonal blocks of dC, present for R > 1, take a Cholesky derivative."""
 
     def counted_fit(self, monkeypatch, model, y, opts):
-        calls = {"chol_deriv": 0, "dC_dpar_r": 0}
-        for module, name in [(mcglm.covariance, "chol_deriv"), (mcglm.estfun, "dC_dpar_r")]:
+        calls = {"chol_deriv": 0, "dC_dpar_r": 0, "dSigma_dtau": 0}
+        for module, name in [
+            (mcglm.covariance, "chol_deriv"),
+            (mcglm.estfun, "dC_dpar_r"),
+            (mcglm.estfun, "dSigma_dtau"),
+        ]:
             original = getattr(module, name)
 
             def counted(*args, _name=name, _original=original):
@@ -304,10 +308,11 @@ class TestCholDerivUse:
 
             monkeypatch.setattr(module, name, counted)
         res = fit(model, y, opts)
-        assert res.converged and calls["dC_dpar_r"] > 0
-        return calls["chol_deriv"]
+        assert res.converged
+        return calls
 
     def test_single_response_car_fit_forms_none(self, monkeypatch):
+        # under the inverse link each tau's A_i is read off Z: no dC_i is formed at all
         comps = car_components(6, 8)
         N = comps[0].dim
         resp = ResponseSpec(
@@ -319,12 +324,14 @@ class TestCholDerivUse:
         theta = make_theta(model, np.array([1.0]), model.pack_lambda([], [1.0], [tau]))
         y = simulate_gaussian(SimSpec(model, theta, 1, seed=99))[0]
         opts = SolverOptions(algorithm="reciprocal", max_iter=500)
-        assert self.counted_fit(monkeypatch, model, y, opts) == 0
+        calls = self.counted_fit(monkeypatch, model, y, opts)
+        assert calls == {"chol_deriv": 0, "dC_dpar_r": 0, "dSigma_dtau": 0}
 
     def test_two_response_fit_forms_some(self, monkeypatch):
         model, theta = gaussian_two_response(N=16, seed=28)
         y = simulate_gaussian(SimSpec(model, theta, 1, seed=29))[0]
-        assert self.counted_fit(monkeypatch, model, y, SolverOptions()) > 0
+        calls = self.counted_fit(monkeypatch, model, y, SolverOptions())
+        assert calls["dC_dpar_r"] > 0 and calls["chol_deriv"] > 0
 
 
 class TestDSigma:

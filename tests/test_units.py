@@ -37,6 +37,7 @@ from mcglm.covariance import (
 )
 from mcglm.estfun import (
     bias_correction,
+    build_covariance,
     cross_sensitivity_lb,
     cross_variability_lb,
     dC_dbeta,
@@ -45,6 +46,7 @@ from mcglm.estfun import (
     sensitivity_lambda,
     variability_lambda,
 )
+from mcglm.functions import symmetric_inverse
 from mcglm.matpred import unit_partition
 from mcglm.simulate import SimSpec, simulate_gaussian, stacked_mean
 
@@ -282,11 +284,48 @@ class TestUnitPartition:
         assert index.shape == (1, 12)
 
 
+CAR_TAU = [1.0, -0.4, 0.8, -0.24, 0.5, 0.1]
+PAIRS = [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
+
+
+@pytest.mark.parametrize(
+    "responses, precise",
+    [
+        ([("constant", "inverse", True, car_components(3, 4), CAR_TAU)], True),
+        ([("constant", "inverse", True, [mat_identity(12), _cs(PAIRS)])], True),
+        ([("tweedie_power", "inverse", False, car_components(3, 4), CAR_TAU)], True),
+        ([("tweedie_power", "inverse", False, [mat_identity(12), _cs(PAIRS)])], True),
+        ([("binomial", "inverse", True, car_components(3, 4), CAR_TAU)], True),
+        ([("binomial", "inverse", True, [mat_identity(12), _cs(PAIRS)])], True),
+        ([("poisson_tweedie", "inverse", False, [mat_identity(12), _cs(PAIRS)])], False),
+        ([("tweedie_power", "identity", False, [mat_identity(12), _cs(PAIRS)])], False),
+        ([("tweedie_power", "inverse", False, car_components(3, 4), CAR_TAU),
+          ("constant", "identity", True, [mat_identity(12), _cs(PAIRS)])], False),
+    ],
+    ids=[
+        "inverse-constant-block", "inverse-constant-units", "inverse-tweedie-block",
+        "inverse-tweedie-units", "inverse-binomial-block", "inverse-binomial-units",
+        "inverse-poisson-tweedie", "identity", "two-responses",
+    ],
+)
+def test_A_units_equal_C_inv_dC_units(responses, precise):
+    model, _, theta = build_model(12, responses, 10)
+    mu = np.random.default_rng(11).uniform(0.2, 0.8, size=12 * model.R)
+    cov = build_covariance(model, mu, theta.lam)
+    for g, A, dC in zip(cov.groups, cov.A_units, cov.dC_units):
+        assert (g.R == 1 and g.responses[0].precision is not None) == precise
+        assert rel_err(A, g.C_inv @ dC) < 1e-12
+        if g.R == 1:
+            sigma = g.responses[0].sigma
+            assert rel_err(g.C_inv, symmetric_inverse(sigma)) < 1e-12
+            assert rel_err(g.C_chol @ np.swapaxes(g.C_chol, -1, -2), sigma) < 1e-12
+
+
 @pytest.mark.parametrize(
     "responses, per_state",
     [
         ([("constant", "identity")], 1),           # Sigma_1 only: no joint factor
-        ([("constant", "inverse")], 2),            # and U_1
+        ([("constant", "inverse")], 1),            # U_1 only: Sigma_1^{-1} is read off it
         ([("constant", "identity")] * 2, 3),       # Sigma_1, Sigma_2 and Sigma_b
         ([("constant", "inverse")] * 2, 5),
     ],
