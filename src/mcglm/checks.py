@@ -6,8 +6,10 @@ from .errors import FactorizationError
 from .estfun import build_state, dC_dbeta
 from .model import make_theta
 
+FD_STEP = 1e-6
 
-def _fd_dC(model, y, theta, offset, h):
+
+def _fd_dC(model, y, theta, offset):
     """Central differences in theta.flat[offset] of the joint blocks of every unit size."""
     def C_at(flat):
         th = make_theta(model, flat[: model.K], flat[model.K :])
@@ -15,9 +17,9 @@ def _fd_dC(model, y, theta, offset, h):
 
     flat = theta.flat
     e = np.zeros_like(flat)
-    e[offset] = 1.0
-    plus, minus = C_at(flat + h * e), C_at(flat - h * e)
-    return [(p - m) / (2.0 * h) for p, m in zip(plus, minus)]
+    e[offset] = FD_STEP
+    plus, minus = C_at(flat + e), C_at(flat - e)
+    return [(p - m) / (2.0 * FD_STEP) for p, m in zip(plus, minus)]
 
 
 def _rel_err(analytic, fd):
@@ -26,45 +28,41 @@ def _rel_err(analytic, fd):
     return max(float(np.max(np.abs(a - d))) for a, d in zip(analytic, fd)) / scale
 
 
-def derivative_report(model, y, theta, h=1e-6, corrupt=None):
+def derivative_report(model, y, theta):
     """Worst relative error of each analytic dC family vs central differences.
 
-    Both sides are the unit blocks of every unit size; C is zero between
-    units, and so are its derivatives and their differences. Returns
-    {family: worst_rel_err}; families absent from the model are
-    omitted. ``corrupt`` names a family whose analytic derivative is
-    deliberately perturbed (negative-control hook).
+    Each derivative is checked as the estimating functions read it: a
+    lambda dC_i as C A_i, A_i from StateCovariance.A_units, and a beta
+    dC_j as dC_dbeta. Both sides are the unit blocks of every unit size;
+    C is zero between units, and so are its derivatives and their
+    differences. Returns {family: worst_rel_err}; families absent from
+    the model are omitted.
     """
     state = build_state(model, y, theta)
+    cov = state.covariance
+    families = ["beta"] * model.K + [family for family, _, _ in model.lambda_index_map()]
     worst = {}
-
-    def record(family, analytic, fd):
-        if corrupt == family:
-            analytic = [a * (1.0 + 1e-3) + 1e-3 for a in analytic]
-        err = _rel_err(analytic, fd)
+    for offset, family in enumerate(families):
+        if offset < model.K:
+            analytic = dC_dbeta(state, offset)
+        else:
+            analytic = [g.C @ A[offset - model.K] for g, A in zip(cov.groups, cov.A_units)]
+        err = _rel_err(analytic, _fd_dC(model, y, theta, offset))
         worst[family] = max(worst.get(family, 0.0), err)
-
-    for pos, (family, _, _) in enumerate(model.lambda_index_map()):
-        fd = _fd_dC(model, y, theta, model.K + pos, h)
-        record(family, [b[pos] for b in state.covariance.dC_units], fd)
-    for j in range(model.K):
-        fd = _fd_dC(model, y, theta, j, h)
-        record("beta", dC_dbeta(state, j), fd)
     return worst
 
 
-def derivative_probe(model, y, draw_theta, max_redraws=10, h=1e-6, corrupt=None):
+def derivative_probe(model, y, draw_theta):
     """Run derivative_report at a random admissible theta.
 
     ``draw_theta`` is called with an attempt index and returns a
-    ThetaPartition; non-PD probe points are redrawn up to
-    ``max_redraws`` times before FactorizationError propagates.
+    ThetaPartition; a non-PD probe point is redrawn, up to 10 draws in
+    all, before FactorizationError propagates.
     """
     last = None
-    for attempt in range(max_redraws):
-        theta = draw_theta(attempt)
+    for attempt in range(10):
         try:
-            return derivative_report(model, y, theta, h=h, corrupt=corrupt)
+            return derivative_report(model, y, draw_theta(attempt))
         except FactorizationError as exc:
             last = exc
     raise last

@@ -128,17 +128,19 @@ def _build_component(comp, cols, keep, missing, data_path, spec_dir):
         levels = np.asarray(cols[comp["levels"]])[keep]
         groups = np.asarray(cols[comp["groups"]])[keep]
         return matpred.mat_pair_indicator(levels, tuple(comp["pair"]), groups)
-    if kind == "file":
-        path = Path(comp["path"])
-        if not path.is_absolute():
-            path = spec_dir / path
-        sm = matpred.load_structure_matrix(str(path))
-        if sm.dim != keep.size:
-            raise InputError(
-                f"{path}: dimension {sm.dim} does not match data rows {keep.size}"
-            )
-        return sm.submatrix(np.flatnonzero(keep))
-    raise InputError(f"unknown predictor component type {kind!r}")
+    # "file", the one type left in the schema's enum
+    path = Path(comp["path"])
+    if not path.is_absolute():
+        path = spec_dir / path
+    sm = matpred.load_structure_matrix(str(path))
+    if sm.dim != keep.size:
+        raise InputError(f"{path}: dimension {sm.dim} does not match data rows {keep.size}")
+    return sm.submatrix(np.flatnonzero(keep))
+
+
+# the keys each predictor component type needs besides "type"
+COMPONENT_KEYS = {"compound_symmetry": ("groups",), "inverse_distance": ("positions",),
+                  "pair_indicator": ("levels", "pair", "groups"), "file": ("path",)}
 
 
 def build_model_and_data(doc, data_path, spec_dir):
@@ -157,14 +159,15 @@ def build_model_and_data(doc, data_path, spec_dir):
         needed_numeric.append(resp["name"])
         needed_numeric.extend(resp["design_columns"])
         for comp in resp["predictor"]:
-            if comp["type"] == "inverse_distance":
-                needed_numeric.append(comp["positions"])
-    arrays = {name: _numeric(cols, name, missing, data_path) for name in needed_numeric}
-    for resp in doc["responses"]:
-        for comp in resp["predictor"]:
+            absent = [key for key in COMPONENT_KEYS.get(comp["type"], ()) if key not in comp]
+            if absent:
+                raise InputError(f"response {resp['name']!r}: {comp['type']} lacks {absent}")
             for key in ("groups", "levels"):
                 if key in comp and comp[key] not in cols:
                     raise InputError(f"{data_path}: column {comp[key]!r} not found")
+            if comp["type"] == "inverse_distance":
+                needed_numeric.append(comp["positions"])
+    arrays = {name: _numeric(cols, name, missing, data_path) for name in needed_numeric}
 
     keep = complete_case_mask(arrays.values())
     if not keep.any():
@@ -323,11 +326,18 @@ def _read_theta(model, path):
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"{path}: {exc}")
+
+    def vector(key, value):
+        v = np.asarray(value, dtype=float)
+        if v.ndim != 1:
+            raise InputError(f"{path}: {key} must be a list of numbers")
+        return v
+
     try:
-        beta = [np.asarray(b, dtype=float) for b in doc["beta"]]
-        tau = [np.asarray(t, dtype=float) for t in doc["tau"]]
-        rho = np.asarray(doc.get("rho", []), dtype=float)
-        p = np.asarray(doc.get("p", [1.0] * model.R), dtype=float)
+        beta = [vector(f"beta[{r}]", b) for r, b in enumerate(doc["beta"])]
+        tau = [vector(f"tau[{r}]", t) for r, t in enumerate(doc["tau"])]
+        rho = vector("rho", doc.get("rho", []))
+        p = vector("p", doc.get("p", [1.0] * model.R))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: bad theta document: {exc}")
     if len(beta) != model.R or len(tau) != model.R or p.size != model.R:
@@ -415,7 +425,7 @@ def cmd_check_derivatives(args):
         return make_theta(model, beta, lam)
 
     try:
-        report = derivative_probe(model, y, draw, corrupt=args.corrupt)
+        report = derivative_probe(model, y, draw)
     except FactorizationError as exc:
         print(f"error: no positive-definite probe point found: {exc}", file=sys.stderr)
         return EXIT_NONPD
@@ -511,7 +521,6 @@ def make_parser():
     p_chk.add_argument("--spec", required=True)
     p_chk.add_argument("--data", default=None)
     p_chk.add_argument("--seed", type=int, default=0)
-    p_chk.add_argument("--corrupt", default=None, help=argparse.SUPPRESS)
     p_chk.set_defaults(func=cmd_check_derivatives)
 
     p_bm = sub.add_parser("build-matrices", help="write structure-matrix files")

@@ -48,8 +48,8 @@ class StateCovariance:
     ``A_units`` (the (Q, n_units, R m, R m) stacks of the unit blocks of
     every A_i = C^{-1} dC_i) are computed on first use, so a covariance
     that is only factorized (a rejected proposal, a simulation) forms
-    neither, and states that share this object share them. ``dC_units``,
-    the same stacks of every dC_i, serves the derivative checks.
+    neither, and states that share this object share them. A_i is the
+    only lambda derivative held: the derivative checks read dC_i as C A_i.
     """
 
     model: object
@@ -71,34 +71,6 @@ class StateCovariance:
             )
         return out
 
-    def _dC(self, grp, joint, entries):
-        """The unit blocks of dC_i for the lambda positions ``entries``, stacked."""
-        model = self.model
-        _, p, _ = model.split_lambda(self.lam)
-        lambda_map = model.lambda_index_map()
-        blocks = np.empty((len(entries),) + joint.C_inv.shape)
-        for k, i in enumerate(entries):
-            role, idx, d = lambda_map[i]
-            if role == "rho":
-                blocks[k] = dC_drho(joint, idx)
-                continue
-            resp, rc = model.responses[idx], joint.responses[idx]
-            mu_r = self.mu[idx * model.N + grp.index]
-            if role == "power":
-                dS = dSigma_dp(mu_r, resp.variance, p[idx], rc)
-            else:
-                Z = grp.predictors[idx].components[d]
-                dS = dSigma_dtau(mu_r, resp.variance, p[idx], rc, resp.covlink, Z)
-            blocks[k] = dC_dpar_r(joint, idx, dS)
-        return blocks
-
-    @cached_property
-    def dC_units(self):
-        entries = range(self.model.Q)
-        return tuple(
-            self._dC(grp, joint, entries) for grp, joint in zip(self.model.unit_groups, self.groups)
-        )
-
     @cached_property
     def A_units(self):
         """A_i = C^{-1} dC_i; a tau's A_i is read off Z when the joint inverse is a precision."""
@@ -107,17 +79,25 @@ class StateCovariance:
         out = []
         for grp, joint in zip(model.unit_groups, self.groups):
             A = np.empty((model.Q,) + joint.C_inv.shape)
-            rc = joint.responses[0]
-            precise = joint.R == 1 and rc.precision is not None
-            rest = []
-            for i, (role, _, d) in enumerate(model.lambda_index_map()):
-                if precise and role == "tau":
-                    Z = grp.predictors[0].components[d]
-                    A[i] = A_dtau(self.mu[grp.index], model.responses[0].variance, p[0], rc, Z)
+            precise = joint.R == 1 and joint.responses[0].precision is not None
+            mu = [self.mu[r * model.N + grp.index] for r in range(model.R)]
+            dC = {}
+            for i, (role, idx, d) in enumerate(model.lambda_index_map()):
+                if role == "rho":
+                    dC[i] = dC_drho(joint, idx)
+                    continue
+                resp, rc = model.responses[idx], joint.responses[idx]
+                if role == "power":
+                    dS = dSigma_dp(mu[idx], resp.variance, p[idx], rc)
                 else:
-                    rest.append(i)
-            if rest:
-                A[rest] = joint.C_inv @ self._dC(grp, joint, rest)
+                    Z = grp.predictors[idx].components[d]
+                    if precise:
+                        A[i] = A_dtau(mu[idx], resp.variance, p[idx], rc, Z)
+                        continue
+                    dS = dSigma_dtau(mu[idx], resp.variance, p[idx], rc, resp.covlink, Z)
+                dC[i] = dC_dpar_r(joint, idx, dS)
+            if dC:
+                A[list(dC)] = joint.C_inv @ np.stack(list(dC.values()))
             out.append(A)
         return tuple(out)
 
@@ -252,7 +232,7 @@ def build_state(model, y, theta):
 def dC_dbeta(state, j):
     """Derivative of C in the j-th regression coefficient (chain rule via mu).
 
-    One stack of unit blocks per unit size, as StateCovariance.dC_units.
+    One stack of unit blocks per unit size, as StateCovariance.A_units.
     """
     model = state.model
     N = model.N

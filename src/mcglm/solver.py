@@ -153,12 +153,8 @@ def reciprocal_step(theta, model, y, alpha, correct=True):
     return _LambdaStep(state_b, correct).theta(alpha)
 
 
-def alpha_strategy(previous_alpha, proposal_outcome, eps=0.01, alpha_max=1.0):
-    """Escalate the tuning constant on PD failure, reset to zero on success."""
-    if proposal_outcome == "pd_ok":
-        return 0.0
-    if proposal_outcome != "pd_fail":
-        raise DomainError(f"unknown outcome {proposal_outcome!r}")
+def alpha_strategy(previous_alpha, eps=0.01, alpha_max=1.0):
+    """Escalate the tuning constant by eps after a non-PD proposal; raise once at alpha_max."""
     if previous_alpha >= alpha_max:
         raise ConvergenceError(
             "tuning constant reached its cap without a positive-definite "
@@ -167,7 +163,10 @@ def alpha_strategy(previous_alpha, proposal_outcome, eps=0.01, alpha_max=1.0):
     return min(previous_alpha + eps, alpha_max)
 
 
-def initialize(model, y, irls_iter=10):
+IRLS_ITER = 10
+
+
+def initialize(model, y):
     """Starting values from independent per-response quasi-GLM fits.
 
     Each response is fitted with an iid working covariance; tau_0 comes
@@ -185,7 +184,7 @@ def initialize(model, y, irls_iter=10):
             p0 = 1.5 if resp.variance.kind == "poisson_tweedie" else 1.0
         else:
             p0 = resp.power_value
-        beta = _irls_single(y_r, X, resp, p0, irls_iter)
+        beta = _irls_single(y_r, X, resp, p0)
         eta = X @ beta
         mu = link_inverse(resp.link, eta)
         vfun = variance_eval(resp.variance, mu, p0)
@@ -207,7 +206,7 @@ def initialize(model, y, irls_iter=10):
     return make_theta(model, np.concatenate(betas), lam)
 
 
-def _irls_single(y_r, X, resp, p0, irls_iter):
+def _irls_single(y_r, X, resp, p0):
     n, k = X.shape
     beta = np.zeros(k)
     # crude mean start on the link scale
@@ -222,7 +221,7 @@ def _irls_single(y_r, X, resp, p0, irls_iter):
     const = np.flatnonzero(np.all(X == X[:1, :], axis=0) & (X[0] != 0))
     if const.size:
         beta[const[0]] = start / X[0, const[0]]
-    for _ in range(irls_iter):
+    for _ in range(IRLS_ITER):
         eta = X @ beta
         mu = link_inverse(resp.link, eta)
         d = link_inverse_deriv(resp.link, eta)
@@ -268,9 +267,7 @@ def _next_state(state, opts):
                 raise StepFailureError(
                     f"chaser proposal gives non-PD covariance: {exc}"
                 ) from exc
-            alpha = alpha_strategy(
-                alpha, "pd_fail", eps=opts.alpha_step, alpha_max=opts.alpha_max
-            )
+            alpha = alpha_strategy(alpha, eps=opts.alpha_step, alpha_max=opts.alpha_max)
             escalations += 1
             continue
         return new_state, alpha, escalations

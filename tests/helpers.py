@@ -11,14 +11,24 @@ from mcglm import (
     SimSpec,
     StructureMatrix,
     VarianceSpec,
+    generalized_kronecker,
     mat_compound_symmetry,
     mat_identity,
     mat_kronecker,
     mat_neighborhood,
     make_theta,
+    sigma_b_from_rho,
     simulate_gaussian,
 )
-from mcglm.covariance import chol_deriv
+from mcglm.covariance import (
+    build_sigma_r,
+    chol_deriv,
+    dC_dpar_r,
+    dC_drho,
+    dSigma_dmu_dir,
+    dSigma_dp,
+    dSigma_dtau,
+)
 
 
 def random_pd(rng, n, jitter=None):
@@ -61,6 +71,51 @@ def product_rule_dC(assembly, r, dS):
         assembly.block(dC, r, s)[...] += block
         assembly.block(dC, s, r)[...] += np.swapaxes(block, -1, -2)
     return 0.5 * (dC + np.swapaxes(dC, -1, -2))
+
+
+def dense_covariance(model, mu, lam):
+    """The joint covariance and every dC_i built from the full N x N matrices, ignoring units.
+
+    Returns the JointCovariance of the whole stacked vector and the list
+    of dense dC_i, one per lambda position (dense test oracle).
+    """
+    N = model.N
+    rho, p, tau = model.split_lambda(lam)
+    resps = model.responses
+    rcs = [
+        build_sigma_r(mu[r * N : (r + 1) * N], s.variance, p[r], tau[r], s.predictor, s.covlink)
+        for r, s in enumerate(resps)
+    ]
+    jc = generalized_kronecker(rcs, sigma_b_from_rho(rho, model.R))
+    dC = []
+    for role, r, d in model.lambda_index_map():
+        if role == "rho":
+            dC.append(dC_drho(jc, r))
+            continue
+        mu_r = mu[r * N : (r + 1) * N]
+        if role == "power":
+            dS = dSigma_dp(mu_r, resps[r].variance, p[r], rcs[r])
+        else:
+            Z = resps[r].predictor.components[d]
+            dS = dSigma_dtau(mu_r, resps[r].variance, p[r], rcs[r], resps[r].covlink, Z)
+        dC.append(dC_dpar_r(jc, r, dS))
+    return jc, dC
+
+
+def dense_oracle(state):
+    """C, C^{-1}, dC_i and dC_beta_j built from the full N x N matrices, ignoring units."""
+    model, mu = state.model, state.mu
+    N = model.N
+    _, p, _ = model.split_lambda(state.theta.lam)
+    jc, dC = dense_covariance(model, mu, state.theta.lam)
+    dC_beta = []
+    for r, (resp, sl) in enumerate(zip(model.responses, model.beta_slices())):
+        for local in range(sl.stop - sl.start):
+            dmu = state.dmu_deta[r] * resp.design[:, local]
+            mu_r = mu[r * N : (r + 1) * N]
+            dS = dSigma_dmu_dir(mu_r, resp.variance, p[r], jc.responses[r], dmu)
+            dC_beta.append(dC_dpar_r(jc, r, dS))
+    return jc.C, jc.C_inv, dC, dC_beta
 
 
 def car_components(T, S):

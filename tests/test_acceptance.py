@@ -354,10 +354,10 @@ def test_criterion_08_reciprocal_contract():
             try:
                 theta_new = reciprocal_step(theta, model, y, alpha)
                 build_state(model, y, theta_new)
-                alpha = alpha_strategy(alpha, "pd_ok", eps=0.01)
+                alpha = 0.0
                 break
             except FactorizationError:
-                alpha = alpha_strategy(alpha, "pd_fail", eps=0.01)
+                alpha = alpha_strategy(alpha, eps=0.01)
                 escalations += 1
         if np.max(np.abs(theta_new.flat - theta.flat)) < 1e-12:
             theta = theta_new

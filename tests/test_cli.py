@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import mcglm
+import mcglm.estfun
 from mcglm.cli import main
 from mcglm.matpred import save_structure_matrix
 
@@ -431,6 +432,41 @@ def test_simulate_bad_input_exits_1(tmp_path, capsys, variance, beta, n):
     assert_one_error_line_in_process(code, capsys)
 
 
+@pytest.mark.parametrize("component", [
+    {"type": "compound_symmetry"},
+    {"type": "inverse_distance"},
+    {"type": "pair_indicator", "levels": "one"},
+    {"type": "file"},
+])
+def test_component_without_its_keys_exits_1(tmp_path, capsys, component):
+    spec, _, _ = gaussian_fixture(tmp_path)
+    doc = json.loads(spec.read_text())
+    doc["responses"][0]["predictor"].append(component)
+    write_json(spec, doc)
+    code = exit_code(["fit", "--spec", str(spec), "--out", str(tmp_path / "o")])
+    assert_one_error_line_in_process(code, capsys)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("beta", [[[2.0, 0.7]]]),
+    ("tau", [1.5]),
+    ("rho", 0.4),
+    ("p", 1.0),
+])
+def test_simulate_theta_entry_not_a_list_exits_1(tmp_path, capsys, key, value):
+    spec, _, _ = gaussian_fixture(tmp_path)
+    theta = tmp_path / "theta.json"
+    write_json(theta, dict({"beta": [[2.0, 0.7]], "tau": [[1.5]], "p": [1.0]}, **{key: value}))
+    code = exit_code(
+        ["simulate", "--spec", str(spec), "--theta", str(theta), "--n", "1",
+         "--out", str(tmp_path / "o")]
+    )
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and key in lines[0]
+
+
 @pytest.mark.parametrize("command", ["fit", "simulate", "check-derivatives"])
 def test_coincident_inverse_distance_positions_exit_1(tmp_path, command):
     spec, _, _ = gaussian_fixture(tmp_path)
@@ -464,14 +500,23 @@ class TestCheckDerivatives:
         assert main(["check-derivatives", "--spec", str(spec), "--seed", "9"]) == 0
         assert capsys.readouterr().out == first
 
-    def test_corrupted_derivative_exits_4(self, tmp_path, capsys):
+    def test_corrupted_derivative_exits_4(self, tmp_path, capsys, monkeypatch):
         spec, _, _ = gaussian_fixture(tmp_path)
-        code = main(
-            ["check-derivatives", "--spec", str(spec), "--corrupt", "tau"]
-        )
-        assert code == 4
-        captured = capsys.readouterr()
-        assert "tau" in captured.err
+        original = mcglm.estfun.dSigma_dtau
+        monkeypatch.setattr(mcglm.estfun, "dSigma_dtau", lambda *a: 1.001 * original(*a))
+        assert main(["check-derivatives", "--spec", str(spec)]) == 4
+        assert "tau" in capsys.readouterr().err
+
+    def test_corrupted_precision_derivative_exits_4(self, tmp_path, capsys, monkeypatch):
+        # under the inverse link the fit reads each tau's A_i from A_dtau, and so does the check
+        spec, _, _ = gaussian_fixture(tmp_path)
+        doc = json.loads(spec.read_text())
+        doc["responses"][0]["covlink"] = "inverse"
+        write_json(spec, doc)
+        original = mcglm.estfun.A_dtau
+        monkeypatch.setattr(mcglm.estfun, "A_dtau", lambda *a: 1.001 * original(*a))
+        assert main(["check-derivatives", "--spec", str(spec)]) == 4
+        assert "tau" in capsys.readouterr().err
 
 
 class TestBuildMatrices:

@@ -28,7 +28,7 @@ from mcglm.estfun import (
     variability_lambda,
 )
 
-from helpers import random_instance, rel_err, scatter, weight_matrix
+from helpers import dense_oracle, random_instance, rel_err, scatter, weight_matrix
 
 
 def iid_normal_model(N, K=1, seed=0):
@@ -46,12 +46,9 @@ def iid_normal_model(N, K=1, seed=0):
 
 
 def weights(state):
-    """Reference weight matrices W_i = C^{-1} dC_i C^{-1}."""
-    C_inv = scatter(state.covariance, "C_inv")
-    return [
-        weight_matrix(C_inv, scatter(state.covariance, [b[i] for b in state.covariance.dC_units]))
-        for i in range(state.Q)
-    ]
+    """Reference weight matrices W_i = C^{-1} dC_i C^{-1}, from the dense oracle."""
+    _, C_inv, dC, _ = dense_oracle(state)
+    return [weight_matrix(C_inv, dC_i) for dC_i in dC]
 
 
 def iid_state(N, beta, tau0, y, K=1, seed=0):

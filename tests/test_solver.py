@@ -83,23 +83,15 @@ TIGHT = SolverOptions(tol_score=1e-12, tol_param=1e-12, max_iter=300)
 
 
 class TestAlphaStrategy:
-    def test_success_resets_to_zero(self):
-        assert alpha_strategy(0.0, "pd_ok") == 0.0
-        assert alpha_strategy(0.37, "pd_ok") == 0.0
-
     def test_failure_escalates(self):
-        assert alpha_strategy(0.0, "pd_fail") == pytest.approx(0.01)
-        assert alpha_strategy(0.05, "pd_fail") == pytest.approx(0.06)
+        assert alpha_strategy(0.0) == pytest.approx(0.01)
+        assert alpha_strategy(0.05) == pytest.approx(0.06)
 
     def test_cap_then_hard_failure(self):
-        a = alpha_strategy(0.995, "pd_fail")
+        a = alpha_strategy(0.995)
         assert a == 1.0
         with pytest.raises(ConvergenceError):
-            alpha_strategy(a, "pd_fail")
-
-    def test_unknown_outcome(self):
-        with pytest.raises(DomainError):
-            alpha_strategy(0.0, "maybe")
+            alpha_strategy(a)
 
 
 class TestStepAlgebra:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import mcglm.covariance
+import mcglm.estfun
 import mcglm.functions
 from mcglm import (
     CovLinkSpec,
@@ -19,22 +20,12 @@ from mcglm import (
     VarianceSpec,
     build_godambe,
     build_state,
-    generalized_kronecker,
     make_theta,
     mat_compound_symmetry,
     mat_identity,
     mat_inverse_distance,
-    sigma_b_from_rho,
 )
 from mcglm.checks import derivative_report
-from mcglm.covariance import (
-    build_sigma_r,
-    dC_dpar_r,
-    dC_drho,
-    dSigma_dmu_dir,
-    dSigma_dp,
-    dSigma_dtau,
-)
 from mcglm.estfun import (
     bias_correction,
     build_covariance,
@@ -50,7 +41,15 @@ from mcglm.functions import symmetric_inverse
 from mcglm.matpred import unit_partition
 from mcglm.simulate import SimSpec, simulate_gaussian, stacked_mean
 
-from helpers import car_components, random_instance, rel_err, scatter, weight_matrix
+from helpers import (
+    car_components,
+    dense_covariance,
+    dense_oracle,
+    random_instance,
+    rel_err,
+    scatter,
+    weight_matrix,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -144,38 +143,6 @@ UNIT_SIZES = {
 }
 
 
-def dense_oracle(state):
-    """C, C^{-1}, dC_i and dC_beta_j built from the full N x N matrices, ignoring units."""
-    model, mu = state.model, state.mu
-    N = model.N
-    rho, p, tau = model.split_lambda(state.theta.lam)
-    resps = model.responses
-    rcs = [
-        build_sigma_r(mu[r * N : (r + 1) * N], s.variance, p[r], tau[r], s.predictor, s.covlink)
-        for r, s in enumerate(resps)
-    ]
-    jc = generalized_kronecker(rcs, sigma_b_from_rho(rho, model.R))
-    dC = []
-    for role, r, d in model.lambda_index_map():
-        if role == "rho":
-            dC.append(dC_drho(jc, r))
-            continue
-        mu_r = mu[r * N : (r + 1) * N]
-        if role == "power":
-            dS = dSigma_dp(mu_r, resps[r].variance, p[r], rcs[r])
-        else:
-            Z = resps[r].predictor.components[d]
-            dS = dSigma_dtau(mu_r, resps[r].variance, p[r], rcs[r], resps[r].covlink, Z)
-        dC.append(dC_dpar_r(jc, r, dS))
-    dC_beta = []
-    for r, sl in enumerate(model.beta_slices()):
-        for local in range(sl.stop - sl.start):
-            dmu = state.dmu_deta[r] * resps[r].design[:, local]
-            dS = dSigma_dmu_dir(mu[r * N : (r + 1) * N], resps[r].variance, p[r], rcs[r], dmu)
-            dC_beta.append(dC_dpar_r(jc, r, dS))
-    return jc.C, jc.C_inv, dC, dC_beta
-
-
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_unit_path_matches_dense_weight_formulas(case):
     model, y, theta = CASES[case]()
@@ -232,7 +199,11 @@ def test_block_simulation_matches_dense_factor():
 
 
 def dense_derivative_report(model, y, theta, h=1e-6):
-    """derivative_report computed on the dense N R x N R scatters of C and of every dC."""
+    """derivative_report computed on the dense N R x N R scatters of C and of every dC.
+
+    Each lambda dC_i is the scatter of the same block products C A_i
+    that derivative_report checks.
+    """
     state = build_state(model, y, theta)
 
     def C_at(flat):
@@ -244,12 +215,13 @@ def dense_derivative_report(model, y, theta, h=1e-6):
         e[offset] = h
         return (C_at(theta.flat + e) - C_at(theta.flat - e)) / (2.0 * h)
 
+    cov = state.covariance
     worst = {}
     for pos, (role, _, _) in enumerate(model.lambda_index_map()):
-        dC = scatter(state.covariance, [b[pos] for b in state.covariance.dC_units])
+        dC = scatter(cov, [g.C @ A[pos] for g, A in zip(cov.groups, cov.A_units)])
         worst[role] = max(worst.get(role, 0.0), rel_err(dC, fd(model.K + pos)))
     for j in range(model.K):
-        dC = scatter(state.covariance, dC_dbeta(state, j))
+        dC = scatter(cov, dC_dbeta(state, j))
         worst["beta"] = max(worst.get("beta", 0.0), rel_err(dC, fd(j)))
     return worst
 
@@ -312,13 +284,25 @@ def test_A_units_equal_C_inv_dC_units(responses, precise):
     model, _, theta = build_model(12, responses, 10)
     mu = np.random.default_rng(11).uniform(0.2, 0.8, size=12 * model.R)
     cov = build_covariance(model, mu, theta.lam)
-    for g, A, dC in zip(cov.groups, cov.A_units, cov.dC_units):
+    jc, dC = dense_covariance(model, mu, theta.lam)
+    for i, dC_i in enumerate(dC):
+        assert rel_err(scatter(cov, [A[i] for A in cov.A_units]), jc.C_inv @ dC_i) < 1e-12
+    for g in cov.groups:
         assert (g.R == 1 and g.responses[0].precision is not None) == precise
-        assert rel_err(A, g.C_inv @ dC) < 1e-12
         if g.R == 1:
             sigma = g.responses[0].sigma
             assert rel_err(g.C_inv, symmetric_inverse(sigma)) < 1e-12
             assert rel_err(g.C_chol @ np.swapaxes(g.C_chol, -1, -2), sigma) < 1e-12
+
+
+def test_derivative_report_reads_A_dtau(monkeypatch):
+    # derivative_report checks each lambda dC_i as C A_i, so a wrong A_dtau shows under tau
+    comps = car_components(6, 8)
+    model, y, theta = build_model(48, [("constant", "inverse", True, comps, CAR_TAU)], 12)
+    assert derivative_report(model, y, theta)["tau"] < 1e-6
+    original = mcglm.estfun.A_dtau
+    monkeypatch.setattr(mcglm.estfun, "A_dtau", lambda *args: -original(*args))
+    assert derivative_report(model, y, theta)["tau"] > 1e-5
 
 
 @pytest.mark.parametrize(
