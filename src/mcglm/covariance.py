@@ -6,11 +6,12 @@ provides every analytic derivative of the joint covariance C that the
 estimating-function calculus needs. Under the inverse covariance link,
 Sigma_r^{-1} is read off the precision U_r (build_sigma_r), and for
 R = 1 so is each tau's A = C^{-1} dC (A_dtau). The Sigma_r derivatives
-read the Omega_r = h^{-1}(U_r) held by each ResponseCovariance and are
-symmetrized explicitly. In a parameter of Sigma_r, the diagonal block
-(r, r) of dC is dSigma_r itself; only the off-diagonal blocks, present
-for R > 1, go through the Cholesky-factor derivative, and each is
-written with its exact transpose.
+read the Omega_r = h^{-1}(U_r) and the scale S = diag(sqrt(V(mu))) held
+by each ResponseCovariance, so neither is evaluated again. In a
+parameter of Sigma_r, the diagonal block (r, r) of dC is dSigma_r
+itself; only the off-diagonal blocks, present for R > 1, go through the
+Cholesky-factor derivative, and each is written with its exact
+transpose.
 
 Every function takes one matrix per response or, batched, a stack
 (n_units, m, m) of the blocks of independent units of one size; the
@@ -25,13 +26,15 @@ import numpy as np
 
 from .errors import DomainError
 from .functions import (
+    VarianceSpec,
     cholesky_inverse,
     cholesky_lower,
     covlink_apply_inverse,
     covlink_deriv,
     triangular_inverse,
-    variance_eval,
+    variance_deriv_mu,
     variance_deriv_p,
+    variance_eval,
 )
 from .matpred import assemble_U
 from .model import rho_index_pairs
@@ -55,17 +58,20 @@ def _diag(v):
 
 
 class ResponseCovariance:
-    """Sigma_r with Omega_r = h^{-1}(U_r), its lower Cholesky factor and its inverse.
+    """Sigma_r = S Omega_r S, Omega_r = h^{-1}(U_r), its lower Cholesky factor and its inverse.
 
-    ``precision``, when given, is Sigma_r^{-1} read straight off U_r (see
-    build_sigma_r), and ``inverse`` is then that matrix; otherwise the
-    inverse comes from the factor. A factor not given is formed on first
-    use: only simulation, R > 1 and the Cholesky-factor derivative need it.
+    ``scale`` is the diagonal of S = diag(sqrt(V(mu))), ones when not
+    given. ``precision``, when given, is Sigma_r^{-1} read straight off
+    U_r (see build_sigma_r), and ``inverse`` is then that matrix;
+    otherwise the inverse comes from the factor. A factor not given is
+    formed on first use: only simulation, R > 1 and the Cholesky-factor
+    derivative need it.
     """
 
-    def __init__(self, sigma, omega, chol=None, precision=None):
+    def __init__(self, sigma, omega, chol=None, precision=None, scale=None):
         self.sigma = sigma
         self.omega = omega
+        self.scale = np.ones(sigma.shape[:-1]) if scale is None else scale
         self.precision = precision
         if chol is not None:
             self.chol = chol
@@ -174,8 +180,8 @@ def build_sigma_r(mu, var, p, tau, pred, cl):
     sigma = _sym(sigma)
     if cl.kind == "inverse" and var.kind != "poisson_tweedie" and np.all(s > 0.0):
         precision = _sym(_scaled(1.0 / s, U, 1.0 / s))
-        return ResponseCovariance(sigma=sigma, omega=omega, precision=precision)
-    return ResponseCovariance(sigma=sigma, chol=cholesky_lower(sigma), omega=omega)
+        return ResponseCovariance(sigma=sigma, omega=omega, precision=precision, scale=s)
+    return ResponseCovariance(sigma=sigma, chol=cholesky_lower(sigma), omega=omega, scale=s)
 
 
 def generalized_kronecker(responses, Sb):
@@ -265,52 +271,50 @@ def dC_dpar_r(assembly, r, dSigma_r):
     return dC
 
 
+def _scale_rule(rc, dv):
+    """dS Omega S + S Omega dS with dS = dV / 2S: dSigma_r along a change dv of V(mu).
+
+    Entries (i, j) and (j, i) add the same two products, so the result
+    is exactly symmetric.
+    """
+    half = _scaled(0.5 * dv / rc.scale, rc.omega, rc.scale)
+    return half + _T(half)
+
+
 def dSigma_dp(mu, var, p, rc):
-    """Derivative of Sigma_r in the power parameter, read from the stored Omega of rc."""
-    mu = np.asarray(mu, dtype=float)
-    s = np.sqrt(variance_eval(var, mu, p))
-    half = _scaled(0.5 * variance_deriv_p(var, mu, p) / s, rc.omega, s)
-    return _sym(half + _T(half))
+    """Derivative of Sigma_r in the power parameter, from the stored Omega and S of rc."""
+    return _scale_rule(rc, variance_deriv_p(var, mu, p))
 
 
-def dSigma_dtau(mu, var, p, rc, cl, Z):
-    """Derivative of Sigma_r in the matrix-predictor coefficient of component Z.
+def dSigma_dtau(rc, cl, Z):
+    """Derivative of Sigma_r in the matrix-predictor coefficient of the dense component Z.
 
     dOmega comes from the stored Omega of rc (Z, or -Omega Z Omega under
     the inverse covariance link), so nothing is rebuilt or inverted.
     """
-    s = np.sqrt(variance_eval(var, np.asarray(mu, dtype=float), p))
-    return _sym(_scaled(s, covlink_deriv(cl, rc.omega, Z), s))
+    return _sym(_scaled(rc.scale, covlink_deriv(cl, rc.omega, Z), rc.scale))
 
 
 def dSigma_dmu_dir(mu, var, p, rc, dmu):
     """Derivative of Sigma_r along a mean direction dmu (chain rule for beta).
 
-    Omega does not depend on mu, so the stored Omega of rc is reused.
-    For poisson_tweedie only the power component enters the sandwich;
-    the diag(mu) term contributes diag(dmu) directly.
+    Omega does not depend on mu, so only S moves, along dV = V'(mu) dmu
+    of the power component of V; the poisson_tweedie diag(mu) term
+    contributes diag(dmu) directly.
     """
-    mu = np.asarray(mu, dtype=float)
-    dmu = np.asarray(dmu, dtype=float)
     if not var.depends_on_mu:
         return np.zeros(rc.sigma.shape)
-    if var.kind == "binomial":
-        dv = (1.0 - 2.0 * mu) * dmu
-    else:  # power component of tweedie_power / poisson_tweedie
-        dv = p * mu ** (p - 1.0) * dmu
-    s = np.sqrt(variance_eval(var, mu, p))
-    half = _scaled(0.5 * dv / s, rc.omega, s)
-    out = half + _T(half)
+    power = VarianceSpec("tweedie_power") if var.kind == "poisson_tweedie" else var
+    out = _scale_rule(rc, variance_deriv_mu(power, mu, p) * dmu)
     if var.kind == "poisson_tweedie":
         out = out + _diag(dmu)
-    return _sym(out)
+    return out
 
 
-def A_dtau(mu, var, p, rc, Z):
-    """A = C^{-1} dC in the matrix-predictor coefficient of component Z, from the precision.
+def A_dtau(rc, Z):
+    """A = C^{-1} dC in the coefficient of the dense component Z, from the precision.
 
     For R = 1 with rc.precision = S^{-1} U S^{-1}, dC = -S Omega Z Omega S
     and U Omega = I, so A = -S^{-1} (Z Omega) S: one product, no dC.
     """
-    s = np.sqrt(variance_eval(var, np.asarray(mu, dtype=float), p))
-    return _scaled(-1.0 / s, Z.data @ rc.omega, s)
+    return _scaled(-1.0 / rc.scale, Z @ rc.omega, rc.scale)

@@ -1,8 +1,8 @@
 """Quasi-score and Pearson estimating functions and the Godambe calculus.
 
 The central object is an EstimatingState: the full evaluation of the
-model at one theta. Its mean half holds the means, residuals and mean
-gradient; its covariance half, a StateCovariance, holds the joint
+model at one theta. Its mean half holds the means, residuals, mean
+gradient and link-saturation flag; its covariance half, a StateCovariance, holds the joint
 covariance and, formed on first use, A_i = C^{-1} dC_i in each lambda.
 When no response's variance depends on mu, C does not depend on beta,
 and states that differ only in beta share one covariance half
@@ -80,7 +80,6 @@ class StateCovariance:
         for grp, joint in zip(model.unit_groups, self.groups):
             A = np.empty((model.Q,) + joint.C_inv.shape)
             precise = joint.R == 1 and joint.responses[0].precision is not None
-            mu = [self.mu[r * model.N + grp.index] for r in range(model.R)]
             dC = {}
             for i, (role, idx, d) in enumerate(model.lambda_index_map()):
                 if role == "rho":
@@ -88,13 +87,13 @@ class StateCovariance:
                     continue
                 resp, rc = model.responses[idx], joint.responses[idx]
                 if role == "power":
-                    dS = dSigma_dp(mu[idx], resp.variance, p[idx], rc)
+                    dS = dSigma_dp(self.mu[idx * model.N + grp.index], resp.variance, p[idx], rc)
                 else:
-                    Z = grp.predictors[idx].components[d]
+                    Z = grp.predictors[idx].components[d].data
                     if precise:
-                        A[i] = A_dtau(mu[idx], resp.variance, p[idx], rc, Z)
+                        A[i] = A_dtau(rc, Z)
                         continue
-                    dS = dSigma_dtau(mu[idx], resp.variance, p[idx], rc, resp.covlink, Z)
+                    dS = dSigma_dtau(rc, resp.covlink, Z)
                 dC[i] = dC_dpar_r(joint, idx, dS)
             if dC:
                 A[list(dC)] = joint.C_inv @ np.stack(list(dC.values()))
@@ -106,7 +105,8 @@ class StateCovariance:
 class EstimatingState:
     """Model evaluated at one theta: everything the estimating functions need.
 
-    The mean half (mu, the residual, the mean gradient D) is held here;
+    The mean half (mu, the residual, the mean gradient D and whether any
+    inverse link saturated there) is held here;
     the covariance half is a StateCovariance. The ``*_units`` attributes
     hold one entry per size of unit: the rows of each unit of D, of the
     residual r, of u = C^{-1} r and of G = C^{-1} D, computed on first use.
@@ -118,7 +118,7 @@ class EstimatingState:
     mu: np.ndarray = field(repr=False)          # NR stacked means
     residual: np.ndarray = field(repr=False)    # y - mu
     D: np.ndarray = field(repr=False)           # NR x K mean gradient
-    dmu_deta: tuple = field(repr=False)         # per-response derivative vectors
+    saturated: bool
     covariance: StateCovariance = field(repr=False)
 
     @property
@@ -157,30 +157,33 @@ class EstimatingState:
         """
         model = self.model
         theta = self.theta.with_beta(beta)
-        mu, D, dmu_deta = _mean_half(model, theta.beta)
+        mu, D, saturated = _mean_half(model, theta.beta)
         covariance = self.covariance
         if any(resp.variance.depends_on_mu for resp in model.responses):
             covariance = build_covariance(model, mu, theta.lam)
         return replace(
-            self, theta=theta, mu=mu, residual=self.y - mu, D=D, dmu_deta=dmu_deta,
+            self, theta=theta, mu=mu, residual=self.y - mu, D=D, saturated=saturated,
             covariance=covariance,
         )
 
 
 def _mean_half(model, beta):
-    """The stacked means, the mean gradient D and each response's dmu/deta at beta."""
+    """The stacked means, the mean gradient D and whether any inverse link saturated, at beta.
+
+    The one place the fit and the simulators evaluate g^{-1}(X beta).
+    """
     N, K = model.N, model.K
     slices = model.beta_slices()
     mu = np.empty(N * model.R)
-    dmu_deta = []
     D = np.zeros((N * model.R, K))
+    saturated = False
     for r, resp in enumerate(model.responses):
         eta = resp.design @ beta[slices[r]]
+        mu[r * N : (r + 1) * N], sat = link_inverse(resp.link, eta, return_saturation=True)
+        saturated = saturated or sat
         d_r = link_inverse_deriv(resp.link, eta)
-        mu[r * N : (r + 1) * N] = link_inverse(resp.link, eta)
-        dmu_deta.append(d_r)
         D[r * N : (r + 1) * N, slices[r]] = d_r[:, None] * resp.design
-    return mu, D, tuple(dmu_deta)
+    return mu, D, saturated
 
 
 def build_covariance(model, mu, lam):
@@ -216,7 +219,7 @@ def build_state(model, y, theta):
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != model.N * model.R:
         raise ValueError(f"stacked response has length {y.size}, expected {model.N * model.R}")
-    mu, D, dmu_deta = _mean_half(model, theta.beta)
+    mu, D, saturated = _mean_half(model, theta.beta)
     return EstimatingState(
         model=model,
         theta=theta,
@@ -224,7 +227,7 @@ def build_state(model, y, theta):
         mu=mu,
         residual=y - mu,
         D=D,
-        dmu_deta=dmu_deta,
+        saturated=saturated,
         covariance=build_covariance(model, mu, theta.lam),
     )
 
@@ -232,21 +235,19 @@ def build_state(model, y, theta):
 def dC_dbeta(state, j):
     """Derivative of C in the j-th regression coefficient (chain rule via mu).
 
-    One stack of unit blocks per unit size, as StateCovariance.A_units.
+    The mean direction is column j of D. One stack of unit blocks per
+    unit size, as StateCovariance.A_units.
     """
     model = state.model
-    N = model.N
-    slices = model.beta_slices()
-    owner = next(r for r, sl in enumerate(slices) if sl.start <= j < sl.stop)
+    owner = next(r for r, sl in enumerate(model.beta_slices()) if sl.start <= j < sl.stop)
     resp = model.responses[owner]
-    local = j - slices[owner].start
     _, p, _ = model.split_lambda(state.theta.lam)
-    dmu = state.dmu_deta[owner] * resp.design[:, local]
     out = []
     for grp, joint in zip(model.unit_groups, state.covariance.groups):
-        rc = joint.responses[owner]
-        mu_r = state.mu[owner * N + grp.index]
-        dS = dSigma_dmu_dir(mu_r, resp.variance, p[owner], rc, dmu[grp.index])
+        rows = owner * model.N + grp.index
+        dS = dSigma_dmu_dir(
+            state.mu[rows], resp.variance, p[owner], joint.responses[owner], state.D[rows, j]
+        )
         out.append(dC_dpar_r(joint, owner, dS))
     return tuple(out)
 

@@ -212,14 +212,12 @@ def covlink_apply_inverse(cl, U):
 
 
 def covlink_deriv(cl, omega, Z):
-    """Directional derivative of Omega = h^{-1}(U) along a structure matrix Z.
+    """Directional derivative of Omega = h^{-1}(U) along a dense structure matrix Z.
 
     Z under the identity link (returned as is, not copied), -Omega Z Omega
     under the inverse link; omega is the value h^{-1}(U) already computed,
     so nothing is inverted. Z and omega may be stacks of unit blocks.
     """
-    if hasattr(Z, "dense"):  # a structure matrix, or its unit blocks
-        Z = Z.data.toarray() if Z.is_sparse else Z.data
     if cl.kind == "identity":
         return Z
     out = -omega @ Z @ omega

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .estfun import build_covariance
-from .functions import link_inverse
+from .estfun import _mean_half, build_covariance
 
 
 @dataclass(frozen=True)
@@ -30,13 +29,8 @@ class SimSpec:
 
 
 def stacked_mean(model, theta):
-    """Stacked mean vector M at theta."""
-    N = model.N
-    mean = np.empty(N * model.R)
-    for r, (resp, sl) in enumerate(zip(model.responses, model.beta_slices())):
-        eta = resp.design @ theta.beta[sl]
-        mean[r * N : (r + 1) * N] = link_inverse(resp.link, eta)
-    return mean
+    """Stacked mean vector M at theta, from the estimating state's mean half."""
+    return _mean_half(model, theta.beta)[0]
 
 
 def simulate_gaussian(spec):

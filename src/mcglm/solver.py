@@ -323,13 +323,6 @@ def fit(model, y, opts=None):
         "its standard error is reported as 0"
         for i in np.flatnonzero(variances < 0.0)
     )
-    saturated = False
-    slices = model.beta_slices()
-    for r, resp in enumerate(model.responses):
-        _, sat = link_inverse(
-            resp.link, resp.design @ theta.beta[slices[r]], return_saturation=True
-        )
-        saturated = saturated or sat
     return FitResult(
         theta_hat=theta,
         godambe=god,
@@ -339,6 +332,6 @@ def fit(model, y, opts=None):
         n_iter=n_iter,
         n_alpha_escalations=sum(t.pd_retries for t in trace),
         fitted=state.mu.copy(),
-        saturated=saturated,
+        saturated=state.saturated,
         warnings=warnings,
     )

@@ -92,12 +92,11 @@ def dense_covariance(model, mu, lam):
         if role == "rho":
             dC.append(dC_drho(jc, r))
             continue
-        mu_r = mu[r * N : (r + 1) * N]
         if role == "power":
-            dS = dSigma_dp(mu_r, resps[r].variance, p[r], rcs[r])
+            dS = dSigma_dp(mu[r * N : (r + 1) * N], resps[r].variance, p[r], rcs[r])
         else:
             Z = resps[r].predictor.components[d]
-            dS = dSigma_dtau(mu_r, resps[r].variance, p[r], rcs[r], resps[r].covlink, Z)
+            dS = dSigma_dtau(rcs[r], resps[r].covlink, Z.dense())
         dC.append(dC_dpar_r(jc, r, dS))
     return jc, dC
 
@@ -110,8 +109,8 @@ def dense_oracle(state):
     jc, dC = dense_covariance(model, mu, state.theta.lam)
     dC_beta = []
     for r, (resp, sl) in enumerate(zip(model.responses, model.beta_slices())):
-        for local in range(sl.stop - sl.start):
-            dmu = state.dmu_deta[r] * resp.design[:, local]
+        for j in range(sl.start, sl.stop):
+            dmu = state.D[r * N : (r + 1) * N, j]
             mu_r = mu[r * N : (r + 1) * N]
             dS = dSigma_dmu_dir(mu_r, resp.variance, p[r], jc.responses[r], dmu)
             dC_beta.append(dC_dpar_r(jc, r, dS))

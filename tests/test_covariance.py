@@ -12,9 +12,11 @@ from mcglm import (
     SolverOptions,
     VarianceSpec,
     build_sigma_r,
+    build_state,
     fit,
     generalized_kronecker,
     make_theta,
+    mat_compound_symmetry,
     mat_identity,
     sigma_b_from_rho,
     simulate_gaussian,
@@ -290,6 +292,21 @@ class TestDCdparR:
             assert rel_err(dC_dpar_r(jc, r, direction), (Cp - Cm) / (2 * h)) < 1e-6
 
 
+def car_inverse_model():
+    """R = 1 6x8 CAR model under the inverse covariance link: (model, theta, one Gaussian draw)."""
+    comps = car_components(6, 8)
+    N = comps[0].dim
+    resp = ResponseSpec(
+        "y", LinkSpec("identity"), VarianceSpec("constant"), CovLinkSpec("inverse"),
+        np.ones((N, 1)), MatrixPredictor(comps),
+    )
+    model = ModelSpec((resp,))
+    tau = np.array([1.0, -0.4, 0.8, -0.24, 0.5, 0.1])
+    theta = make_theta(model, np.array([1.0]), model.pack_lambda([], [1.0], [tau]))
+    y = simulate_gaussian(SimSpec(model, theta, 1, seed=99))[0]
+    return model, theta, y
+
+
 class TestCholDerivUse:
     """Only the off-diagonal blocks of dC, present for R > 1, take a Cholesky derivative."""
 
@@ -313,16 +330,7 @@ class TestCholDerivUse:
 
     def test_single_response_car_fit_forms_none(self, monkeypatch):
         # under the inverse link each tau's A_i is read off Z: no dC_i is formed at all
-        comps = car_components(6, 8)
-        N = comps[0].dim
-        resp = ResponseSpec(
-            "y", LinkSpec("identity"), VarianceSpec("constant"), CovLinkSpec("inverse"),
-            np.ones((N, 1)), MatrixPredictor(comps),
-        )
-        model = ModelSpec((resp,))
-        tau = np.array([1.0, -0.4, 0.8, -0.24, 0.5, 0.1])
-        theta = make_theta(model, np.array([1.0]), model.pack_lambda([], [1.0], [tau]))
-        y = simulate_gaussian(SimSpec(model, theta, 1, seed=99))[0]
+        model, _, y = car_inverse_model()
         opts = SolverOptions(algorithm="reciprocal", max_iter=500)
         calls = self.counted_fit(monkeypatch, model, y, opts)
         assert calls == {"chol_deriv": 0, "dC_dpar_r": 0, "dSigma_dtau": 0}
@@ -332,6 +340,51 @@ class TestCholDerivUse:
         y = simulate_gaussian(SimSpec(model, theta, 1, seed=29))[0]
         calls = self.counted_fit(monkeypatch, model, y, SolverOptions())
         assert calls["dC_dpar_r"] > 0 and calls["chol_deriv"] > 0
+
+
+class TestScaleUse:
+    """A state evaluates V(mu) once per response and unit size; each dSigma_r reads the stored S."""
+
+    def counted_state(self, monkeypatch, model, theta, y):
+        calls = []
+        original = mcglm.covariance.variance_eval
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(mcglm.covariance, "variance_eval", counted)
+        state = build_state(model, y, theta)
+        assert len(state.covariance.A_units) == len(model.unit_groups)
+        return len(calls)
+
+    def test_single_response_car(self, monkeypatch):
+        # inverse link, R = 1: every tau's A_i comes from A_dtau
+        model, theta, y = car_inverse_model()
+        assert len(model.unit_groups) == 1
+        assert self.counted_state(monkeypatch, model, theta, y) == 1
+
+    def test_two_response_identity_link(self, monkeypatch):
+        # units of two sizes; response 2's estimated power goes through dSigma_dp
+        groups = np.array([0, 0, 1, 1, 1, 2, 2, 3, 3, 3])
+        N = groups.size
+        X = np.column_stack([np.ones(N), np.linspace(-1.0, 1.0, N)])
+        pred = MatrixPredictor((mat_identity(N), mat_compound_symmetry(groups)))
+        model = ModelSpec((
+            ResponseSpec(
+                "y1", LinkSpec("identity"), VarianceSpec("constant"), CovLinkSpec("identity"),
+                X, pred,
+            ),
+            ResponseSpec(
+                "y2", LinkSpec("log"), VarianceSpec("tweedie_power", power_known=False),
+                CovLinkSpec("identity"), X, pred,
+            ),
+        ))
+        lam = model.pack_lambda([0.3], [1.0, 1.2], [[1.0, 0.2], [0.5, 0.1]])
+        theta = make_theta(model, np.array([1.0, 0.5, 0.3, -0.2]), lam)
+        y = simulate_gaussian(SimSpec(model, theta, 1, seed=7))[0]
+        assert len(model.unit_groups) == 2
+        assert self.counted_state(monkeypatch, model, theta, y) == model.R * 2
 
 
 class TestDSigma:
@@ -373,7 +426,7 @@ class TestDSigma:
         pred = MatrixPredictor((mat_identity(3), StructureMatrix.from_dense(Z)))
         var = VarianceSpec("constant")
         rc = build_sigma_r(np.ones(3), var, 1.0, [1.0, 0.1], pred, self.cl)
-        dS = dSigma_dtau(np.ones(3), var, 1.0, rc, self.cl, pred.components[1])
+        dS = dSigma_dtau(rc, self.cl, pred.components[1].dense())
         assert np.allclose(dS, 0.5 * (Z + Z.T), atol=1e-12)
 
     def test_dtau_inverse_covlink_at_identity(self):
@@ -382,7 +435,7 @@ class TestDSigma:
         pred = MatrixPredictor((mat_identity(3), Zs))
         var, cl = VarianceSpec("constant"), CovLinkSpec("inverse")
         rc = build_sigma_r(np.ones(3), var, 1.0, [1.0, 0.0], pred, cl)
-        dS = dSigma_dtau(np.ones(3), var, 1.0, rc, cl, Zs)
+        dS = dSigma_dtau(rc, cl, Zs.dense())
         assert np.allclose(dS, -Zs.dense(), atol=1e-12)
 
     def test_dtau_fd(self):
@@ -403,7 +456,7 @@ class TestDSigma:
 
                 fd = (f(tau[d] + h) - f(tau[d] - h)) / (2 * h)
                 rc = build_sigma_r(mu, var, 1.4, tau, pred, cl)
-                dS = dSigma_dtau(mu, var, 1.4, rc, cl, pred.components[d])
+                dS = dSigma_dtau(rc, cl, pred.components[d].dense())
                 assert rel_err(dS, fd) < 1e-6
 
     def test_dmu_constant_variance_is_zero(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mcglm.solver
 from mcglm import (
     CovLinkSpec,
     LinkSpec,
@@ -10,6 +11,7 @@ from mcglm import (
     SingularMatrixError,
     VarianceSpec,
     build_state,
+    fit,
     make_theta,
     mat_identity,
 )
@@ -27,6 +29,7 @@ from mcglm.estfun import (
     sensitivity_lambda,
     variability_lambda,
 )
+from mcglm.functions import LOG_ETA_BOUND
 
 from helpers import dense_oracle, random_instance, rel_err, scatter, weight_matrix
 
@@ -406,3 +409,45 @@ class TestGodambe:
         state = build_state(model, y, make_theta(model, np.array([0.0]), lam))
         res = build_godambe(state)
         assert res.J_inv[0, 0] == pytest.approx(tau0 / N, rel=1e-10)
+
+
+class TestSaturation:
+    """EstimatingState.saturated: whether an inverse link clamped eta at the state's beta."""
+
+    def test_log_link_past_the_bound(self):
+        N = 4
+        resp = ResponseSpec(
+            "y", LinkSpec("log"), VarianceSpec("constant"), CovLinkSpec("identity"),
+            np.ones((N, 1)), MatrixPredictor((mat_identity(N),)),
+        )
+        model = ModelSpec((resp,))
+        lam = model.pack_lambda([], [1.0], [[1.0]])
+        y = np.ones(N)
+        above = build_state(model, y, make_theta(model, np.array([LOG_ETA_BOUND + 1.0]), lam))
+        below = build_state(model, y, make_theta(model, np.array([LOG_ETA_BOUND - 1.0]), lam))
+        assert above.saturated is True
+        assert below.saturated is False
+        assert below.with_beta(above.theta.beta).saturated is True
+        assert above.with_beta(below.theta.beta).saturated is False
+
+    def test_fit_reports_its_final_state(self, monkeypatch):
+        # one design row far out puts eta past the logit bound at the estimate
+        N = 30
+        rng = np.random.default_rng(31)
+        x = rng.uniform(-1.0, 1.0, N)
+        x[0] = 100.0
+        X = np.column_stack([np.ones(N), x])
+        resp = ResponseSpec(
+            "y", LinkSpec("logit"), VarianceSpec("constant"), CovLinkSpec("identity"),
+            X, MatrixPredictor((mat_identity(N),)),
+        )
+        y = 1.0 / (1.0 + np.exp(-(0.2 + 0.5 * x))) + 0.05 * rng.standard_normal(N)
+        final = []
+        original = mcglm.solver.build_godambe
+        monkeypatch.setattr(
+            mcglm.solver, "build_godambe", lambda state: final.append(state) or original(state)
+        )
+        res = fit(ModelSpec((resp,)), y)
+        assert res.converged
+        assert final[-1].saturated is True
+        assert res.saturated is True
