@@ -40,10 +40,9 @@ def derivative_report(model, y, theta):
     """
     state = build_state(model, y, theta)
     cov = state.covariance
-    families = ["beta"] * model.K + [family for family, _, _ in model.lambda_index_map()]
     worst = {}
-    for offset, family in enumerate(families):
-        if offset < model.K:
+    for offset, (family, _, _) in enumerate(model.layout):
+        if family == "beta":
             analytic = dC_dbeta(state, offset)
         else:
             analytic = [g.C @ A[offset - model.K] for g, A in zip(cov.groups, cov.A_units)]

@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import DomainError
+from .errors import DomainError, FactorizationError, McglmError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -230,15 +230,10 @@ def write_fit_outputs(out_dir, model, result):
             w.writerow([name, _fmt(e), _fmt(s), _fmt(z)])
 
     if model.R > 1:
-        from .covariance import sigma_b_from_rho
         from .model import rho_index_pairs
 
         rho, _, _ = model.split_lambda(result.theta_hat.lam)
-        Sb = sigma_b_from_rho(rho, model.R)
-        rho_se = {}
-        for pos, (role, i, _) in enumerate(model.lambda_index_map()):
-            if role == "rho":
-                rho_se[i] = se[model.K + pos]
+        rho_se = {i: s for (role, i, _), s in zip(model.layout, se) if role == "rho"}
         with open(out / "sigma_b.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["row", "col", "estimate", "std_error"])
@@ -248,7 +243,7 @@ def write_fit_outputs(out_dir, model, result):
                     [
                         model.responses[a].name,
                         model.responses[b].name,
-                        _fmt(Sb[a, b]),
+                        _fmt(rho[i]),
                         _fmt(s) if s is not None else "",
                     ]
                 )
@@ -287,23 +282,20 @@ def write_fit_outputs(out_dir, model, result):
         fh.write("\n")
 
 
-def cmd_fit(args):
+def _load(args):
+    """The spec document, then the model, stacked responses, CSV columns and kept rows."""
     doc = load_spec_document(args.spec)
     data_path = resolve_data_path(args, doc)
-    model, y, _, _ = build_model_and_data(doc, data_path, Path(args.spec).parent)
+    return (doc, *build_model_and_data(doc, data_path, Path(args.spec).parent))
+
+
+def cmd_fit(args):
+    doc, model, y, _, _ = _load(args)
     opts = solver_options(doc, {"max_iter": args.max_iter, "algorithm": args.alg})
 
-    from .errors import FactorizationError, McglmError
     from .solver import fit
 
-    try:
-        result = fit(model, y, opts)
-    except McglmError as exc:
-        print(f"error: fit failed: {exc}", file=sys.stderr)
-        nonpd = isinstance(exc, FactorizationError) or isinstance(
-            exc.__cause__, FactorizationError
-        )
-        return EXIT_NONPD if nonpd else EXIT_NOCONV
+    result = fit(model, y, opts)
     write_fit_outputs(args.out, model, result)
     if not result.converged:
         print(
@@ -340,41 +332,31 @@ def _read_theta(model, path):
         p = vector("p", doc.get("p", [1.0] * model.R))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: bad theta document: {exc}")
-    if len(beta) != model.R or len(tau) != model.R or p.size != model.R:
-        raise InputError(f"{path}: theta does not match the model's {model.R} responses")
+    if len(beta) != model.R:
+        raise InputError(
+            f"{path}: beta has {len(beta)} blocks, expected one per response ({model.R})"
+        )
     for b, resp in zip(beta, model.responses):
         if b.size != resp.k:
             raise InputError(
                 f"{path}: beta for {resp.name!r} has length {b.size}, expected {resp.k}"
             )
-    for t, resp in zip(tau, model.responses):
-        if t.size != resp.predictor.D_plus_1:
-            raise InputError(
-                f"{path}: tau for {resp.name!r} has length {t.size}, "
-                f"expected {resp.predictor.D_plus_1}"
-            )
-    if model.rho_free and rho.size != model.n_rho:
-        raise InputError(f"{path}: rho has length {rho.size}, expected {model.n_rho}")
-    lam = model.pack_lambda(rho, p, tau)
+    try:
+        lam = model.pack_lambda(rho, p, tau)
+    except DomainError as exc:
+        raise InputError(f"{path}: {exc}")
     return make_theta(model, np.concatenate(beta), lam)
 
 
 def cmd_simulate(args):
-    doc = load_spec_document(args.spec)
-    data_path = resolve_data_path(args, doc)
-    model, _, cols, keep = build_model_and_data(doc, data_path, Path(args.spec).parent)
+    _, model, _, cols, keep = _load(args)
     theta = _read_theta(model, args.theta)
 
     import numpy as np
 
-    from .errors import FactorizationError
     from .simulate import SimSpec, simulate_gaussian
 
-    try:
-        reps = simulate_gaussian(SimSpec(model, theta, args.n, args.seed))
-    except FactorizationError as exc:
-        print(f"error: non-positive-definite covariance: {exc}", file=sys.stderr)
-        return EXIT_NONPD
+    reps = simulate_gaussian(SimSpec(model, theta, args.n, args.seed))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -396,14 +378,11 @@ def cmd_simulate(args):
 
 
 def cmd_check_derivatives(args):
-    doc = load_spec_document(args.spec)
-    data_path = resolve_data_path(args, doc)
-    model, y, _, _ = build_model_and_data(doc, data_path, Path(args.spec).parent)
+    _, model, y, _, _ = _load(args)
 
     import numpy as np
 
     from .checks import derivative_probe
-    from .errors import FactorizationError
     from .model import make_theta
     from .solver import initialize
 
@@ -424,11 +403,7 @@ def cmd_check_derivatives(args):
                 lam[pos] = 0.05 * abs(base.lam[pos - d]) * rng.standard_normal()
         return make_theta(model, beta, lam)
 
-    try:
-        report = derivative_probe(model, y, draw)
-    except FactorizationError as exc:
-        print(f"error: no positive-definite probe point found: {exc}", file=sys.stderr)
-        return EXIT_NONPD
+    report = derivative_probe(model, y, draw)
 
     failed = []
     for family in sorted(report):
@@ -559,6 +534,11 @@ def main(argv=None):
     except (InputError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except McglmError as exc:
+        # a solver failure exits 2, unless a non-PD covariance caused it
+        print(f"error: {args.command} failed: {exc}", file=sys.stderr)
+        nonpd = any(isinstance(e, FactorizationError) for e in (exc, exc.__cause__))
+        return EXIT_NONPD if nonpd else EXIT_NOCONV
     finally:
         for var, value in saved.items():
             if value is None:

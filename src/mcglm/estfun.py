@@ -239,7 +239,7 @@ def dC_dbeta(state, j):
     unit size, as StateCovariance.A_units.
     """
     model = state.model
-    owner = next(r for r, sl in enumerate(model.beta_slices()) if sl.start <= j < sl.stop)
+    _, owner, _ = model.layout[j]
     resp = model.responses[owner]
     _, p, _ = model.split_lambda(state.theta.lam)
     out = []

@@ -1,5 +1,6 @@
 """Model specification and the theta = (beta, lambda) parameter layout."""
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -92,7 +93,7 @@ class ModelSpec:
     def N(self):
         return self.responses[0].predictor.dim
 
-    @property
+    @cached_property
     def K(self):
         return sum(r.k for r in self.responses)
 
@@ -122,87 +123,88 @@ class ModelSpec:
             for index in unit_partition(comps)
         )
 
+    @cached_property
+    def layout(self):
+        """theta's layout, built on first use and kept: one (role, r, d) per position.
+
+        ``role`` is 'beta', 'rho', 'power' or 'tau'; ``r`` is the response,
+        or for rho the index of its pair in rho_index_pairs(R); ``d`` is the
+        local index (a beta's design column, a tau's component), else None.
+        beta comes first, response by response, then lambda = (rho, p, tau)
+        with only the free rho and powers.
+        """
+        resps = tuple(enumerate(self.responses))
+        return tuple(
+            [("beta", r, j) for r, resp in resps for j in range(resp.k)]
+            + [("rho", i, None) for i in range(self.n_rho) if self.rho_free]
+            + [("power", r, None) for r, resp in resps if resp.power_free]
+            + [("tau", r, d) for r, resp in resps for d in range(resp.predictor.D_plus_1)]
+        )
+
     def beta_slices(self):
-        out, pos = [], 0
-        for r in self.responses:
-            out.append(slice(pos, pos + r.k))
-            pos += r.k
-        return out
+        owners = [r for _, r, _ in self.layout[: self.K]]
+        return [slice(bisect_left(owners, r), bisect_right(owners, r)) for r in range(self.R)]
 
     def lambda_index_map(self):
         """Per lambda position: ('rho', i, None) | ('power', r, None) | ('tau', r, d)."""
-        entries = []
-        if self.rho_free:
-            for i in range(self.n_rho):
-                entries.append(("rho", i, None))
-        for r, resp in enumerate(self.responses):
-            if resp.power_free:
-                entries.append(("power", r, None))
-        for r, resp in enumerate(self.responses):
-            for d in range(resp.predictor.D_plus_1):
-                entries.append(("tau", r, d))
-        return entries
+        return self.layout[self.K :]
 
     @property
     def Q(self):
-        return len(self.lambda_index_map())
+        return len(self.layout) - self.K
 
     def split_lambda(self, lam):
         """Unpack lambda into (rho, p per response, tau per response)."""
-        lam = np.asarray(lam, dtype=float)
-        if lam.size != self.Q:
-            raise DomainError(f"lambda has length {lam.size}, expected {self.Q}")
-        pos = 0
-        if self.rho_free:
-            rho = lam[: self.n_rho].copy()
-            pos = self.n_rho
-        elif self.rho_fixed is not None:
-            rho = self.rho_fixed.copy()
-        else:
-            rho = np.zeros(self.n_rho)
-        p = np.empty(self.R)
-        for r, resp in enumerate(self.responses):
-            if resp.power_free:
-                p[r] = lam[pos]
-                pos += 1
+        lam, lam_map = np.asarray(lam, dtype=float), self.lambda_index_map()
+        if lam.size != len(lam_map):
+            raise DomainError(f"lambda has length {lam.size}, expected {len(lam_map)}")
+        rho = [0.0] * self.n_rho if self.rho_fixed is None else self.rho_fixed.tolist()
+        p = [resp.power_value for resp in self.responses]
+        tau = [[] for _ in self.responses]
+        for value, (role, r, _) in zip(lam.tolist(), lam_map):
+            if role == "rho":
+                rho[r] = value
+            elif role == "power":
+                p[r] = value
             else:
-                p[r] = resp.power_value
-        tau = []
-        for resp in self.responses:
-            d1 = resp.predictor.D_plus_1
-            tau.append(lam[pos : pos + d1].copy())
-            pos += d1
-        return rho, p, tau
+                tau[r].append(value)
+        return np.array(rho, dtype=float), np.array(p, dtype=float), [np.array(t) for t in tau]
 
     def pack_lambda(self, rho, p, tau):
-        """Inverse of split_lambda (free entries only)."""
-        parts = []
-        if self.rho_free:
-            parts.append(np.asarray(rho, dtype=float))
-        for r, resp in enumerate(self.responses):
-            if resp.power_free:
-                parts.append(np.atleast_1d(float(np.asarray(p)[r])))
-        for t in tau:
-            parts.append(np.asarray(t, dtype=float))
-        if not parts:
-            return np.empty(0)
-        return np.concatenate(parts)
+        """Inverse of split_lambda: the free entries of rho, p and tau in layout order.
+
+        ``p`` holds one power per response (a fixed one is not read) and
+        ``tau`` one block per response. A block whose length disagrees
+        with the layout raises DomainError naming the block.
+        """
+        rho, p = np.atleast_1d(rho).astype(float), np.atleast_1d(p).astype(float)
+        tau = [np.atleast_1d(t).astype(float) for t in tau]
+        if self.rho_free and rho.size != self.n_rho:
+            raise DomainError(f"rho has length {rho.size}, expected {self.n_rho}")
+        if p.size != self.R:
+            raise DomainError(f"p has length {p.size}, expected one per response ({self.R})")
+        if len(tau) != self.R:
+            raise DomainError(f"tau has {len(tau)} blocks, expected one per response ({self.R})")
+        for t, resp in zip(tau, self.responses):
+            if t.size != resp.predictor.D_plus_1:
+                raise DomainError(
+                    f"tau for {resp.name!r} has length {t.size}, "
+                    f"expected {resp.predictor.D_plus_1}"
+                )
+        lam = np.empty(self.Q)
+        for pos, (role, r, d) in enumerate(self.lambda_index_map()):
+            lam[pos] = rho[r] if role == "rho" else p[r] if role == "power" else tau[r][d]
+        return lam
 
     def parameter_names(self):
-        names = []
-        for resp in self.responses:
-            for j in range(resp.k):
-                names.append(f"{resp.name}:beta{j}")
+        names = [resp.name for resp in self.responses]
         pairs = rho_index_pairs(self.R)
-        for role, r, d in self.lambda_index_map():
-            if role == "rho":
-                a, b = pairs[r]
-                names.append(f"rho({self.responses[a].name},{self.responses[b].name})")
-            elif role == "power":
-                names.append(f"{self.responses[r].name}:p")
-            else:
-                names.append(f"{self.responses[r].name}:tau{d}")
-        return names
+        return [
+            f"rho({names[pairs[r][0]]},{names[pairs[r][1]]})" if role == "rho"
+            else f"{names[r]}:p" if role == "power"
+            else f"{names[r]}:{role}{d}"
+            for role, r, d in self.layout
+        ]
 
 
 @dataclass(frozen=True)

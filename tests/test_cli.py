@@ -332,22 +332,27 @@ class TestSimulate:
 
     def test_bad_theta_length_exits_1(self, tmp_path, capsys):
         spec, _, _ = gaussian_fixture(tmp_path)
-        theta = self.theta_doc(tmp_path, beta=((2.0,),))
-        code = main(
-            [
-                "simulate",
-                "--spec",
-                str(spec),
-                "--theta",
-                str(theta),
-                "--n",
-                "1",
-                "--out",
-                str(tmp_path / "o"),
-            ]
-        )
-        assert code == 1
-        assert "beta" in capsys.readouterr().err
+        doc = json.loads(spec.read_text())
+        # R = 2 for the long rho: x becomes the second response
+        doc["responses"].append(dict(doc["responses"][0], name="x", design_columns=["one"]))
+        spec2 = tmp_path / "spec2.json"
+        write_json(spec2, doc)
+        cases = [
+            (spec, {"beta": [[2.0]], "tau": [[1.5]]}, "beta"),
+            (spec, {"beta": [[2.0, 0.7]], "tau": [[]]}, "tau"),
+            (spec, {"beta": [[2.0, 0.7]], "tau": [[1.5]], "p": []}, "p"),
+            (spec2, {"beta": [[2.0, 0.7], [0.0]], "tau": [[1.5], [1.0]], "rho": [0.1, 0.2]},
+             "rho"),
+        ]
+        for spec_path, entries, block in cases:
+            theta = tmp_path / "theta.json"
+            write_json(theta, entries)
+            code = main(["simulate", "--spec", str(spec_path), "--theta", str(theta),
+                         "--n", "1", "--out", str(tmp_path / "o")])
+            assert code == 1
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert f": {block} " in lines[0]
 
     def test_non_pd_theta_exits_3(self, tmp_path):
         spec, _, _ = gaussian_fixture(tmp_path)
@@ -485,6 +490,23 @@ def test_coincident_inverse_distance_positions_exit_1(tmp_path, command):
     assert "coincident positions" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["fit", "check-derivatives"])
+def test_rank_deficient_design_exits_2(tmp_path, command):
+    # two constant design columns: the starting fit cannot solve for beta
+    spec, _, _ = gaussian_fixture(tmp_path)
+    rows = [line.split(",") for line in (tmp_path / "data.csv").read_text().splitlines()]
+    write_csv(tmp_path / "data.csv", rows[0] + ["one2"], [row + ["1"] for row in rows[1:]])
+    doc = json.loads(spec.read_text())
+    doc["responses"][0]["design_columns"] = ["one", "one2"]
+    write_json(spec, doc)
+    args = ["--out", str(tmp_path / "o")] if command == "fit" else []
+    proc = run_cli(command, "--spec", str(spec), *args)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {command} failed: ")
+
+
 class TestCheckDerivatives:
     def test_clean_model_exits_0(self, tmp_path, capsys):
         spec, _, _ = gaussian_fixture(tmp_path)
@@ -506,6 +528,17 @@ class TestCheckDerivatives:
         monkeypatch.setattr(mcglm.estfun, "dSigma_dtau", lambda *a: 1.001 * original(*a))
         assert main(["check-derivatives", "--spec", str(spec)]) == 4
         assert "tau" in capsys.readouterr().err
+
+    def test_corrupted_beta_derivative_exits_4(self, tmp_path, capsys, monkeypatch):
+        # under a log link the tweedie variance depends on mu, so C depends on beta
+        spec, _, _ = gaussian_fixture(tmp_path)
+        doc = json.loads(spec.read_text())
+        doc["responses"][0].update(link="log", variance="tweedie_power")
+        write_json(spec, doc)
+        original = mcglm.estfun.dSigma_dmu_dir
+        monkeypatch.setattr(mcglm.estfun, "dSigma_dmu_dir", lambda *a: 1.001 * original(*a))
+        assert main(["check-derivatives", "--spec", str(spec)]) == 4
+        assert "beta" in capsys.readouterr().err
 
     def test_corrupted_precision_derivative_exits_4(self, tmp_path, capsys, monkeypatch):
         # under the inverse link the fit reads each tau's A_i from A_dtau, and so does the check
