@@ -341,6 +341,12 @@ def _read_theta(model, path):
             raise InputError(
                 f"{path}: beta for {resp.name!r} has length {b.size}, expected {resp.k}"
             )
+    fixed = model.rho_fixed if model.rho_fixed is not None else np.zeros(0)
+    if "rho" in doc and not model.rho_free and not np.array_equal(rho, fixed):
+        raise InputError(
+            f"{path}: rho {rho.tolist()} differs from the fixed correlations "
+            f"{fixed.tolist()}; omit it or repeat them"
+        )
     try:
         lam = model.pack_lambda(rho, p, tau)
     except DomainError as exc:

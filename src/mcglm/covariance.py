@@ -16,7 +16,8 @@ transpose.
 Every function takes one matrix per response or, batched, a stack
 (n_units, m, m) of the blocks of independent units of one size; the
 joint blocks are then (n_units, R m, R m), response by response within
-a unit.
+a unit. A stack whose units all share one block keeps it alone,
+(1, m, m), and broadcasts against the per-unit stacks.
 """
 
 from dataclasses import dataclass, field
@@ -169,8 +170,15 @@ def build_sigma_r(mu, var, p, tau, pred, cl):
     and while every V(mu) > 0 the factor of U_r behind Omega_r is the whole
     positive-definiteness check, so Sigma_r is not factorized. Otherwise
     its factor is taken here, as the check.
+
+    A variance that does not depend on mu gives one scale row for all
+    units, (1, m) for a stack of unit means (n_units, m); Sigma_r and its
+    factor then have the unit axis of U, which is 1 when every unit of
+    the predictor has the same blocks.
     """
     mu = np.asarray(mu, dtype=float)
+    if not var.depends_on_mu:
+        mu = mu[:1]
     U = assemble_U(tau, pred)
     omega = covlink_apply_inverse(cl, U)
     s = np.sqrt(variance_eval(var, mu, p))
@@ -209,7 +217,8 @@ def generalized_kronecker(responses, Sb):
     Lb = cholesky_lower(Sb)
     Sb_inv = cholesky_inverse(Lb)
     N = responses[0].dim
-    C_inv = np.empty(responses[0].sigma.shape[:-2] + (N * R, N * R))
+    units = np.broadcast_shapes(*(rc.sigma.shape[:-2] for rc in responses))
+    C_inv = np.empty(units + (N * R, N * R))
     for r in range(R):
         for s in range(r, R):
             block = Sb_inv[r, s] * (_T(responses[r].chol_inv) @ responses[s].chol_inv)

@@ -9,7 +9,10 @@ and states that differ only in beta share one covariance half
 (EstimatingState.with_beta). C, C^{-1} and every dC_i are block
 diagonal over the model's independent units, so each quantity is
 computed batched over the unit blocks of every unit size and summed
-over the units. The lambda blocks are traces tr(W_i M) with
+over the units. When every unit of a size has the same structure
+blocks and no variance depends on mu, C, C^{-1} and every A_i keep one
+block for all of them (a unit axis of 1), which broadcasts against the
+per-unit r, D, u and G. The lambda blocks are traces tr(W_i M) with
 W_i = C^{-1} dC_i C^{-1}; they and the beta blocks are computed from r,
 D, u = C^{-1} r, G = C^{-1} D and A_i, the only derivative they read:
 u^T dC_i u = r^T A_i u, tr(C^{-1} dC_i) = tr(A_i) and
@@ -44,7 +47,8 @@ class StateCovariance:
 
     ``groups`` holds one factorized JointCovariance per size of unit, as
     ``model.unit_groups``: (n_units, R m, R m) stacks whose rows and
-    columns sit at ``index`` in the stacked N R vector. ``variance`` and
+    columns sit at ``index`` in the stacked N R vector, or (1, R m, R m)
+    when every unit shares one block (``shared_units``). ``variance`` and
     ``A_units`` (the (Q, n_units, R m, R m) stacks of the unit blocks of
     every A_i = C^{-1} dC_i) are computed on first use, so a covariance
     that is only factorized (a rejected proposal, a simulation) forms
@@ -61,14 +65,23 @@ class StateCovariance:
     def index(self):
         return tuple(grp.joint for grp in self.model.unit_groups)
 
+    @property
+    def shared_units(self):
+        """Per unit size, how many units each block of its stacks stands for.
+
+        All of them when the units share one block (a unit axis of 1),
+        else 1. A sum over units of a covariance-only term is this count
+        times the sum over the stack.
+        """
+        return tuple(idx.shape[0] // g.C_inv.shape[0] for idx, g in zip(self.index, self.groups))
+
     @cached_property
     def variance(self):
         """diag(C), the marginal variances of the stacked responses."""
         out = np.empty(self.model.N * self.model.R)
         for idx, g in zip(self.index, self.groups):
-            out[idx] = np.concatenate(
-                [np.diagonal(rc.sigma, axis1=-2, axis2=-1) for rc in g.responses], axis=-1
-            )
+            diags = [np.diagonal(rc.sigma, axis1=-2, axis2=-1) for rc in g.responses]
+            out[idx] = np.concatenate(np.broadcast_arrays(*diags), axis=-1)
         return out
 
     @cached_property
@@ -164,6 +177,16 @@ class EstimatingState:
         return replace(
             self, theta=theta, mu=mu, residual=self.y - mu, D=D, saturated=saturated,
             covariance=covariance,
+        )
+
+    def with_lambda(self, lam):
+        """The state at new covariance parameters: the mean half is kept and C is built again.
+
+        Raises FactorizationError when the new covariance is not PD.
+        """
+        theta = self.theta.with_lambda(lam)
+        return replace(
+            self, theta=theta, covariance=build_covariance(self.model, self.mu, theta.lam)
         )
 
 
@@ -304,15 +327,18 @@ def sensitivity_beta(state):
 
 def pearson_vector(state):
     """psi_lambda_i = tr(W_i (r r^T - C)) = u^T dC_i u - tr(A_i)."""
+    cov = state.covariance
     trace = sum(
-        np.trace(A, axis1=-2, axis2=-1).sum(axis=1) for A in state.covariance.A_units
+        n * np.trace(A, axis1=-2, axis2=-1).sum(axis=1)
+        for n, A in zip(cov.shared_units, cov.A_units)
     )
     return _quad(state) - trace
 
 
 def sensitivity_lambda(state):
     """S_lambda[i, j] = -tr(W_i C W_j C) = -tr(A_i A_j)."""
-    S = -sum(_flat(A) @ _flat(_T(A)).T for A in state.covariance.A_units)
+    cov = state.covariance
+    S = -sum(n * (_flat(A) @ _flat(_T(A)).T) for n, A in zip(cov.shared_units, cov.A_units))
     return 0.5 * (S + S.T)
 
 
@@ -320,14 +346,16 @@ def variability_lambda(state, k4):
     """V_lambda with fourth-cumulant adjustment; k4 = 0 gives -2 S_lambda.
 
     k4 is indexed like the stacked responses; diag(W_i) is the row sums
-    of A_i o C^{-1}.
+    of A_i o C^{-1}. Units that share one block share diag(W_i), so their
+    k4 is summed over the units first.
     """
     k4 = np.asarray(k4, dtype=float)
     V = -2.0 * sensitivity_lambda(state)
     cov = state.covariance
-    for idx, g, A in zip(cov.index, cov.groups, cov.A_units):
+    for idx, g, A, n in zip(cov.index, cov.groups, cov.A_units, cov.shared_units):
         w = _flat(np.einsum("iuab,uab->iua", A, g.C_inv))
-        V = V + (w * k4[idx].ravel()) @ w.T
+        k = k4[idx].reshape(-1, n, idx.shape[1]).sum(axis=1)
+        V = V + (w * k.ravel()) @ w.T
     return V
 
 

@@ -24,7 +24,8 @@ class StructureMatrix:
     Its indices are sorted within each row and it stores no zeros, so
     the stored pattern is the coupling pattern. Restricted to the units
     of one size m (unit_blocks), data is the read-only (n_units, m, m)
-    stack of its diagonal blocks.
+    stack of its diagonal blocks, or (1, m, m) when every unit has the
+    same block.
     """
 
     data: object = field(repr=False)
@@ -59,7 +60,11 @@ class StructureMatrix:
         return _stored(self.data[index][:, index])
 
     def unit_blocks(self, index):
-        """Restriction to the units of one size: index is (n_units, m), sorted within each unit."""
+        """Restriction to the units of one size: index is (n_units, m), sorted within each unit.
+
+        When every unit's block is the same, the stack keeps that one
+        block, (1, m, m), which broadcasts against per-unit stacks.
+        """
         n, m = index.shape
         unit = np.full(self.dim, -1)
         unit[index] = np.arange(n)[:, None]
@@ -70,6 +75,8 @@ class StructureMatrix:
         rows, cols = rows[keep], cols[keep]
         blocks = np.zeros((n, m, m))
         blocks[unit[rows], pos[rows], pos[cols]] = vals[keep]
+        if np.all(blocks == blocks[:1]):
+            blocks = blocks[:1].copy()
         blocks.setflags(write=False)
         return StructureMatrix(data=blocks)
 
@@ -259,15 +266,16 @@ def mat_sum(A, B):
 def assemble_U(tau, pred):
     """Matrix linear predictor value U = sum_d tau_d Z_d.
 
-    Dense N x N, or the (n_units, m, m) stack of unit blocks when the
-    predictor is restricted to units.
+    Dense N x N, or the stack of unit blocks when the predictor is
+    restricted to units: (1, m, m) when every component shares one
+    block over the units, else (n_units, m, m).
     """
     tau = np.asarray(tau, dtype=float)
     if tau.size != pred.D_plus_1:
         raise DomainError(
             f"tau has length {tau.size}, predictor has {pred.D_plus_1} components"
         )
-    U = np.zeros(pred.components[0].data.shape)
+    U = np.zeros(np.broadcast_shapes(*(z.data.shape for z in pred.components)))
     for t, z in zip(tau, pred.components):
         if z.is_sparse:
             U += t * z.data.toarray()

@@ -85,11 +85,11 @@ class ModelSpec:
                 )
             object.__setattr__(self, "rho_fixed", rf)
 
-    @property
+    @cached_property
     def R(self):
         return len(self.responses)
 
-    @property
+    @cached_property
     def N(self):
         return self.responses[0].predictor.dim
 
@@ -97,11 +97,11 @@ class ModelSpec:
     def K(self):
         return sum(r.k for r in self.responses)
 
-    @property
+    @cached_property
     def n_rho(self):
         return self.R * (self.R - 1) // 2
 
-    @property
+    @cached_property
     def rho_free(self):
         return self.rho_fixed is None and self.R > 1
 

@@ -127,16 +127,15 @@ class _LambdaStep:
         k4 = empirical_k4(state.residual, state.covariance.variance)
         return np.linalg.solve(variability_lambda(state, k4), self.S_l)
 
-    def theta(self, alpha):
-        """The new theta for tuning constant alpha."""
+    def lam(self, alpha):
+        """The new lambda for tuning constant alpha."""
         psi, S_l = self.psi, self.S_l
         M = S_l if alpha == 0.0 else alpha * float(psi @ psi) * self.VinvS + S_l
         try:
             step = np.linalg.solve(M, psi)
         except np.linalg.LinAlgError as exc:
             raise StepFailureError(f"singular lambda-step matrix: {exc}")
-        state = self.state
-        return make_theta(state.model, state.theta.beta, state.theta.lam - step)
+        return self.state.theta.lam - step
 
 
 def chaser_step(theta, model, y, correct=True):
@@ -150,7 +149,7 @@ def reciprocal_step(theta, model, y, alpha, correct=True):
     fit takes the same two steps, so this is the update fit runs.
     """
     state_b = _beta_step(build_state(model, y, theta))
-    return _LambdaStep(state_b, correct).theta(alpha)
+    return state_b.theta.with_lambda(_LambdaStep(state_b, correct).lam(alpha))
 
 
 def alpha_strategy(previous_alpha, eps=0.01, alpha_max=1.0):
@@ -251,7 +250,8 @@ def _next_state(state, opts):
 
     Returns the accepted state, the alpha its proposal used and the
     number of escalations; the chaser raises StepFailureError at the
-    first non-PD proposal instead.
+    first non-PD proposal instead. A proposal keeps the beta step's
+    beta, so only its covariance is built.
     """
     try:
         state_b = _beta_step(state)
@@ -261,7 +261,7 @@ def _next_state(state, opts):
     alpha, escalations = 0.0, 0
     while True:
         try:
-            new_state = build_state(state.model, state.y, lambda_step.theta(alpha))
+            new_state = state_b.with_lambda(lambda_step.lam(alpha))
         except FactorizationError as exc:
             if opts.algorithm == "chaser":
                 raise StepFailureError(

@@ -354,6 +354,43 @@ class TestSimulate:
             assert len(lines) == 1 and lines[0].startswith("error: ")
             assert f": {block} " in lines[0]
 
+    @pytest.mark.parametrize(
+        "between, rho, code",
+        [
+            ([0.3], [0.9], 1),
+            ([0.3], [0.1, 0.2, 0.3, 0.4], 1),
+            ([0.3], [], 1),
+            ([0.3], [0.3], 0),
+            ([0.3], None, 0),
+            (None, [0.9], 1),
+        ],
+        ids=["fixed-other-value", "fixed-wrong-length", "fixed-empty", "fixed-repeated",
+             "fixed-omitted", "single-response"],
+    )
+    def test_rho_must_repeat_fixed_correlations(self, tmp_path, capsys, between, rho, code):
+        spec, _, _ = gaussian_fixture(tmp_path)
+        entries = {"beta": [[2.0, 0.7]], "tau": [[1.5]]}
+        if between is not None:
+            doc = json.loads(spec.read_text())
+            doc["responses"].append(dict(doc["responses"][0], name="x", design_columns=["one"]))
+            doc["between"] = between
+            write_json(spec, doc)
+            entries = {"beta": [[2.0, 0.7], [0.0]], "tau": [[1.5], [1.0]]}
+        if rho is not None:
+            entries["rho"] = rho
+        theta = tmp_path / "theta.json"
+        write_json(theta, entries)
+        out = tmp_path / "o"
+        assert main(["simulate", "--spec", str(spec), "--theta", str(theta),
+                     "--n", "1", "--out", str(out)]) == code
+        lines = capsys.readouterr().err.splitlines()
+        if code:
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert ": rho " in lines[0]
+            assert not out.exists()
+        else:
+            assert lines == [] and (out / "rep_0001.csv").is_file()
+
     def test_non_pd_theta_exits_3(self, tmp_path):
         spec, _, _ = gaussian_fixture(tmp_path)
         theta = self.theta_doc(tmp_path, tau=((-1.0,),))

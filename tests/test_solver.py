@@ -23,6 +23,7 @@ from mcglm import (
     reciprocal_step,
     simulate_gaussian,
 )
+import mcglm.estfun
 import mcglm.solver
 from mcglm.cli import write_fit_outputs
 from mcglm.estfun import GodambeResult, pearson_vector, quasi_score
@@ -126,6 +127,21 @@ class TestStepAlgebra:
         assert res.converged and res.n_alpha_escalations > 0
         assert len(calls) == res.n_iter - 1
         assert len({id(state) for state in calls}) == len(calls)
+
+    def test_proposals_keep_the_beta_steps_mean_half(self, monkeypatch):
+        # one mean evaluation for the start and one per beta step, none per lambda proposal
+        model, y, _ = nonpd_instance()
+        calls = []
+        original = mcglm.estfun._mean_half
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(mcglm.estfun, "_mean_half", counted)
+        res = fit(model, y, SolverOptions(algorithm="reciprocal"))
+        assert res.converged and res.n_alpha_escalations > 0
+        assert len(calls) == res.n_iter
 
     def test_chaser_fixed_point_iid_normal(self):
         # at beta = OLS and tau0 = RSS/(N-K) the corrected step is stationary

@@ -45,6 +45,7 @@ from helpers import (
     car_components,
     dense_covariance,
     dense_oracle,
+    gaussian_two_response,
     random_instance,
     rel_err,
     scatter,
@@ -91,6 +92,16 @@ def _cs(groups):
     return mat_compound_symmetry(np.asarray(groups))
 
 
+def _shared_pairs():
+    """helpers.gaussian_two_response: every pair has the same blocks and C does not depend on mu."""
+    model, theta = gaussian_two_response(N=12, seed=3)
+    y = np.random.default_rng(13).standard_normal(model.N * model.R)
+    return model, y, theta
+
+
+PAIR_GROUPS = [0, 0, 1, 1, 2, 2, 3, 3]
+
+
 CASES = {
     # units {0,3,6,9}, {1,4,7,10}, {2,5,8,11}: not contiguous
     "interleaved": lambda: build_model(
@@ -130,6 +141,22 @@ CASES = {
     "car_single_block": lambda: build_model(
         12, [("constant", "inverse", True, car_components(3, 4), [1.0, -0.4, 0.8, -0.24, 0.5, 0.1])], 7
     ),
+    "shared_blocks": _shared_pairs,
+    # the last pair is twice as far apart as the others, so its block differs
+    "one_unit_differs": lambda: build_model(
+        8,
+        [("constant", "identity", True,
+          [mat_identity(8), _cs(PAIR_GROUPS),
+           mat_inverse_distance([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0], groups=PAIR_GROUPS)])],
+        8,
+    ),
+    # equal blocks, but the second response's scale depends on mu
+    "mixed_axes": lambda: build_model(
+        8,
+        [("constant", "identity", True, [mat_identity(8), _cs(PAIR_GROUPS)]),
+         ("tweedie_power", "identity", False, [mat_identity(8), _cs(PAIR_GROUPS)])],
+        9,
+    ),
 }
 
 UNIT_SIZES = {
@@ -140,7 +167,27 @@ UNIT_SIZES = {
     "poisson_tweedie_free_power": {3: 3},
     "three_responses": {2: 3},
     "car_single_block": {12: 1},
+    "shared_blocks": {2: 6},
+    "one_unit_differs": {2: 4},
+    "mixed_axes": {2: 4},
 }
+
+# the unit axis of every state stack: 1 when all units share one block
+STACK_UNITS = {"shared_blocks": 1, "one_unit_differs": 4, "mixed_axes": 4}
+
+
+@pytest.mark.parametrize("case", sorted(STACK_UNITS))
+def test_state_stacks_share_one_block_only_when_every_unit_does(case):
+    model, y, theta = CASES[case]()
+    (grp,) = model.unit_groups
+    cov = build_state(model, y, theta).covariance
+    (joint,), (A,) = cov.groups, cov.A_units
+    assert joint.C_inv.shape[0] == joint.C.shape[0] == joint.C_chol.shape[0] == STACK_UNITS[case]
+    assert A.shape[1] == STACK_UNITS[case]
+    assert cov.shared_units == (grp.index.shape[0] // STACK_UNITS[case],)
+    if case == "shared_blocks":
+        for pred in grp.predictors:
+            assert all(z.data.shape[0] == 1 and not z.data.flags.writeable for z in pred.components)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -196,6 +243,21 @@ def test_block_simulation_matches_dense_factor():
         dense = [mean + L @ np.random.default_rng(c).standard_normal(mean.size) for c in children]
         blocks = simulate_gaussian(SimSpec(model, theta, 4, seed=3))
         assert rel_err(blocks, dense) < 1e-14
+
+
+def test_shared_block_simulation_equals_per_unit_products():
+    # the factor that all units share gives each unit the product its own copy would
+    model, _, theta = _shared_pairs()
+    mean = stacked_mean(model, theta)
+    cov = build_covariance(model, mean, theta.lam)
+    (idx,), (joint,) = cov.index, cov.groups
+    assert joint.C_chol.shape[0] == 1
+    L = np.repeat(joint.C_chol, idx.shape[0], axis=0)
+    expected = np.empty((4, mean.size))
+    for i, child in enumerate(np.random.SeedSequence(3).spawn(4)):
+        z = np.random.default_rng(child).standard_normal(mean.size)
+        expected[i, idx] = mean[idx] + (L @ z[idx][..., None])[..., 0]
+    assert np.array_equal(simulate_gaussian(SimSpec(model, theta, 4, seed=3)), expected)
 
 
 def dense_derivative_report(model, y, theta, h=1e-6):
