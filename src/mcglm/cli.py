@@ -272,6 +272,8 @@ def write_fit_outputs(out_dir, model, result):
                 "lambda_score_norm": float(t.lambda_score_norm),
                 "alpha": float(t.alpha),
                 "pd_retries": int(t.pd_retries),
+                "beta_step_norm": float(t.beta_step_norm),
+                "lambda_step_norm": float(t.lambda_step_norm),
             }
             for t in result.trace
         ],

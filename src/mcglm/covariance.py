@@ -17,7 +17,10 @@ Every function takes one matrix per response or, batched, a stack
 (n_units, m, m) of the blocks of independent units of one size; the
 joint blocks are then (n_units, R m, R m), response by response within
 a unit. A stack whose units all share one block keeps it alone,
-(1, m, m), and broadcasts against the per-unit stacks.
+(1, m, m), and broadcasts against the per-unit stacks. The tau
+derivatives (dSigma_dtau, dC_dpar_r, A_dtau) also take the stacked
+components of one response, (D+1, n_units, m, m), and return one
+derivative per component along that leading axis.
 """
 
 from dataclasses import dataclass, field
@@ -265,9 +268,11 @@ def dC_dpar_r(assembly, r, dSigma_r):
     the off-diagonal blocks (r, s) = Sb[r, s] dL_r chol_s^T and their
     transposes need the Cholesky-factor derivative dL_r, which is not
     formed for R = 1. Each block is written with its exact transpose, so
-    the result is symmetric without a final symmetrization.
+    the result is symmetric without a final symmetrization. Leading axes
+    of dSigma_r beyond the unit axis carry over to dC.
     """
-    dC = np.zeros(assembly.C_inv.shape)
+    units = np.broadcast_shapes(dSigma_r.shape[:-2], assembly.C_inv.shape[:-2])
+    dC = np.zeros(units + assembly.C_inv.shape[-2:])
     assembly.block(dC, r, r)[...] = dSigma_r
     if assembly.R > 1:
         rc = assembly.responses[r]
@@ -324,6 +329,7 @@ def A_dtau(rc, Z):
     """A = C^{-1} dC in the coefficient of the dense component Z, from the precision.
 
     For R = 1 with rc.precision = S^{-1} U S^{-1}, dC = -S Omega Z Omega S
-    and U Omega = I, so A = -S^{-1} (Z Omega) S: one product, no dC.
+    and U Omega = I, so A = -S^{-1} (Z Omega) S: one product, no dC. A
+    stack of components Z gives one A per component.
     """
     return _scaled(-1.0 / rc.scale, Z @ rc.omega, rc.scale)

@@ -19,8 +19,17 @@ u^T dC_i u = r^T A_i u, tr(C^{-1} dC_i) = tr(A_i) and
 G^T dC_i G = D^T A_i G. So W_i is never formed, and when C^{-1} is a
 precision (R = 1 under the inverse covariance link) no tau's dC_i is
 formed either.
-"""
 
+Units that share one block are summed before they meet A_i: the
+Pearson quadratic form is the inner product of A_i with sum_u r_u u_u^T
+and the bias correction that of A_i with sum_u D_u J_beta^{-T} G_u^T,
+one m x m sum per unit size whatever the number of units, and u is one
+product of all the residual rows with the shared C^{-1}. Where each
+unit has its own block, the products stay per unit: the sum would cost
+as much and add temporaries. Each response's tau derivatives are built
+in one call on the stack of its component blocks
+(MatrixPredictor.blocks), with a leading axis over the components.
+"""
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -61,11 +70,11 @@ class StateCovariance:
     lam: np.ndarray = field(repr=False)
     groups: tuple = field(repr=False)
 
-    @property
+    @cached_property
     def index(self):
         return tuple(grp.joint for grp in self.model.unit_groups)
 
-    @property
+    @cached_property
     def shared_units(self):
         """Per unit size, how many units each block of its stacks stands for.
 
@@ -86,30 +95,41 @@ class StateCovariance:
 
     @cached_property
     def A_units(self):
-        """A_i = C^{-1} dC_i; a tau's A_i is read off Z when the joint inverse is a precision."""
+        """A_i = C^{-1} dC_i; each response's tau derivatives are built in one stacked call.
+
+        The call takes the response's stacked component blocks (a leading
+        axis of D+1): A_dtau when the joint inverse is a precision, else
+        dSigma_dtau and dC_dpar_r. A rho or power dC_i is built on its
+        own, and every dC_i of a unit size meets C^{-1} in one product.
+        """
         model = self.model
-        _, p, _ = model.split_lambda(self.lam)
+        lam_map = model.lambda_index_map()
         out = []
         for grp, joint in zip(model.unit_groups, self.groups):
             A = np.empty((model.Q,) + joint.C_inv.shape)
             precise = joint.R == 1 and joint.responses[0].precision is not None
-            dC = {}
-            for i, (role, idx, d) in enumerate(model.lambda_index_map()):
-                if role == "rho":
-                    dC[i] = dC_drho(joint, idx)
+            pos, dC, taus = [], [], [[] for _ in model.responses]
+            for i, (role, idx, _) in enumerate(lam_map):
+                if role == "tau":
+                    taus[idx].append(i)
                     continue
-                resp, rc = model.responses[idx], joint.responses[idx]
-                if role == "power":
-                    dS = dSigma_dp(self.mu[idx * model.N + grp.index], resp.variance, p[idx], rc)
+                if role == "rho":
+                    dC_i = dC_drho(joint, idx)
                 else:
-                    Z = grp.predictors[idx].components[d].data
-                    if precise:
-                        A[i] = A_dtau(rc, Z)
-                        continue
-                    dS = dSigma_dtau(rc, resp.covlink, Z)
-                dC[i] = dC_dpar_r(joint, idx, dS)
+                    mu, var = self.mu[idx * model.N + grp.index], model.responses[idx].variance
+                    dS = dSigma_dp(mu, var, self.lam[i], joint.responses[idx])
+                    dC_i = dC_dpar_r(joint, idx, dS)
+                pos.append(i)
+                dC.append(dC_i[None])
+            for r, (resp, rc) in enumerate(zip(model.responses, joint.responses)):
+                Z = grp.predictors[r].blocks
+                if precise:
+                    A[taus[r]] = A_dtau(rc, Z)
+                else:
+                    pos += taus[r]
+                    dC.append(dC_dpar_r(joint, r, dSigma_dtau(rc, resp.covlink, Z)))
             if dC:
-                A[list(dC)] = joint.C_inv @ np.stack(list(dC.values()))
+                A[pos] = joint.C_inv @ np.concatenate(dC)
             out.append(A)
         return tuple(out)
 
@@ -122,7 +142,9 @@ class EstimatingState:
     inverse link saturated there) is held here;
     the covariance half is a StateCovariance. The ``*_units`` attributes
     hold one entry per size of unit: the rows of each unit of D, of the
-    residual r, of u = C^{-1} r and of G = C^{-1} D, computed on first use.
+    residual r, of u = C^{-1} r and of G = C^{-1} D, computed on first use,
+    as are J_beta = D^T G and the quasi-score psi_beta = D^T u, which the
+    iteration record and the beta step both read.
     """
 
     model: object
@@ -153,12 +175,28 @@ class EstimatingState:
     @cached_property
     def u_units(self):
         return tuple(
-            (g.C_inv @ r[..., None])[..., 0] for g, r in zip(self.covariance.groups, self.r_units)
+            # C^{-1} is exactly symmetric, so a shared block multiplies all rows at once
+            r @ g.C_inv[0] if n > 1 else (g.C_inv @ r[..., None])[..., 0]
+            for n, g, r in zip(self.covariance.shared_units, self.covariance.groups, self.r_units)
         )
 
     @cached_property
     def G_units(self):
         return tuple(g.C_inv @ D for g, D in zip(self.covariance.groups, self.D_units))
+
+    @cached_property
+    def J_beta(self):
+        """J_beta = D^T C^{-1} D = D^T G, summed over units."""
+        K = self.K
+        return sum(
+            D.reshape(-1, K).T @ G.reshape(-1, K) for D, G in zip(self.D_units, self.G_units)
+        )
+
+    @cached_property
+    def psi_beta(self):
+        """The quasi-score psi_beta = D^T C^{-1} (y - mu) = D^T u, summed over units."""
+        K = self.K
+        return sum(D.reshape(-1, K).T @ u.ravel() for D, u in zip(self.D_units, self.u_units))
 
     def with_beta(self, beta):
         """The state at a new beta, its mean half evaluated again.
@@ -284,26 +322,27 @@ def _T(X):
     return np.swapaxes(X, -1, -2)
 
 
-def _DtG(state):
-    """D^T C^{-1} D = D^T G, summed over units."""
-    K = state.K
-    return sum(
-        D.reshape(-1, K).T @ G.reshape(-1, K) for D, G in zip(state.D_units, state.G_units)
-    )
+def _units_last(X):
+    """(n_units, m, K) -> (m, n_units K): each unit's columns side by side."""
+    return np.swapaxes(X, 0, 1).reshape(X.shape[1], -1)
 
 
 def _quad(state):
-    """r^T W_i r = u^T dC_i u = r^T A_i u for every i, summed over units."""
+    """r^T W_i r = u^T dC_i u = r^T A_i u for every i, summed over units.
+
+    Units that share one block sum first: sum_u r_u^T A_i u_u is the
+    inner product of A_i with sum_u r_u u_u^T.
+    """
+    cov = state.covariance
     return sum(
-        _flat(A @ u[..., None]) @ r.ravel()
-        for r, u, A in zip(state.r_units, state.u_units, state.covariance.A_units)
+        _flat(A) @ (r.T @ u).ravel() if n > 1 else _flat(A @ u[..., None]) @ r.ravel()
+        for n, r, u, A in zip(cov.shared_units, state.r_units, state.u_units, cov.A_units)
     )
 
 
 def quasi_score(state):
-    """psi_beta = D^T C^{-1} (y - mu) = D^T u."""
-    K = state.K
-    return sum(D.reshape(-1, K).T @ u.ravel() for D, u in zip(state.D_units, state.u_units))
+    """psi_beta = D^T C^{-1} (y - mu) = D^T u, kept by the state."""
+    return state.psi_beta
 
 
 def _check_beta_rank(M):
@@ -318,8 +357,8 @@ def _check_beta_rank(M):
 
 
 def sensitivity_beta(state):
-    """S_beta = -D^T C^{-1} D = -D^T G."""
-    M = _DtG(state)
+    """S_beta = -D^T C^{-1} D = -J_beta."""
+    M = state.J_beta
     M = 0.5 * (M + M.T)
     _check_beta_rank(M)
     return -M
@@ -424,19 +463,28 @@ def godambe(S_theta, V_theta):
 
 
 def bias_correction(state):
-    """Bias correction b_i = tr(D^T W_i D J_beta^{-1}), with D^T W_i D = D^T A_i G."""
-    J_beta = _DtG(state)
+    """Bias correction b_i = tr(D^T W_i D J_beta^{-1}), with D^T W_i D = D^T A_i G.
+
+    Units that share one block sum first: b_i is the inner product of
+    A_i with sum_u D_u J_beta^{-T} G_u^T.
+    """
+    J_beta, K = state.J_beta, state.K
     if J_beta.size == 0:
         return np.zeros(state.Q)
     try:
         J_inv = np.linalg.inv(J_beta)
     except np.linalg.LinAlgError:
         raise SingularMatrixError("J_beta is singular in the bias correction")
-    DWD = sum(
-        np.sum(_T(D) @ (A @ G), axis=1)
-        for D, G, A in zip(state.D_units, state.G_units, state.covariance.A_units)
-    )
-    return _flat(DWD) @ J_inv.T.ravel()
+    b = np.zeros(state.Q)
+    cov = state.covariance
+    for n, D, G, A in zip(cov.shared_units, state.D_units, state.G_units, cov.A_units):
+        if n > 1:
+            DJ = (D.reshape(-1, K) @ J_inv.T).reshape(D.shape)
+            B = _units_last(DJ) @ _units_last(G).T
+            b += _flat(A) @ B.ravel()
+        else:
+            b += _flat(np.sum(_T(D) @ (A @ G), axis=1)) @ J_inv.T.ravel()
+    return b
 
 
 def build_godambe(state):

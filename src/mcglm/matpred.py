@@ -10,6 +10,7 @@ restricts a structure matrix to them.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -137,6 +138,18 @@ class MatrixPredictor:
     def unit_blocks(self, index):
         """The predictor restricted to the units of one size (see StructureMatrix.unit_blocks)."""
         return MatrixPredictor(tuple(z.unit_blocks(index) for z in self.components))
+
+    @cached_property
+    def blocks(self):
+        """The read-only (D+1, n_units, m, m) stack of a restricted predictor's unit blocks.
+
+        Formed on first use and kept. The components' unit axes
+        broadcast, so the stack keeps one block per component, (D+1, 1,
+        m, m), only when every component does.
+        """
+        Z = np.stack(np.broadcast_arrays(*(z.data for z in self.components)))
+        Z.setflags(write=False)
+        return Z
 
 
 def unit_partition(components):

@@ -56,13 +56,16 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One iteration: theta, the max-abs quasi-score and Pearson values, and alpha.
+    """One iteration: theta, the max-abs scores and steps, and alpha.
 
-    ``alpha`` is the tuning constant of the lambda step that gave theta
-    and ``pd_retries`` the number of times that step escalated it after
-    a non-PD proposal (both 0 for the starting values). ``score_norm`` is
-    the larger of the two score norms, the value the convergence test
-    reads.
+    ``beta_score_norm`` and ``lambda_score_norm`` are the max-abs
+    quasi-score and Pearson values at theta. ``beta_step_norm`` and
+    ``lambda_step_norm`` are the max-abs beta and lambda changes of the
+    step that reached theta, ``alpha`` the tuning constant of its lambda
+    step and ``pd_retries`` the number of times that step escalated it
+    after a non-PD proposal (all 0 for the starting values).
+    ``score_norm`` is the larger of the two score norms, the value the
+    convergence test reads with the larger step norm.
     """
 
     theta: np.ndarray
@@ -70,6 +73,8 @@ class IterationRecord:
     lambda_score_norm: float
     alpha: float
     pd_retries: int
+    beta_step_norm: float
+    lambda_step_norm: float
 
     @property
     def score_norm(self):
@@ -288,9 +293,9 @@ def fit(model, y, opts=None):
     theta = initialize(model, y)
     trace = []
     alpha, retries = 0.0, 0
+    step = np.zeros(theta.flat.size)
     converged = False
     state = build_state(model, y, theta)
-    prev_flat = None
 
     for n_iter in range(1, opts.max_iter + 1):
         record = IterationRecord(
@@ -299,20 +304,18 @@ def fit(model, y, opts=None):
             _max_abs(_corrected_pearson(state, opts.correct_pearson)),
             alpha,
             retries,
+            _max_abs(step[: model.K]),
+            _max_abs(step[model.K :]),
         )
         trace.append(record)
-        if (
-            prev_flat is not None
-            and record.score_norm < opts.tol_score
-            and float(np.max(np.abs(theta.flat - prev_flat))) < opts.tol_param
-        ):
+        if n_iter > 1 and record.score_norm < opts.tol_score and _max_abs(step) < opts.tol_param:
             converged = True
             break
         if n_iter == opts.max_iter:
             break
-        prev_flat = theta.flat
 
         state, alpha, retries = _next_state(state, opts)
+        step = state.theta.flat - theta.flat
         theta = state.theta
 
     god = build_godambe(state)

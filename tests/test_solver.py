@@ -361,6 +361,8 @@ class TestFit:
                 "lambda_score_norm": t.lambda_score_norm,
                 "alpha": t.alpha,
                 "pd_retries": t.pd_retries,
+                "beta_step_norm": t.beta_step_norm,
+                "lambda_step_norm": t.lambda_step_norm,
             }
 
     def test_trace_records_the_alpha_each_step_used(self, tmp_path):
@@ -388,6 +390,32 @@ class TestFit:
         write_fit_outputs(tmp_path, model, res)
         doc = json.loads((tmp_path / "result.json").read_text())
         assert [entry["pd_retries"] for entry in doc["trace"]] == retries
+
+    @pytest.mark.parametrize("case", ["chaser", "reciprocal-retries"])
+    def test_trace_step_norms_are_the_theta_differences(self, tmp_path, case):
+        if case == "chaser":
+            model, theta_true = gaussian_two_response(N=16, seed=28)
+            y = simulate_gaussian(SimSpec(model, theta_true, 1, seed=29))[0]
+            res = fit(model, y)
+        else:
+            model, y, _ = nonpd_instance()
+            res = fit(model, y, SolverOptions(algorithm="reciprocal"))
+            assert res.n_alpha_escalations > 0
+        assert res.converged
+        assert res.trace[0].beta_step_norm == res.trace[0].lambda_step_norm == 0.0
+        K = model.K
+        for prev, t in zip(res.trace, res.trace[1:]):
+            step = t.theta - prev.theta
+            assert t.beta_step_norm == float(np.max(np.abs(step[:K])))
+            assert t.lambda_step_norm == float(np.max(np.abs(step[K:])))
+        last = res.trace[-1]
+        assert max(last.beta_step_norm, last.lambda_step_norm) < SolverOptions().tol_param
+        write_fit_outputs(tmp_path, model, res)
+        doc = json.loads((tmp_path / "result.json").read_text())
+        for t, entry in zip(res.trace, doc["trace"]):
+            assert (entry["beta_step_norm"], entry["lambda_step_norm"]) == (
+                t.beta_step_norm, t.lambda_step_norm,
+            )
 
     def test_max_iter_stops_at_the_last_recorded_iterate(self):
         # no step follows the record of iteration max_iter

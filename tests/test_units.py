@@ -26,6 +26,7 @@ from mcglm import (
     mat_inverse_distance,
 )
 from mcglm.checks import derivative_report
+from mcglm.covariance import A_dtau, dC_dpar_r, dSigma_dtau
 from mcglm.estfun import (
     bias_correction,
     build_covariance,
@@ -100,6 +101,15 @@ def _shared_pairs():
 
 
 PAIR_GROUPS = [0, 0, 1, 1, 2, 2, 3, 3]
+# three pairs one step apart, then two triples spaced differently
+PAIRS_TRIPLES = [0, 0, 1, 1, 2, 2, 3, 3, 3, 4, 4, 4]
+PAIRS_TRIPLES_AT = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 12.0]
+
+
+def _pairs_and_triples():
+    comps = [mat_identity(12), _cs(PAIRS_TRIPLES),
+             mat_inverse_distance(PAIRS_TRIPLES_AT, groups=PAIRS_TRIPLES)]
+    return [("constant", "identity", True, comps), ("constant", "identity", True, comps)]
 
 
 CASES = {
@@ -157,6 +167,12 @@ CASES = {
          ("tweedie_power", "identity", False, [mat_identity(8), _cs(PAIR_GROUPS)])],
         9,
     ),
+    # R = 1 precision: every pair shares one U block, so A_dtau runs on the stacked blocks
+    "precision_shared": lambda: build_model(
+        8, [("constant", "inverse", True, [mat_identity(8), _cs(PAIR_GROUPS)])], 10
+    ),
+    # R = 2: the pairs share one block, the two triples keep one each
+    "shared_next_to_unshared": lambda: build_model(12, _pairs_and_triples(), 11),
 }
 
 UNIT_SIZES = {
@@ -170,24 +186,58 @@ UNIT_SIZES = {
     "shared_blocks": {2: 6},
     "one_unit_differs": {2: 4},
     "mixed_axes": {2: 4},
+    "precision_shared": {2: 4},
+    "shared_next_to_unshared": {2: 3, 3: 2},
 }
 
-# the unit axis of every state stack: 1 when all units share one block
-STACK_UNITS = {"shared_blocks": 1, "one_unit_differs": 4, "mixed_axes": 4}
+# per unit size, the unit axis of every state stack: 1 when all its units share one block
+STACK_UNITS = {
+    "shared_blocks": {2: 1},
+    "one_unit_differs": {2: 4},
+    "mixed_axes": {2: 4},
+    "precision_shared": {2: 1},
+    "shared_next_to_unshared": {2: 1, 3: 2},
+}
 
 
 @pytest.mark.parametrize("case", sorted(STACK_UNITS))
 def test_state_stacks_share_one_block_only_when_every_unit_does(case):
     model, y, theta = CASES[case]()
-    (grp,) = model.unit_groups
     cov = build_state(model, y, theta).covariance
-    (joint,), (A,) = cov.groups, cov.A_units
-    assert joint.C_inv.shape[0] == joint.C.shape[0] == joint.C_chol.shape[0] == STACK_UNITS[case]
-    assert A.shape[1] == STACK_UNITS[case]
-    assert cov.shared_units == (grp.index.shape[0] // STACK_UNITS[case],)
-    if case == "shared_blocks":
-        for pred in grp.predictors:
-            assert all(z.data.shape[0] == 1 and not z.data.flags.writeable for z in pred.components)
+    for grp, joint, A, n in zip(model.unit_groups, cov.groups, cov.A_units, cov.shared_units):
+        units = STACK_UNITS[case][grp.index.shape[1]]
+        assert joint.C_inv.shape[0] == joint.C.shape[0] == joint.C_chol.shape[0] == units
+        assert A.shape[1] == units
+        assert n == grp.index.shape[0] // units
+        if case in ("shared_blocks", "precision_shared"):
+            for pred in grp.predictors:
+                assert all(
+                    z.data.shape[0] == 1 and not z.data.flags.writeable for z in pred.components
+                )
+                assert pred.blocks.shape[:2] == (pred.D_plus_1, 1)
+                assert not pred.blocks.flags.writeable
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_stacked_tau_derivatives_equal_one_component_at_a_time(case):
+    # A_units builds each response's tau A_i from its stacked components in one call
+    model, y, theta = CASES[case]()
+    cov = build_state(model, y, theta).covariance
+    for grp, joint, A in zip(model.unit_groups, cov.groups, cov.A_units):
+        precise = joint.R == 1 and joint.responses[0].precision is not None
+        for i, (role, r, d) in enumerate(model.lambda_index_map()):
+            if role != "tau":
+                continue
+            rc, Z = joint.responses[r], grp.predictors[r].components[d].data
+            stacked = grp.predictors[r].blocks[d]
+            assert np.array_equal(stacked, np.broadcast_to(Z, stacked.shape))
+            if precise:
+                expected = A_dtau(rc, Z)
+            else:
+                dS = dSigma_dtau(rc, model.responses[r].covlink, Z)
+                expected = joint.C_inv @ dC_dpar_r(joint, r, dS)
+            assert A[i].shape == np.broadcast_shapes(A[i].shape, expected.shape)
+            assert rel_err(A[i], expected) < 1e-12
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
