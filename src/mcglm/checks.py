@@ -2,8 +2,8 @@
 
 import numpy as np
 
+from . import estfun
 from .errors import FactorizationError
-from .estfun import build_state, dC_dbeta
 from .model import make_theta
 
 FD_STEP = 1e-6
@@ -13,7 +13,8 @@ def _fd_dC(model, y, theta, offset):
     """Central differences in theta.flat[offset] of the joint blocks of every unit size."""
     def C_at(flat):
         th = make_theta(model, flat[: model.K], flat[model.K :])
-        return [g.C for g in build_state(model, y, th).covariance.groups]
+        state = estfun.build_state(model, y, th)
+        return state.scaled(g.C for g in state.covariance.groups)
 
     flat = theta.flat
     e = np.zeros_like(flat)
@@ -31,22 +32,26 @@ def _rel_err(analytic, fd):
 def derivative_report(model, y, theta):
     """Worst relative error of each analytic dC family vs central differences.
 
-    Each derivative is checked as the estimating functions read it: a
-    lambda dC_i as C A_i, A_i from StateCovariance.A_units, and a beta
-    dC_j as dC_dbeta. Both sides are the unit blocks of every unit size;
-    C is zero between units, and so are its derivatives and their
-    differences. Returns {family: worst_rel_err}; families absent from
-    the model are omitted.
+    Each derivative is checked as the estimating functions read it, in
+    C = S C_Omega S: a lambda dC_i as S C_Omega A_i S (StateCovariance.A_units),
+    a beta dC_j as S dC_dscale S along column j of beta_slopes. Both sides
+    are the unit blocks of every unit size; C is zero between units, and
+    so are its derivatives and their differences. Returns
+    {family: worst_rel_err}; families absent from the model are omitted.
     """
-    state = build_state(model, y, theta)
+    state = estfun.build_state(model, y, theta)
     cov = state.covariance
+    e, f = state.beta_slopes
     worst = {}
-    for offset, (family, _, _) in enumerate(model.layout):
+    for offset, (family, r, _) in enumerate(model.layout):
         if family == "beta":
-            analytic = dC_dbeta(state, offset)
+            pt = model.responses[r].variance.kind == "poisson_tweedie"
+            rows = (r * model.N + grp.index for grp in model.unit_groups)
+            dC = [estfun.dC_dscale(g, r, e[i, offset], f[i, offset] if pt else None)
+                  for g, i in zip(cov.groups, rows)]
         else:
-            analytic = [g.C @ A[offset - model.K] for g, A in zip(cov.groups, cov.A_units)]
-        err = _rel_err(analytic, _fd_dC(model, y, theta, offset))
+            dC = [g.C @ A[offset - model.K] for g, A in zip(cov.groups, cov.A_units)]
+        err = _rel_err(state.scaled(dC), _fd_dC(model, y, theta, offset))
         worst[family] = max(worst.get(family, 0.0), err)
     return worst
 

@@ -1,17 +1,15 @@
 """Joint covariance assembly and its derivatives.
 
-Builds the per-response covariances Sigma_r, couples them through the
-between-response correlation via the generalized Kronecker product, and
-provides every analytic derivative of the joint covariance C that the
-estimating-function calculus needs. Under the inverse covariance link,
-Sigma_r^{-1} is read off the precision U_r (build_sigma_r), and for
-R = 1 so is each tau's A = C^{-1} dC (A_dtau). The Sigma_r derivatives
-read the Omega_r = h^{-1}(U_r) and the scale S = diag(sqrt(V(mu))) held
-by each ResponseCovariance, so neither is evaluated again. In a
-parameter of Sigma_r, the diagonal block (r, r) of dC is dSigma_r
-itself; only the off-diagonal blocks, present for R > 1, go through the
-Cholesky-factor derivative, and each is written with its exact
-transpose.
+Sigma_r = S_r K_r S_r with the diagonal scale S_r = diag(sqrt(V(mu)))
+and the correlation block K_r = Omega_r = h^{-1}(U_r) (plus
+diag(mu^{1-p}) for poisson_tweedie), so the factor of Sigma_r is S_r
+L_K and the generalized Kronecker product is C = S C_Omega S. Everything
+here is built on C_Omega: under the inverse covariance link K_r^{-1} is
+U_r itself, and for R = 1 so is C_Omega^{-1} (A_dtau). A tau or rho
+moves C_Omega; a power or a beta moves the scale (dC_dscale). In a
+parameter of K_r, the diagonal block (r, r) of dC_Omega is dK_r itself;
+only the off-diagonal blocks, present for R > 1, go through the
+Cholesky-factor derivative, each written with its exact transpose.
 
 Every function takes one matrix per response or, batched, a stack
 (n_units, m, m) of the blocks of independent units of one size; the
@@ -28,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, FactorizationError
 from .functions import (
     VarianceSpec,
     cholesky_inverse,
@@ -52,33 +50,26 @@ def _sym(M):
     return 0.5 * (M + _T(M))
 
 
-def _scaled(a, M, b):
-    """diag(a) M diag(b), the form of Sigma_r = diag(s) Omega diag(s) and its derivatives."""
-    return a[..., :, None] * M * b[..., None, :]
-
-
 def _diag(v):
     return v[..., :, None] * np.eye(v.shape[-1])
 
 
 class ResponseCovariance:
-    """Sigma_r = S Omega_r S, Omega_r = h^{-1}(U_r), its lower Cholesky factor and its inverse.
+    """K_r (``sigma``, Sigma_r at unit scale), Omega_r = h^{-1}(U_r), K_r's factor and inverse.
 
-    ``scale`` is the diagonal of S = diag(sqrt(V(mu))), ones when not
-    given. ``precision``, when given, is Sigma_r^{-1} read straight off
-    U_r (see build_sigma_r), and ``inverse`` is then that matrix;
-    otherwise the inverse comes from the factor. A factor not given is
-    formed on first use: only simulation, R > 1 and the Cholesky-factor
-    derivative need it.
+    ``inverse``, when given, is K_r^{-1} = U_r (see build_sigma_r);
+    otherwise it comes from the factor. A factor not given is formed on
+    first use: only simulation, R > 1 and the Cholesky-factor derivative
+    need it.
     """
 
-    def __init__(self, sigma, omega, chol=None, precision=None, scale=None):
+    def __init__(self, sigma, omega, chol=None, inverse=None):
         self.sigma = sigma
         self.omega = omega
-        self.scale = np.ones(sigma.shape[:-1]) if scale is None else scale
-        self.precision = precision
         if chol is not None:
             self.chol = chol
+        if inverse is not None:
+            self.inverse = inverse
 
     @property
     def dim(self):
@@ -94,14 +85,12 @@ class ResponseCovariance:
 
     @cached_property
     def inverse(self):
-        if self.precision is not None:
-            return self.precision
         return _sym(_T(self.chol_inv) @ self.chol_inv)
 
 
 @dataclass(frozen=True)
 class JointCovariance:
-    """Joint covariance C = Bdiag(chol_r) (Sigma_b kron I) Bdiag(chol_r)^T.
+    """Joint correlation C_Omega = Bdiag(chol_r) (Sigma_b kron I) Bdiag(chol_r)^T of the K_r.
 
     Its lower Cholesky factor is Bdiag(chol_r) (Lb kron I), with Lb the
     factor of Sigma_b, and block (r, s) of its inverse is
@@ -128,7 +117,7 @@ class JointCovariance:
 
     @cached_property
     def C(self):
-        """Block (r, s) is Sb[r, s] chol_r chol_s^T; the diagonal blocks are Sigma_r exactly."""
+        """Block (r, s) is Sb[r, s] chol_r chol_s^T; the diagonal blocks are K_r exactly."""
         C = np.empty(self.C_inv.shape)
         rcs = self.responses
         for r in range(self.R):
@@ -166,33 +155,37 @@ def sigma_b_from_rho(rho, R):
 
 
 def build_sigma_r(mu, var, p, tau, pred, cl):
-    """Per-response covariance Sigma_r = V^{1/2} Omega V^{1/2} (+ diag(mu) for poisson_tweedie).
+    """Per-response correlation block K_r = Omega_r (+ diag(mu^{1-p}) for poisson_tweedie).
 
-    Under the inverse covariance link and without the poisson_tweedie
-    diag(mu) term, Sigma_r^{-1} = S^{-1} U_r S^{-1} with S = diag(sqrt(V(mu))),
-    and while every V(mu) > 0 the factor of U_r behind Omega_r is the whole
-    positive-definiteness check, so Sigma_r is not factorized. Otherwise
-    its factor is taken here, as the check.
-
-    A variance that does not depend on mu gives one scale row for all
-    units, (1, m) for a stack of unit means (n_units, m); Sigma_r and its
-    factor then have the unit axis of U, which is 1 when every unit of
-    the predictor has the same blocks.
+    Sigma_r = S K_r S (variance_scale); mu is read only by
+    poisson_tweedie. Under the inverse covariance link and without that
+    term, K_r^{-1} is U_r itself and the factor of U_r behind Omega_r is
+    the whole positive-definiteness check, so K_r is not factorized.
+    Otherwise its factor is taken here, as the check. K_r has the unit
+    axis of U (1 when every unit has the same blocks), unless
+    poisson_tweedie's diagonal gives each unit its own.
     """
-    mu = np.asarray(mu, dtype=float)
-    if not var.depends_on_mu:
-        mu = mu[:1]
     U = assemble_U(tau, pred)
     omega = covlink_apply_inverse(cl, U)
-    s = np.sqrt(variance_eval(var, mu, p))
-    sigma = _scaled(s, omega, s)
     if var.kind == "poisson_tweedie":
-        sigma = sigma + _diag(mu)
-    sigma = _sym(sigma)
-    if cl.kind == "inverse" and var.kind != "poisson_tweedie" and np.all(s > 0.0):
-        precision = _sym(_scaled(1.0 / s, U, 1.0 / s))
-        return ResponseCovariance(sigma=sigma, omega=omega, precision=precision, scale=s)
-    return ResponseCovariance(sigma=sigma, chol=cholesky_lower(sigma), omega=omega, scale=s)
+        K = omega + _diag(np.asarray(mu, dtype=float) ** (1.0 - p))
+        return ResponseCovariance(sigma=K, omega=omega, chol=cholesky_lower(K))
+    if cl.kind == "inverse":
+        return ResponseCovariance(sigma=omega, omega=omega, inverse=U)
+    return ResponseCovariance(sigma=omega, omega=omega, chol=cholesky_lower(omega))
+
+
+def variance_scale(mu, var, p):
+    """The scales s = sqrt(V(mu)) of Sigma_r = S K_r S (mu^p alone for poisson_tweedie).
+
+    A scale of 0 (mu^p underflows) or inf makes C = S C_Omega S singular
+    though C_Omega is PD, so it raises FactorizationError.
+    """
+    s = np.sqrt(variance_eval(var, mu, p))
+    bad = np.flatnonzero(~((s > 0.0) & (s < np.inf))) + 1
+    if bad.size:
+        raise FactorizationError(f"variance scale 0 or inf (pivot {bad[0]})", pivot=int(bad[0]))
+    return s
 
 
 def generalized_kronecker(responses, Sb):
@@ -200,10 +193,10 @@ def generalized_kronecker(responses, Sb):
 
     The joint factor and inverse come from the per-response factors and
     the factor of Sigma_b, which raises FactorizationError exactly when C
-    is not positive definite though every Sigma_r is. A 1 x 1 Sigma_b is
+    is not positive definite though every K_r is. A 1 x 1 Sigma_b is
     [1], its own factor, so for R = 1 the joint factor is chol_1 itself
-    and the joint inverse is Sigma_1^{-1}, which needs no factor when it
-    is a precision.
+    and the joint inverse is K_1^{-1}, which needs no factor when it is
+    U_1.
     """
     responses = tuple(responses)
     R = len(responses)
@@ -248,7 +241,7 @@ def chol_deriv(chol, chol_inv, dSigma):
 
 
 def dC_drho(assembly, i):
-    """Derivative of C in the i-th between-correlation parameter."""
+    """Derivative of C_Omega in the i-th between-correlation parameter."""
     pairs = rho_index_pairs(assembly.R)
     if not 0 <= i < len(pairs):
         raise DomainError(f"rho index {i} out of range")
@@ -261,9 +254,9 @@ def dC_drho(assembly, i):
 
 
 def dC_dpar_r(assembly, r, dSigma_r):
-    """Derivative of C in any parameter touching only Sigma_r.
+    """Derivative of C_Omega in any parameter touching only K_r.
 
-    dSigma_r is the symmetric derivative of Sigma_r in that parameter.
+    dSigma_r is the symmetric derivative of K_r in that parameter.
     Sigma_b has a unit diagonal, so block (r, r) is dSigma_r itself; only
     the off-diagonal blocks (r, s) = Sb[r, s] dL_r chol_s^T and their
     transposes need the Cholesky-factor derivative dL_r, which is not
@@ -285,51 +278,51 @@ def dC_dpar_r(assembly, r, dSigma_r):
     return dC
 
 
-def _scale_rule(rc, dv):
-    """dS Omega S + S Omega dS with dS = dV / 2S: dSigma_r along a change dv of V(mu).
-
-    Entries (i, j) and (j, i) add the same two products, so the result
-    is exactly symmetric.
-    """
-    half = _scaled(0.5 * dv / rc.scale, rc.omega, rc.scale)
-    return half + _T(half)
-
-
-def dSigma_dp(mu, var, p, rc):
-    """Derivative of Sigma_r in the power parameter, from the stored Omega and S of rc."""
-    return _scale_rule(rc, variance_deriv_p(var, mu, p))
-
-
 def dSigma_dtau(rc, cl, Z):
-    """Derivative of Sigma_r in the matrix-predictor coefficient of the dense component Z.
+    """Derivative of K_r in the coefficient of the dense component Z, from rc's stored Omega.
 
-    dOmega comes from the stored Omega of rc (Z, or -Omega Z Omega under
-    the inverse covariance link), so nothing is rebuilt or inverted.
+    It is Z, or -Omega Z Omega under the inverse covariance link; nothing is inverted.
     """
-    return _sym(_scaled(rc.scale, covlink_deriv(cl, rc.omega, Z), rc.scale))
+    return covlink_deriv(cl, rc.omega, Z)
 
 
-def dSigma_dmu_dir(mu, var, p, rc, dmu):
-    """Derivative of Sigma_r along a mean direction dmu (chain rule for beta).
+def scale_direction(var, mu, p, dmu=None):
+    """(e, f) of one response in p, or along mean directions dmu (one per trailing column).
 
-    Omega does not depend on mu, so only S moves, along dV = V'(mu) dmu
-    of the power component of V; the poisson_tweedie diag(mu) term
-    contributes diag(dmu) directly.
+    e = dV / 2V is the relative change ds / s of the scale (log(mu) / 2
+    in p); f is the change of poisson_tweedie's diagonal mu^{1-p} of K_r,
+    None for every other variance.
     """
-    if not var.depends_on_mu:
-        return np.zeros(rc.sigma.shape)
-    power = VarianceSpec("tweedie_power") if var.kind == "poisson_tweedie" else var
-    out = _scale_rule(rc, variance_deriv_mu(power, mu, p) * dmu)
-    if var.kind == "poisson_tweedie":
-        out = out + _diag(dmu)
-    return out
+    mu, pt = np.asarray(mu, dtype=float), var.kind == "poisson_tweedie"
+    power = VarianceSpec("tweedie_power") if pt else var
+    v = variance_eval(power, mu, p)
+    if dmu is None:
+        return 0.5 * variance_deriv_p(power, mu, p) / v, (-np.log(mu) * mu / v if pt else None)
+    slope = 0.5 * variance_deriv_mu(power, mu, p) / v
+    return slope[..., None] * dmu, (((1.0 - p) / v)[..., None] * dmu if pt else None)
+
+
+def dC_dscale(assembly, r, e, f=None):
+    """dC_Omega = E C_Omega + C_Omega E (+ dC_dpar_r(diag f)) along a change of response r's scale.
+
+    C = S C_Omega S, so ds = e s (scale_direction; E = diag(e) on response
+    r's rows) moves C by S dC_Omega S; f, given for poisson_tweedie, moves
+    K_r. e and f are (n_units, m), and so is the result's unit axis.
+    """
+    N = assembly.N
+    E = np.zeros(np.shape(e)[:-1] + (assembly.R * N,))
+    E[..., r * N : (r + 1) * N] = e
+    C = assembly.C
+    dC = E[..., :, None] * C + C * E[..., None, :]
+    if f is not None:
+        dC += dC_dpar_r(assembly, r, _diag(f))
+    return dC
 
 
 def A_dtau(rc, Z):
-    """A = C^{-1} dC in the coefficient of the dense component Z, from the precision.
+    """A = C_Omega^{-1} dC_Omega in the coefficient of the dense component Z, for R = 1.
 
-    For R = 1 with rc.precision = S^{-1} U S^{-1}, dC = -S Omega Z Omega S
-    and U Omega = I, so A = -S^{-1} (Z Omega) S: one product, no dC. A
-    stack of components Z gives one A per component.
+    Under the inverse link C_Omega^{-1} = U and dC_Omega = -Omega Z Omega, so
+    A = -Z Omega: one product, no dC; a stack of components gives one A each.
     """
-    return _scaled(-1.0 / rc.scale, Z @ rc.omega, rc.scale)
+    return -(Z @ rc.omega)

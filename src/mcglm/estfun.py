@@ -1,34 +1,27 @@
 """Quasi-score and Pearson estimating functions and the Godambe calculus.
 
 The central object is an EstimatingState: the full evaluation of the
-model at one theta. Its mean half holds the means, residuals, mean
-gradient and link-saturation flag; its covariance half, a StateCovariance, holds the joint
-covariance and, formed on first use, A_i = C^{-1} dC_i in each lambda.
-When no response's variance depends on mu, C does not depend on beta,
-and states that differ only in beta share one covariance half
-(EstimatingState.with_beta). C, C^{-1} and every dC_i are block
-diagonal over the model's independent units, so each quantity is
-computed batched over the unit blocks of every unit size and summed
-over the units. When every unit of a size has the same structure
-blocks and no variance depends on mu, C, C^{-1} and every A_i keep one
-block for all of them (a unit axis of 1), which broadcasts against the
-per-unit r, D, u and G. The lambda blocks are traces tr(W_i M) with
-W_i = C^{-1} dC_i C^{-1}; they and the beta blocks are computed from r,
-D, u = C^{-1} r, G = C^{-1} D and A_i, the only derivative they read:
+model at one theta. Its mean half holds the means, scales s =
+sqrt(V(mu)), residuals, mean gradient and link-saturation flag; its
+covariance half, a StateCovariance, holds the correlation C_Omega of
+C = S C_Omega S and, formed on first use, A_i = C_Omega^{-1} dC_Omega,i
+in each lambda. Every estimating function reads C_Omega, the
+standardized residual r = (y - mu) / s and gradient D / s, and
+k4 = empirical_k4 of that r and diag(C_Omega); each trace keeps its
+C-space value. Only poisson_tweedie's diagonal of K_r ties C_Omega to
+beta, so otherwise states that differ only in beta share it
+(EstimatingState.with_beta). Everything is block diagonal over the
+model's independent units and computed batched over the unit blocks of
+every unit size; a stack whose units share one block keeps it alone (a
+unit axis of 1), which broadcasts against the per-unit r, D,
+u = C_Omega^{-1} r and G = C_Omega^{-1} D. The lambda blocks are traces
+tr(W_i M) with W_i = C^{-1} dC_i C^{-1}, read through A_i alone:
 u^T dC_i u = r^T A_i u, tr(C^{-1} dC_i) = tr(A_i) and
-G^T dC_i G = D^T A_i G. So W_i is never formed, and when C^{-1} is a
-precision (R = 1 under the inverse covariance link) no tau's dC_i is
-formed either.
-
-Units that share one block are summed before they meet A_i: the
-Pearson quadratic form is the inner product of A_i with sum_u r_u u_u^T
-and the bias correction that of A_i with sum_u D_u J_beta^{-T} G_u^T,
-one m x m sum per unit size whatever the number of units, and u is one
-product of all the residual rows with the shared C^{-1}. Where each
-unit has its own block, the products stay per unit: the sum would cost
-as much and add temporaries. Each response's tau derivatives are built
-in one call on the stack of its component blocks
-(MatrixPredictor.blocks), with a leading axis over the components.
+G^T dC_i G = D^T A_i G, so W_i is never formed. Units that share one
+block are summed first: the Pearson quadratic form is the inner product
+of A_i with sum_u r_u u_u^T, the bias correction that of A_i with
+sum_u D_u J_beta^{-T} G_u^T. Where each unit has its own block the
+products stay per unit: the sum would cost as much and add temporaries.
 """
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -40,11 +33,12 @@ from .covariance import (
     build_sigma_r,
     dC_dpar_r,
     dC_drho,
-    dSigma_dmu_dir,
-    dSigma_dp,
+    dC_dscale,
     dSigma_dtau,
     generalized_kronecker,
+    scale_direction,
     sigma_b_from_rho,
+    variance_scale,
 )
 from .errors import SingularMatrixError
 from .functions import link_inverse, link_inverse_deriv
@@ -52,17 +46,16 @@ from .functions import link_inverse, link_inverse_deriv
 
 @dataclass(frozen=True)
 class StateCovariance:
-    """The covariance half of an EstimatingState: C at one (mu, lambda).
+    """The covariance half of an EstimatingState: C_Omega at one (mu, lambda).
 
-    ``groups`` holds one factorized JointCovariance per size of unit, as
-    ``model.unit_groups``: (n_units, R m, R m) stacks whose rows and
-    columns sit at ``index`` in the stacked N R vector, or (1, R m, R m)
-    when every unit shares one block (``shared_units``). ``variance`` and
-    ``A_units`` (the (Q, n_units, R m, R m) stacks of the unit blocks of
-    every A_i = C^{-1} dC_i) are computed on first use, so a covariance
-    that is only factorized (a rejected proposal, a simulation) forms
-    neither, and states that share this object share them. A_i is the
-    only lambda derivative held: the derivative checks read dC_i as C A_i.
+    ``groups`` holds one factorized JointCovariance of C_Omega per size
+    of unit, as ``model.unit_groups``: (n_units, R m, R m) stacks whose
+    rows and columns sit at ``index`` in the stacked N R vector, or
+    (1, R m, R m) when every unit shares one block. ``variance`` and
+    ``A_units`` (the (Q, n_units, R m, R m) stacks of every A_i) are
+    computed on first use, so a covariance that is only factorized (a
+    rejected proposal, a simulation) forms neither, and states that
+    share this object share them. Only a free power's A_i reads mu.
     """
 
     model: object
@@ -76,17 +69,15 @@ class StateCovariance:
 
     @cached_property
     def shared_units(self):
-        """Per unit size, how many units each block of its stacks stands for.
+        """Per unit size, how many units each block of A_units stands for: all or 1.
 
-        All of them when the units share one block (a unit axis of 1),
-        else 1. A sum over units of a covariance-only term is this count
-        times the sum over the stack.
+        A sum over units of a covariance-only term is this count times the sum over the stack.
         """
-        return tuple(idx.shape[0] // g.C_inv.shape[0] for idx, g in zip(self.index, self.groups))
+        return tuple(idx.shape[0] // A.shape[1] for idx, A in zip(self.index, self.A_units))
 
     @cached_property
     def variance(self):
-        """diag(C), the marginal variances of the stacked responses."""
+        """diag(C_Omega), the marginal variances of the standardized responses."""
         out = np.empty(self.model.N * self.model.R)
         for idx, g in zip(self.index, self.groups):
             diags = [np.diagonal(rc.sigma, axis1=-2, axis2=-1) for rc in g.responses]
@@ -95,21 +86,19 @@ class StateCovariance:
 
     @cached_property
     def A_units(self):
-        """A_i = C^{-1} dC_i; each response's tau derivatives are built in one stacked call.
+        """A_i = C_Omega^{-1} dC_Omega,i; each response's tau derivatives are built in one call.
 
         The call takes the response's stacked component blocks (a leading
-        axis of D+1): A_dtau when the joint inverse is a precision, else
-        dSigma_dtau and dC_dpar_r. A rho or power dC_i is built on its
-        own, and every dC_i of a unit size meets C^{-1} in one product.
+        axis of D+1): A_dtau when C_Omega^{-1} is U, else dSigma_dtau and
+        dC_dpar_r. A rho or power dC_i is built on its own, a power's by
+        dC_dscale at each unit's mu, and every dC_i of a unit size meets
+        C_Omega^{-1} in one product.
         """
         model = self.model
-        lam_map = model.lambda_index_map()
         out = []
         for grp, joint in zip(model.unit_groups, self.groups):
-            A = np.empty((model.Q,) + joint.C_inv.shape)
-            precise = joint.R == 1 and joint.responses[0].precision is not None
             pos, dC, taus = [], [], [[] for _ in model.responses]
-            for i, (role, idx, _) in enumerate(lam_map):
+            for i, (role, idx, _) in enumerate(model.lambda_index_map()):
                 if role == "tau":
                     taus[idx].append(i)
                     continue
@@ -117,18 +106,21 @@ class StateCovariance:
                     dC_i = dC_drho(joint, idx)
                 else:
                     mu, var = self.mu[idx * model.N + grp.index], model.responses[idx].variance
-                    dS = dSigma_dp(mu, var, self.lam[i], joint.responses[idx])
-                    dC_i = dC_dpar_r(joint, idx, dS)
+                    dC_i = dC_dscale(joint, idx, *scale_direction(var, mu, self.lam[i]))
                 pos.append(i)
                 dC.append(dC_i[None])
+            units = np.broadcast_shapes(joint.C_inv.shape, *(d.shape[1:] for d in dC))
+            A = np.empty((model.Q,) + units)
             for r, (resp, rc) in enumerate(zip(model.responses, joint.responses)):
                 Z = grp.predictors[r].blocks
-                if precise:
+                if joint.R == 1 and resp.covlink.kind == "inverse" and rc.sigma is rc.omega:
                     A[taus[r]] = A_dtau(rc, Z)
                 else:
                     pos += taus[r]
                     dC.append(dC_dpar_r(joint, r, dSigma_dtau(rc, resp.covlink, Z)))
             if dC:
+                dC = [d if d.shape[1:] == units else np.broadcast_to(d, d.shape[:1] + units)
+                      for d in dC]
                 A[pos] = joint.C_inv @ np.concatenate(dC)
             out.append(A)
         return tuple(out)
@@ -138,11 +130,11 @@ class StateCovariance:
 class EstimatingState:
     """Model evaluated at one theta: everything the estimating functions need.
 
-    The mean half (mu, the residual, the mean gradient D and whether any
-    inverse link saturated there) is held here;
-    the covariance half is a StateCovariance. The ``*_units`` attributes
-    hold one entry per size of unit: the rows of each unit of D, of the
-    residual r, of u = C^{-1} r and of G = C^{-1} D, computed on first use,
+    The mean half (mu, the residual, the mean gradient D, the scales and
+    whether any inverse link saturated there) is held here; the
+    covariance half is a StateCovariance. The ``*_units`` attributes hold
+    one entry per size of unit: the rows of each unit of D / s, of
+    r = (y - mu) / s, of u and of G, computed on first use,
     as are J_beta = D^T G and the quasi-score psi_beta = D^T u, which the
     iteration record and the beta step both read.
     """
@@ -153,6 +145,7 @@ class EstimatingState:
     mu: np.ndarray = field(repr=False)          # NR stacked means
     residual: np.ndarray = field(repr=False)    # y - mu
     D: np.ndarray = field(repr=False)           # NR x K mean gradient
+    scale: np.ndarray = field(repr=False)       # NR stacked sqrt(V(mu))
     saturated: bool
     covariance: StateCovariance = field(repr=False)
 
@@ -166,18 +159,19 @@ class EstimatingState:
 
     @cached_property
     def D_units(self):
-        return tuple(self.D[idx] for idx in self.covariance.index)
+        D = self.D / self.scale[:, None]
+        return tuple(D[idx] for idx in self.covariance.index)
 
     @cached_property
     def r_units(self):
-        return tuple(self.residual[idx] for idx in self.covariance.index)
+        return tuple((self.residual / self.scale)[idx] for idx in self.covariance.index)
 
     @cached_property
     def u_units(self):
         return tuple(
-            # C^{-1} is exactly symmetric, so a shared block multiplies all rows at once
-            r @ g.C_inv[0] if n > 1 else (g.C_inv @ r[..., None])[..., 0]
-            for n, g, r in zip(self.covariance.shared_units, self.covariance.groups, self.r_units)
+            # C_Omega^{-1} is exactly symmetric, so a shared block multiplies all rows at once
+            r @ g.C_inv[0] if len(g.C_inv) < len(r) else (g.C_inv @ r[..., None])[..., 0]
+            for g, r in zip(self.covariance.groups, self.r_units)
         )
 
     @cached_property
@@ -198,33 +192,54 @@ class EstimatingState:
         K = self.K
         return sum(D.reshape(-1, K).T @ u.ravel() for D, u in zip(self.D_units, self.u_units))
 
+    @cached_property
+    def beta_slopes(self):
+        """scale_direction's (e, f) along each column of D, N R x K; f is 0 off poisson_tweedie."""
+        N, (_, p, _) = self.model.N, self.model.split_lambda(self.theta.lam)
+        rows = [slice(r * N, (r + 1) * N) for r in range(self.model.R)]
+        ef = [scale_direction(resp.variance, self.mu[i], p[r], self.D[i])
+              for r, (resp, i) in enumerate(zip(self.model.responses, rows))]
+        f = [0.0 * e if f is None else f for e, f in ef]
+        return np.concatenate([e for e, _ in ef]), np.concatenate(f)
+
+    def scaled(self, blocks, right=True):
+        """S X S for C_Omega-space stacks X per unit size (C, dC), or S X (C's factor)."""
+        return tuple(
+            self.scale[idx][..., :, None] * X * (self.scale[idx][..., None, :] if right else 1.0)
+            for idx, X in zip(self.covariance.index, blocks)
+        )
+
     def with_beta(self, beta):
         """The state at a new beta, its mean half evaluated again.
 
-        C depends on beta only through the variance functions, so when no
-        response's variance depends on mu the new state shares this
-        state's covariance, caches included. Otherwise the covariance is
-        rebuilt, which raises FactorizationError when it is not PD.
+        Only poisson_tweedie's diagonal ties C_Omega to beta, so without it
+        the new state keeps C_Omega (and its caches, unless a free power's
+        A_i reads the new means); otherwise it is rebuilt, which raises
+        FactorizationError when it is not PD.
         """
         model = self.model
         theta = self.theta.with_beta(beta)
         mu, D, saturated = _mean_half(model, theta.beta)
+        kinds = {resp.variance.kind for resp in model.responses}
         covariance = self.covariance
-        if any(resp.variance.depends_on_mu for resp in model.responses):
+        scale = self.scale if kinds == {"constant"} else _scales(model, mu, theta.lam)
+        if "poisson_tweedie" in kinds:
             covariance = build_covariance(model, mu, theta.lam)
-        return replace(
-            self, theta=theta, mu=mu, residual=self.y - mu, D=D, saturated=saturated,
-            covariance=covariance,
-        )
+        elif any(resp.power_free for resp in model.responses):
+            covariance = replace(covariance, mu=mu)  # a power's A_i reads the new scales
+        return replace(self, theta=theta, mu=mu, residual=self.y - mu, D=D, scale=scale,
+                       saturated=saturated, covariance=covariance)
 
     def with_lambda(self, lam):
-        """The state at new covariance parameters: the mean half is kept and C is built again.
+        """The state at new covariance parameters: the means are kept and C is built again.
 
         Raises FactorizationError when the new covariance is not PD.
         """
-        theta = self.theta.with_lambda(lam)
+        model, theta = self.model, self.theta.with_lambda(lam)
+        free = any(resp.power_free for resp in model.responses)
         return replace(
-            self, theta=theta, covariance=build_covariance(self.model, self.mu, theta.lam)
+            self, theta=theta, scale=_scales(model, self.mu, theta.lam) if free else self.scale,
+            covariance=build_covariance(model, self.mu, theta.lam),
         )
 
 
@@ -247,12 +262,18 @@ def _mean_half(model, beta):
     return mu, D, saturated
 
 
-def build_covariance(model, mu, lam):
-    """Factorize the joint covariance at the means mu and covariance parameters lam.
+def _scales(model, mu, lam):
+    """The stacked scales s = sqrt(V(mu)) at the powers of lam (variance_scale)."""
+    N, (_, p, _) = model.N, model.split_lambda(lam)
+    return np.concatenate([variance_scale(mu[r * N : (r + 1) * N], resp.variance, p[r])
+                           for r, resp in enumerate(model.responses)])
 
-    The joint covariance is built batched over the model's units, one
-    JointCovariance per unit size. Raises FactorizationError on non-PD
-    covariance.
+
+def build_covariance(model, mu, lam):
+    """Factorize the joint correlation C_Omega at the covariance parameters lam.
+
+    mu is read only by poisson_tweedie. One JointCovariance per unit
+    size; raises FactorizationError on non-PD covariance.
     """
     rho, p, tau = model.split_lambda(lam)
     N = model.N
@@ -271,7 +292,7 @@ def build_covariance(model, mu, lam):
 
 
 def build_state(model, y, theta):
-    """Evaluate the means, the mean gradient and the factorized joint covariance at theta.
+    """Evaluate the means, the mean gradient, the scales and the factorized C_Omega at theta.
 
     The derivatives are left to StateCovariance.A_units, which forms
     them only when an estimating function first asks for them.
@@ -288,29 +309,10 @@ def build_state(model, y, theta):
         mu=mu,
         residual=y - mu,
         D=D,
+        scale=_scales(model, mu, theta.lam),
         saturated=saturated,
         covariance=build_covariance(model, mu, theta.lam),
     )
-
-
-def dC_dbeta(state, j):
-    """Derivative of C in the j-th regression coefficient (chain rule via mu).
-
-    The mean direction is column j of D. One stack of unit blocks per
-    unit size, as StateCovariance.A_units.
-    """
-    model = state.model
-    _, owner, _ = model.layout[j]
-    resp = model.responses[owner]
-    _, p, _ = model.split_lambda(state.theta.lam)
-    out = []
-    for grp, joint in zip(model.unit_groups, state.covariance.groups):
-        rows = owner * model.N + grp.index
-        dS = dSigma_dmu_dir(
-            state.mu[rows], resp.variance, p[owner], joint.responses[owner], state.D[rows, j]
-        )
-        out.append(dC_dpar_r(joint, owner, dS))
-    return tuple(out)
 
 
 def _flat(X):
@@ -384,15 +386,15 @@ def sensitivity_lambda(state):
 def variability_lambda(state, k4):
     """V_lambda with fourth-cumulant adjustment; k4 = 0 gives -2 S_lambda.
 
-    k4 is indexed like the stacked responses; diag(W_i) is the row sums
-    of A_i o C^{-1}. Units that share one block share diag(W_i), so their
-    k4 is summed over the units first.
+    k4 holds the standardized k4_l / s_l^4, indexed like the stacked
+    responses; diag(W_i) is the row sums of A_i o C_Omega^{-1}. Units
+    that share one block share diag(W_i), so their k4 is summed first.
     """
     k4 = np.asarray(k4, dtype=float)
     V = -2.0 * sensitivity_lambda(state)
     cov = state.covariance
     for idx, g, A, n in zip(cov.index, cov.groups, cov.A_units, cov.shared_units):
-        w = _flat(np.einsum("iuab,uab->iua", A, g.C_inv))
+        w = _flat(np.einsum("iuab,uab->iua", A, np.broadcast_to(g.C_inv, A.shape[1:])))
         k = k4[idx].reshape(-1, n, idx.shape[1]).sum(axis=1)
         V = V + (w * k.ravel()) @ w.T
     return V
@@ -405,21 +407,25 @@ def empirical_k4(residual, variance):
 
 
 def cross_sensitivity_lb(state):
-    """S_lambda,beta[i, j] = -tr(W_i C W_beta_j C) = -tr(A_i C^{-1} dC_beta_j).
+    """S_lambda,beta[i, j] = -tr(W_i C W_beta_j C) = -tr(A_i C_Omega^{-1} dC_Omega,j).
 
-    C does not depend on the beta of a constant-variance response, so
-    those columns stay zero without forming dC_beta_j.
+    dC_Omega,j is dC_dscale along beta_slopes, E_j C_Omega + C_Omega E_j
+    + dC_dpar_r(diag f_j), and dC_Omega,i C_Omega^{-1} = A_i^T, so the
+    E_j part is -2 diag(A_i) . e_j for every column at once. Only a
+    poisson_tweedie response has f (not diagonal for R > 1): one stacked
+    product per response.
     """
-    model, cov = state.model, state.covariance
-    S = np.zeros((state.Q, state.K))
-    for resp, sl in zip(model.responses, model.beta_slices()):
-        if not resp.variance.depends_on_mu:
-            continue
-        for j in range(sl.start, sl.stop):
-            S[:, j] = -sum(
-                _flat(A) @ _T(g.C_inv @ dCb).ravel()
-                for A, g, dCb in zip(cov.A_units, cov.groups, dC_dbeta(state, j))
-            )
+    model, cov, K = state.model, state.covariance, state.K
+    e, f = state.beta_slopes
+    S = np.zeros((state.Q, K))
+    for idx, grp, g, A in zip(cov.index, model.unit_groups, cov.groups, cov.A_units):
+        E = e[idx] if A.shape[1] > 1 else e[idx].sum(axis=0, keepdims=True)
+        S -= 2.0 * _flat(np.diagonal(A, axis1=-2, axis2=-1)) @ E.reshape(-1, K)
+        for r, resp in enumerate(model.responses):
+            if resp.variance.kind == "poisson_tweedie":
+                F = np.moveaxis(f[r * model.N + grp.index], -1, 0)  # (K, n_units, m)
+                dC = dC_dpar_r(g, r, F[..., None] * np.eye(F.shape[-1]))
+                S -= _flat(A) @ _flat(_T(g.C_inv @ dC)).T
     return S
 
 
@@ -503,7 +509,7 @@ def build_godambe(state):
     S[K:, :K] = cross_sensitivity_lb(state)
     S[K:, K:] = sensitivity_lambda(state)
     V[:K, :K] = -S_b
-    k4 = empirical_k4(state.residual, state.covariance.variance)
+    k4 = empirical_k4(state.residual / state.scale, state.covariance.variance)
     V[K:, K:] = variability_lambda(state, k4)
     V_lb = cross_variability_lb(state)
     V[K:, :K] = V_lb

@@ -52,11 +52,6 @@ class VarianceSpec:
     def has_power(self):
         return self.kind in ("tweedie_power", "poisson_tweedie")
 
-    @property
-    def depends_on_mu(self):
-        """Whether V(mu) varies with mu; a constant variance makes C independent of beta."""
-        return self.kind != "constant"
-
 
 @dataclass(frozen=True)
 class CovLinkSpec:

@@ -145,9 +145,11 @@ class MatrixPredictor:
 
         Formed on first use and kept. The components' unit axes
         broadcast, so the stack keeps one block per component, (D+1, 1,
-        m, m), only when every component does.
+        m, m), only when every component does. A full predictor gives
+        its dense (D+1, N, N) stack.
         """
-        Z = np.stack(np.broadcast_arrays(*(z.data for z in self.components)))
+        data = [z.dense() if z.is_sparse else z.data for z in self.components]
+        Z = np.stack(np.broadcast_arrays(*data))
         Z.setflags(write=False)
         return Z
 
@@ -277,7 +279,7 @@ def mat_sum(A, B):
 
 
 def assemble_U(tau, pred):
-    """Matrix linear predictor value U = sum_d tau_d Z_d.
+    """Matrix linear predictor value U = sum_d tau_d Z_d: one product with the stack pred.blocks.
 
     Dense N x N, or the stack of unit blocks when the predictor is
     restricted to units: (1, m, m) when every component shares one
@@ -288,13 +290,7 @@ def assemble_U(tau, pred):
         raise DomainError(
             f"tau has length {tau.size}, predictor has {pred.D_plus_1} components"
         )
-    U = np.zeros(np.broadcast_shapes(*(z.data.shape for z in pred.components)))
-    for t, z in zip(tau, pred.components):
-        if z.is_sparse:
-            U += t * z.data.toarray()
-        else:
-            U += t * z.data
-    return U
+    return (tau @ pred.blocks.reshape(tau.size, -1)).reshape(pred.blocks.shape[1:])
 
 
 def save_structure_matrix(sm, path):

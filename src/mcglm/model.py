@@ -153,22 +153,26 @@ class ModelSpec:
     def Q(self):
         return len(self.layout) - self.K
 
+    @cached_property
+    def _lambda_split(self):
+        """(rho then p at their defaults, where lambda's free rho and p go, each tau's slice)."""
+        rho = np.zeros(self.n_rho) if self.rho_fixed is None else self.rho_fixed
+        head = np.concatenate([rho, [resp.power_value for resp in self.responses]])
+        at = [r + self.n_rho * (kind == "power") for kind, r, _ in self.lambda_index_map()
+              if kind != "tau"]
+        sizes = [resp.predictor.D_plus_1 for resp in self.responses]
+        stops = (len(at) + np.cumsum(sizes)).tolist()
+        return head, np.array(at, dtype=int), [slice(b - d, b) for b, d in zip(stops, sizes)]
+
     def split_lambda(self, lam):
-        """Unpack lambda into (rho, p per response, tau per response)."""
-        lam, lam_map = np.asarray(lam, dtype=float), self.lambda_index_map()
-        if lam.size != len(lam_map):
-            raise DomainError(f"lambda has length {lam.size}, expected {len(lam_map)}")
-        rho = [0.0] * self.n_rho if self.rho_fixed is None else self.rho_fixed.tolist()
-        p = [resp.power_value for resp in self.responses]
-        tau = [[] for _ in self.responses]
-        for value, (role, r, _) in zip(lam.tolist(), lam_map):
-            if role == "rho":
-                rho[r] = value
-            elif role == "power":
-                p[r] = value
-            else:
-                tau[r].append(value)
-        return np.array(rho, dtype=float), np.array(p, dtype=float), [np.array(t) for t in tau]
+        """Unpack lambda into (rho, p per response, tau per response), by index arrays kept."""
+        lam = np.asarray(lam, dtype=float)
+        if lam.size != self.Q:
+            raise DomainError(f"lambda has length {lam.size}, expected {self.Q}")
+        head, at, taus = self._lambda_split
+        head = head.copy()
+        head[at] = lam[: at.size]
+        return head[: self.n_rho], head[self.n_rho :], [lam[sl].copy() for sl in taus]
 
     def pack_lambda(self, rho, p, tau):
         """Inverse of split_lambda: the free entries of rho, p and tau in layout order.

@@ -1,7 +1,8 @@
 """Synthetic data with exact first and second moments.
 
 The Gaussian generator is the workhorse: the model is second-moment
-specified, so Y = M + L z (L the Cholesky factor of C) reproduces the
+specified, so Y = M + L z (L = S L_Omega, the Cholesky factor of
+C = S C_Omega S) reproduces the
 joint mean and covariance exactly. L is block diagonal over the model's
 independent units, so each unit's slice of z is multiplied by its own
 block. Count generators exist only to exercise the overdispersed
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .estfun import _mean_half, build_covariance
+from .estfun import _mean_half, build_state
 
 
 @dataclass(frozen=True)
@@ -41,15 +42,15 @@ def simulate_gaussian(spec):
     of how many are drawn.
     """
     model = spec.model
-    mean = stacked_mean(model, spec.theta_true)
-    covariance = build_covariance(model, mean, spec.theta_true.lam)
+    state = build_state(model, np.zeros(model.N * model.R), spec.theta_true)
+    mean, factors = state.mu, state.scaled((g.C_chol for g in state.covariance.groups), False)
     n = mean.size
     out = np.empty((spec.n_replicates, n))
     children = np.random.SeedSequence(spec.seed).spawn(spec.n_replicates)
     for i, child in enumerate(children):
         z = np.random.default_rng(child).standard_normal(n)
-        for idx, joint in zip(covariance.index, covariance.groups):
-            out[i, idx] = mean[idx] + (joint.C_chol @ z[idx][..., None])[..., 0]
+        for idx, L in zip(state.covariance.index, factors):
+            out[i, idx] = mean[idx] + (L @ z[idx][..., None])[..., 0]
     return out
 
 

@@ -129,7 +129,7 @@ class _LambdaStep:
     @cached_property
     def VinvS(self):
         state = self.state
-        k4 = empirical_k4(state.residual, state.covariance.variance)
+        k4 = empirical_k4(state.residual / state.scale, state.covariance.variance)
         return np.linalg.solve(variability_lambda(state, k4), self.S_l)
 
     def lam(self, alpha):

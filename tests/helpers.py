@@ -21,14 +21,14 @@ from mcglm import (
     simulate_gaussian,
 )
 from mcglm.covariance import (
+    ResponseCovariance,
     build_sigma_r,
     chol_deriv,
-    dC_dpar_r,
     dC_drho,
-    dSigma_dmu_dir,
-    dSigma_dp,
+    dC_dscale,
     dSigma_dtau,
 )
+from mcglm.functions import variance_deriv_mu, variance_deriv_p, variance_eval
 
 
 def random_pd(rng, n, jitter=None):
@@ -73,18 +73,49 @@ def product_rule_dC(assembly, r, dS):
     return 0.5 * (dC + np.swapaxes(dC, -1, -2))
 
 
+def _power_part(var):
+    """The variance whose V(mu) is the scale's: mu^p alone for poisson_tweedie."""
+    return VarianceSpec("tweedie_power") if var.kind == "poisson_tweedie" else var
+
+
+def _dense_sigmas(model, mu, lam):
+    """Per response (Sigma_r, Omega_r, s_r), Sigma_r = S Omega_r S (+ diag(mu) for poisson_tweedie)."""
+    N = model.N
+    _, p, tau = model.split_lambda(lam)
+    out = []
+    for r, resp in enumerate(model.responses):
+        mu_r = mu[r * N : (r + 1) * N]
+        omega = build_sigma_r(mu_r, resp.variance, p[r], tau[r], resp.predictor, resp.covlink).omega
+        s = np.sqrt(variance_eval(_power_part(resp.variance), mu_r, p[r]))
+        sigma = s[:, None] * omega * s[None, :]
+        if resp.variance.kind == "poisson_tweedie":
+            sigma = sigma + np.diag(mu_r)
+        out.append((0.5 * (sigma + sigma.T), omega, s))
+    return out
+
+
+def _scale_rule(omega, s, ds):
+    """dS Omega S + S Omega dS for the diagonal dS = diag(ds) (dense test oracle)."""
+    return ds[:, None] * omega * s[None, :] + s[:, None] * omega * ds[None, :]
+
+
 def dense_covariance(model, mu, lam):
     """The joint covariance and every dC_i built from the full N x N matrices, ignoring units.
 
-    Returns the JointCovariance of the whole stacked vector and the list
-    of dense dC_i, one per lambda position (dense test oracle).
+    Each Sigma_r = S Omega_r S (+ diag(mu) for poisson_tweedie) and its
+    derivative in a tau or a power are formed here, the power's by the
+    dense product rule dS Omega S + S Omega dS, and every such dSigma_r
+    goes through product_rule_dC. Returns the JointCovariance of the
+    whole stacked vector and the list of dense dC_i, one per lambda
+    position (dense test oracle).
     """
     N = model.N
-    rho, p, tau = model.split_lambda(lam)
+    rho, p, _ = model.split_lambda(lam)
     resps = model.responses
+    sigmas = _dense_sigmas(model, mu, lam)
     rcs = [
-        build_sigma_r(mu[r * N : (r + 1) * N], s.variance, p[r], tau[r], s.predictor, s.covlink)
-        for r, s in enumerate(resps)
+        ResponseCovariance(sigma=sigma, omega=omega, chol=np.linalg.cholesky(sigma))
+        for sigma, omega, _ in sigmas
     ]
     jc = generalized_kronecker(rcs, sigma_b_from_rho(rho, model.R))
     dC = []
@@ -92,29 +123,53 @@ def dense_covariance(model, mu, lam):
         if role == "rho":
             dC.append(dC_drho(jc, r))
             continue
+        _, omega, s = sigmas[r]
         if role == "power":
-            dS = dSigma_dp(mu[r * N : (r + 1) * N], resps[r].variance, p[r], rcs[r])
+            mu_r = mu[r * N : (r + 1) * N]
+            dS = _scale_rule(omega, s, variance_deriv_p(resps[r].variance, mu_r, p[r]) / (2.0 * s))
         else:
-            Z = resps[r].predictor.components[d]
-            dS = dSigma_dtau(rcs[r], resps[r].covlink, Z.dense())
-        dC.append(dC_dpar_r(jc, r, dS))
+            Z = resps[r].predictor.components[d].dense()
+            dS = s[:, None] * dSigma_dtau(rcs[r], resps[r].covlink, Z) * s[None, :]
+        dC.append(product_rule_dC(jc, r, dS))
     return jc, dC
 
 
 def dense_oracle(state):
-    """C, C^{-1}, dC_i and dC_beta_j built from the full N x N matrices, ignoring units."""
+    """C, C^{-1}, dC_i and dC_beta_j built from the full N x N matrices, ignoring units.
+
+    A beta moves Sigma_r through mu: dS Omega S + S Omega dS with
+    dS = V'(mu) dmu / 2S, plus diag(dmu) for poisson_tweedie, by the
+    dense product rule.
+    """
     model, mu = state.model, state.mu
     N = model.N
     _, p, _ = model.split_lambda(state.theta.lam)
     jc, dC = dense_covariance(model, mu, state.theta.lam)
+    sigmas = _dense_sigmas(model, mu, state.theta.lam)
     dC_beta = []
     for r, (resp, sl) in enumerate(zip(model.responses, model.beta_slices())):
+        _, omega, s = sigmas[r]
+        mu_r = mu[r * N : (r + 1) * N]
+        slope = variance_deriv_mu(_power_part(resp.variance), mu_r, p[r]) / (2.0 * s)
         for j in range(sl.start, sl.stop):
             dmu = state.D[r * N : (r + 1) * N, j]
-            mu_r = mu[r * N : (r + 1) * N]
-            dS = dSigma_dmu_dir(mu_r, resp.variance, p[r], jc.responses[r], dmu)
-            dC_beta.append(dC_dpar_r(jc, r, dS))
+            dS = _scale_rule(omega, s, slope * dmu)
+            if resp.variance.kind == "poisson_tweedie":
+                dS = dS + np.diag(dmu)
+            dC_beta.append(product_rule_dC(jc, r, dS))
     return jc.C, jc.C_inv, dC, dC_beta
+
+
+def scale_dC_beta(state, j):
+    """dC in beta j per unit size, read as the fit reads it: S dC_dscale S along beta_slopes."""
+    model, cov = state.model, state.covariance
+    _, r, _ = model.layout[j]
+    e, f = state.beta_slopes
+    pt = model.responses[r].variance.kind == "poisson_tweedie"
+    rows = [r * model.N + grp.index for grp in model.unit_groups]
+    return state.scaled(
+        dC_dscale(g, r, e[i, j], f[i, j] if pt else None) for g, i in zip(cov.groups, rows)
+    )
 
 
 def car_components(T, S):
@@ -128,18 +183,22 @@ def car_components(T, S):
     )
 
 
-def scatter(covariance, blocks):
+def scatter(state, blocks):
     """Dense N R x N R matrix from one stack of unit blocks per unit size (dense test oracle).
 
-    ``blocks`` is such a sequence, or the name of a JointCovariance
-    matrix ("C", "C_chol" or "C_inv") to take from every size group of
-    the StateCovariance ``covariance``.
+    ``blocks`` is such a sequence, or "C", "C_chol" or "C_inv": the
+    joint covariance C = S C_Omega S of the EstimatingState ``state``,
+    its lower factor S L_Omega or its inverse S^{-1} C_Omega^{-1} S^{-1}.
     """
+    index = state.covariance.index
+    if isinstance(blocks, str) and blocks == "C_inv":
+        s = state.scale
+        return scatter(state, [g.C_inv for g in state.covariance.groups]) / np.outer(s, s)
     if isinstance(blocks, str):
-        blocks = [getattr(g, blocks) for g in covariance.groups]
-    n = sum(idx.size for idx in covariance.index)
+        blocks = state.scaled((getattr(g, blocks) for g in state.covariance.groups), blocks == "C")
+    n = sum(idx.size for idx in index)
     out = np.zeros((n, n))
-    for idx, b in zip(covariance.index, blocks):
+    for idx, b in zip(index, blocks):
         out[idx[:, :, None], idx[:, None, :]] = b
     return out
 

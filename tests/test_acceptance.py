@@ -263,7 +263,7 @@ def test_criterion_06_insensitivity():
     h = 1e-4
     state = build_state(model, y=np.zeros(model.N * model.R), theta=theta)
     mu = state.mu
-    L = scatter(state.covariance, "C_chol")
+    L = scatter(state, "C_chol")
     D = state.D
     rng = np.random.default_rng(60)
     resid = L @ rng.standard_normal((mu.size, n_rep))  # columns are replicates
@@ -272,8 +272,8 @@ def test_criterion_06_insensitivity():
     for j in range(theta.lam.size):
         e = np.zeros(theta.lam.size)
         e[j] = h
-        plus = build_state(model, mu, theta.with_lambda(theta.lam + e)).covariance
-        minus = build_state(model, mu, theta.with_lambda(theta.lam - e)).covariance
+        plus = build_state(model, mu, theta.with_lambda(theta.lam + e))
+        minus = build_state(model, mu, theta.with_lambda(theta.lam - e))
         Cp_inv, Cm_inv = scatter(plus, "C_inv"), scatter(minus, "C_inv")
         M = D.T @ ((Cp_inv - Cm_inv) / (2 * h))
         slopes = M @ resid  # K x n_rep per-replicate slope of psi_beta
@@ -301,7 +301,7 @@ def test_criterion_07_v_lambda_identity():
     state_g = build_state(model_g, np.zeros(16), theta_g)
     V = variability_lambda(state_g, np.zeros(16))
     mu = state_g.mu
-    L = scatter(state_g.covariance, "C_chol")
+    L = scatter(state_g, "C_chol")
     n_rep = 4000
     rng = np.random.default_rng(72)
     psis = np.empty((n_rep, state_g.Q))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import mcglm.covariance
 import mcglm.estfun
 from mcglm import (
     CovLinkSpec,
@@ -33,7 +34,7 @@ from mcglm.estfun import (
 from mcglm.simulate import SimSpec
 from mcglm.solver import _beta_step
 
-from helpers import gaussian_two_response, nonpd_instance, random_instance
+from helpers import car_components, gaussian_two_response, nonpd_instance, random_instance
 
 
 def paired_r2():
@@ -75,7 +76,7 @@ def mean_dependent(kind):
     rng = np.random.default_rng(12)
     while True:
         model, y, theta = random_instance(rng, N=8, R=2, setups=setups)
-        if any(r.variance.depends_on_mu for r in model.responses):
+        if any(r.variance.kind != "constant" for r in model.responses):
             return model, y, theta
 
 
@@ -93,7 +94,7 @@ def binomial():
 
 
 def outputs(state):
-    k4 = empirical_k4(state.residual, state.covariance.variance)
+    k4 = empirical_k4(state.residual / state.scale, state.covariance.variance)
     god = build_godambe(state)
     return [
         quasi_score(state),
@@ -119,7 +120,7 @@ def stepped(model, y, theta):
 @pytest.mark.parametrize("case", [paired_r2, car_inverse, r3_constant])
 def test_constant_variance_keeps_the_covariance(case):
     model, y, theta = case()
-    assert not any(r.variance.depends_on_mu for r in model.responses)
+    assert all(r.variance.kind == "constant" for r in model.responses)
     state, state_b = stepped(model, y, theta)
     assert state_b.covariance is state.covariance
     assert not np.array_equal(state_b.theta.beta, state.theta.beta)
@@ -140,23 +141,27 @@ def test_constant_variance_keeps_the_covariance(case):
     ids=["tweedie", "poisson_tweedie", "mixed", "binomial"],
 )
 def test_mean_dependent_variance_rebuilds_the_covariance(case):
+    # C = S C_Omega S: the beta step rebuilds the scales; C_Omega and its inverse are
+    # kept unless poisson_tweedie's diagonal of K_r moves with mu
     model, y, theta = case()
     state, state_b = stepped(model, y, theta)
-    assert state_b.covariance is not state.covariance
+    assert not np.array_equal(state_b.scale, state.scale)
+    kept = not any(r.variance.kind == "poisson_tweedie" for r in model.responses)
+    assert (state_b.covariance.groups is state.covariance.groups) == kept
     rebuilt = build_state(model, y, state_b.theta)
     for a, b in zip(outputs(state_b), outputs(rebuilt)):
         assert np.array_equal(a, b)
 
 
-def counted_fit(monkeypatch, model, y):
+def counted_fit(monkeypatch, model, y, binding=(mcglm.estfun, "build_covariance")):
     calls = []
-    original = mcglm.estfun.build_covariance
+    original = getattr(*binding)
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(mcglm.estfun, "build_covariance", counted)
+    monkeypatch.setattr(*binding, counted)
     res = fit(model, y, SolverOptions(algorithm="reciprocal"))
     assert res.converged
     return res, len(calls)
@@ -169,14 +174,43 @@ def test_constant_variance_fit_builds_once_per_proposal(monkeypatch):
     assert n == 1 + (res.n_iter - 1) + res.n_alpha_escalations
 
 
-def test_tweedie_fit_also_builds_after_each_beta_step(monkeypatch):
+def count_model(kind):
     N = 30
     rng = np.random.default_rng(14)
     X = np.column_stack([np.ones(N), rng.standard_normal(N)])
     resp = ResponseSpec(
-        "y", LinkSpec("log"), VarianceSpec("tweedie_power", power_known=True),
+        "y", LinkSpec("log"), VarianceSpec(kind, power_known=True),
         CovLinkSpec("identity"), X, MatrixPredictor((mat_identity(N),)), power_value=1.0,
     )
-    y = rng.poisson(np.exp(1.0 + 0.3 * X[:, 1])).astype(float)
-    res, n = counted_fit(monkeypatch, ModelSpec((resp,)), y)
+    return ModelSpec((resp,)), rng.poisson(np.exp(1.0 + 0.3 * X[:, 1])).astype(float)
+
+
+def test_tweedie_fit_builds_once_per_proposal(monkeypatch):
+    # the beta step changes only the scales, so it keeps C_Omega
+    res, n = counted_fit(monkeypatch, *count_model("tweedie_power"))
+    assert n == 1 + (res.n_iter - 1) + res.n_alpha_escalations
+
+
+def test_poisson_tweedie_fit_also_builds_after_each_beta_step(monkeypatch):
+    # its diagonal mu^{1-p} of K_r moves with beta, so C_Omega is rebuilt
+    res, n = counted_fit(monkeypatch, *count_model("poisson_tweedie"))
     assert n == 1 + 2 * (res.n_iter - 1) + res.n_alpha_escalations
+
+
+def test_tweedie_car_fit_assembles_U_once_per_proposal(monkeypatch):
+    # 6 x 8 CAR, log link, inverse covariance link, tweedie_power p = 1.3: U depends on
+    # tau alone, so no beta step assembles it again
+    comps = car_components(6, 8)
+    N = comps[0].dim
+    X = np.column_stack([np.ones(N), np.arange(N) / N])
+    resp = ResponseSpec(
+        "y", LinkSpec("log"), VarianceSpec("tweedie_power"), CovLinkSpec("inverse"),
+        X, MatrixPredictor(comps), power_value=1.3,
+    )
+    model = ModelSpec((resp,))
+    tau = np.array([1.0, -0.4, 0.8, -0.24, 0.5, 0.1])
+    theta = make_theta(model, np.array([1.0, 0.5]), model.pack_lambda([], [1.3], [tau]))
+    y = simulate_gaussian(SimSpec(model, theta, 1, seed=99))[0]
+    res, n = counted_fit(monkeypatch, model, y, binding=(mcglm.covariance, "assemble_U"))
+    assert res.n_alpha_escalations > 0
+    assert n == 1 + (res.n_iter - 1) + res.n_alpha_escalations

@@ -230,6 +230,24 @@ class TestFit:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "non-PD" in lines[0]
 
+    def test_underflowing_variance_exits_3(self, tmp_path, monkeypatch, capsys):
+        # mu^2 = exp(-1380) underflows to 0 at the start: C = S C_Omega S is singular
+        spec, _, _ = gaussian_fixture(tmp_path, N=4)
+        doc = json.loads(spec.read_text())
+        doc["responses"][0].update(
+            link="log", variance="tweedie_power", power={"value": 2.0}, design_columns=["one"]
+        )
+        write_json(spec, doc)
+        start = mcglm.solver.initialize
+
+        def far_start(model, y):
+            return start(model, y).with_beta(np.array([-690.0]))
+
+        monkeypatch.setattr(mcglm.solver, "initialize", far_start)
+        assert main(["fit", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: fit failed: ")
+
     def test_byte_determinism_under_single_thread(self, tmp_path):
         spec, _, _ = gaussian_fixture(tmp_path)
         outs = []
@@ -568,14 +586,31 @@ class TestCheckDerivatives:
 
     def test_corrupted_beta_derivative_exits_4(self, tmp_path, capsys, monkeypatch):
         # under a log link the tweedie variance depends on mu, so C depends on beta
+        # through the scale: the fit's dC_dscale, which the check reads too
         spec, _, _ = gaussian_fixture(tmp_path)
         doc = json.loads(spec.read_text())
         doc["responses"][0].update(link="log", variance="tweedie_power")
         write_json(spec, doc)
-        original = mcglm.estfun.dSigma_dmu_dir
-        monkeypatch.setattr(mcglm.estfun, "dSigma_dmu_dir", lambda *a: 1.001 * original(*a))
+        original = mcglm.estfun.dC_dscale
+        monkeypatch.setattr(mcglm.estfun, "dC_dscale", lambda *a: 1.001 * original(*a))
         assert main(["check-derivatives", "--spec", str(spec)]) == 4
         assert "beta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["tweedie_power", "poisson_tweedie"])
+    def test_corrupted_power_derivative_exits_4(self, tmp_path, capsys, monkeypatch, kind):
+        # a free power's A_i is C_Omega^{-1} dC_dscale; the check reads it as C A_i
+        spec, _, _ = gaussian_fixture(tmp_path)
+        doc = json.loads(spec.read_text())
+        doc["responses"][0].update(
+            link="log", variance=kind, power={"fixed": False, "value": 1.5}
+        )
+        write_json(spec, doc)
+        assert main(["check-derivatives", "--spec", str(spec)]) == 0
+        capsys.readouterr()
+        original = mcglm.estfun.dC_dscale
+        monkeypatch.setattr(mcglm.estfun, "dC_dscale", lambda *a: 1.001 * original(*a))
+        assert main(["check-derivatives", "--spec", str(spec)]) == 4
+        assert "beta, power" in capsys.readouterr().err
 
     def test_corrupted_precision_derivative_exits_4(self, tmp_path, capsys, monkeypatch):
         # under the inverse link the fit reads each tau's A_i from A_dtau, and so does the check

@@ -28,10 +28,11 @@ from mcglm.covariance import (
     chol_deriv,
     dC_dpar_r,
     dC_drho,
-    dSigma_dmu_dir,
-    dSigma_dp,
+    dC_dscale,
     dSigma_dtau,
     phi_operator,
+    scale_direction,
+    variance_scale,
 )
 from mcglm.matpred import StructureMatrix
 
@@ -79,26 +80,23 @@ class TestBuildSigmaR:
         assert np.allclose(rc.chol @ rc.chol.T, rc.sigma, atol=1e-12)
 
     def test_tweedie_poisson_like(self):
+        # K_r carries no scale; Sigma_r = S K_r S with S = diag(sqrt(mu))
+        mu, var = np.array([2.0, 3.0]), VarianceSpec("tweedie_power")
         rc = build_sigma_r(
-            np.array([2.0, 3.0]),
-            VarianceSpec("tweedie_power"),
-            1.0,
-            [1.0],
-            MatrixPredictor((mat_identity(2),)),
-            CovLinkSpec("identity"),
+            mu, var, 1.0, [1.0], MatrixPredictor((mat_identity(2),)), CovLinkSpec("identity"),
         )
-        assert np.allclose(rc.sigma, np.diag([2.0, 3.0]))
+        assert np.array_equal(rc.sigma, np.eye(2))
+        s = variance_scale(mu, var, 1.0)
+        assert np.allclose(s[:, None] * rc.sigma * s[None, :], np.diag([2.0, 3.0]))
 
     def test_poisson_tweedie_adds_mean_diagonal(self):
+        # K_r = Omega + diag(mu^{1-p}), so S K_r S = mu^p Omega + diag(mu)
+        mu, var = np.array([2.0]), VarianceSpec("poisson_tweedie")
         rc = build_sigma_r(
-            np.array([2.0]),
-            VarianceSpec("poisson_tweedie"),
-            2.0,
-            [1.0],
-            MatrixPredictor((mat_identity(1),)),
-            CovLinkSpec("identity"),
+            mu, var, 2.0, [1.0], MatrixPredictor((mat_identity(1),)), CovLinkSpec("identity"),
         )
-        assert rc.sigma[0, 0] == pytest.approx(2.0 + 4.0)
+        assert rc.sigma[0, 0] == pytest.approx(1.0 + 0.5)
+        assert variance_scale(mu, var, 2.0)[0] ** 2 * rc.sigma[0, 0] == pytest.approx(2.0 + 4.0)
 
     def test_chol_diagonal_positive(self):
         rng = np.random.default_rng(0)
@@ -343,7 +341,10 @@ class TestCholDerivUse:
 
 
 class TestScaleUse:
-    """A state evaluates V(mu) once per response and unit size; each dSigma_r reads the stored S."""
+    """A state evaluates V(mu) once per response for the stacked scales, which K_r does not hold.
+
+    A free power's derivative evaluates it once more per unit size.
+    """
 
     def counted_state(self, monkeypatch, model, theta, y):
         calls = []
@@ -365,7 +366,7 @@ class TestScaleUse:
         assert self.counted_state(monkeypatch, model, theta, y) == 1
 
     def test_two_response_identity_link(self, monkeypatch):
-        # units of two sizes; response 2's estimated power goes through dSigma_dp
+        # units of two sizes; response 2's estimated power goes through dC_dscale
         groups = np.array([0, 0, 1, 1, 1, 2, 2, 3, 3, 3])
         N = groups.size
         X = np.column_stack([np.ones(N), np.linspace(-1.0, 1.0, N)])
@@ -384,42 +385,59 @@ class TestScaleUse:
         theta = make_theta(model, np.array([1.0, 0.5, 0.3, -0.2]), lam)
         y = simulate_gaussian(SimSpec(model, theta, 1, seed=7))[0]
         assert len(model.unit_groups) == 2
-        assert self.counted_state(monkeypatch, model, theta, y) == model.R * 2
+        assert self.counted_state(monkeypatch, model, theta, y) == model.R + 2
+
+
+def sigma_at(mu, var, p, tau, pred, cl):
+    """Sigma_r = S K_r S, from build_sigma_r and variance_scale."""
+    s = variance_scale(mu, var, p)
+    return s[:, None] * build_sigma_r(mu, var, p, tau, pred, cl).sigma * s[None, :]
+
+
+def dsigma_dscale(mu, var, p, tau, pred, cl, dmu=None):
+    """dSigma_r in p, or along dmu, as S dC_dscale S for R = 1."""
+    jc = generalized_kronecker([build_sigma_r(mu, var, p, tau, pred, cl)], np.eye(1))
+    if dmu is None:
+        e, f = scale_direction(var, mu, p)
+    else:
+        e, f = scale_direction(var, mu, p, dmu[:, None])
+        e, f = e[:, 0], None if f is None else f[:, 0]
+    s = variance_scale(mu, var, p)
+    return s[:, None] * dC_dscale(jc, 0, e, f) * s[None, :]
 
 
 class TestDSigma:
+    """dSigma_r in a tau (dSigma_dtau), and in p or along mu through the scale (dC_dscale)."""
+
     def setup_method(self):
         self.pred = MatrixPredictor((mat_identity(3),))
         self.cl = CovLinkSpec("identity")
 
     def test_dp_zero_at_unit_mean(self):
         var = VarianceSpec("tweedie_power")
-        rc = build_sigma_r(np.ones(3), var, 1.3, [1.0], self.pred, self.cl)
-        dS = dSigma_dp(np.ones(3), var, 1.3, rc)
+        dS = dsigma_dscale(np.ones(3), var, 1.3, [1.0], self.pred, self.cl)
         assert np.max(np.abs(dS)) < 1e-14
 
     def test_dp_scalar_oracle(self):
         mu = np.array([np.e])
         pred = MatrixPredictor((mat_identity(1),))
         omega = 1.7
-        var = VarianceSpec("tweedie_power")
-        rc = build_sigma_r(mu, var, 0.0, [omega], pred, self.cl)
-        dS = dSigma_dp(mu, var, 0.0, rc)
+        dS = dsigma_dscale(mu, VarianceSpec("tweedie_power"), 0.0, [omega], pred, self.cl)
         # d/dp of omega * mu^p at p=0 is omega * ln mu = omega
         assert dS[0, 0] == pytest.approx(omega, rel=1e-12)
 
     def test_dp_fd(self):
         rng = np.random.default_rng(15)
         h = 1e-6
-        for _ in range(20):
-            mu = rng.uniform(0.5, 3.0, size=3)
-            p = rng.uniform(0.8, 2.0)
-            tau = [rng.uniform(0.5, 2.0)]
-            var = VarianceSpec("tweedie_power")
-            f = lambda pp: build_sigma_r(mu, var, pp, tau, self.pred, self.cl).sigma
-            fd = (f(p + h) - f(p - h)) / (2 * h)
-            rc = build_sigma_r(mu, var, p, tau, self.pred, self.cl)
-            assert rel_err(dSigma_dp(mu, var, p, rc), fd) < 1e-6
+        for kind in ("tweedie_power", "poisson_tweedie"):
+            var = VarianceSpec(kind)
+            for _ in range(10):
+                mu = rng.uniform(0.5, 3.0, size=3)
+                p = rng.uniform(0.8, 2.0)
+                tau = [rng.uniform(0.5, 2.0)]
+                f = lambda pp: sigma_at(mu, var, pp, tau, self.pred, self.cl)
+                fd = (f(p + h) - f(p - h)) / (2 * h)
+                assert rel_err(dsigma_dscale(mu, var, p, tau, self.pred, self.cl), fd) < 1e-6
 
     def test_dtau_identity_link_constant_variance(self):
         Z = random_symmetric(np.random.default_rng(16), 3)
@@ -461,8 +479,9 @@ class TestDSigma:
 
     def test_dmu_constant_variance_is_zero(self):
         var = VarianceSpec("constant")
-        rc = build_sigma_r(np.ones(3), var, 1.0, [1.0], self.pred, self.cl)
-        dS = dSigma_dmu_dir(np.ones(3), var, 1.0, rc, np.array([1.0, 2.0, 3.0]))
+        dS = dsigma_dscale(
+            np.ones(3), var, 1.0, [1.0], self.pred, self.cl, dmu=np.array([1.0, 2.0, 3.0])
+        )
         assert np.all(dS == 0.0)
 
     def test_dmu_fd(self):
@@ -475,13 +494,39 @@ class TestDSigma:
             tau = [1.2]
 
             def f(t):
-                return build_sigma_r(mu + t * dmu, var, 1.6, tau, self.pred, self.cl).sigma
+                return sigma_at(mu + t * dmu, var, 1.6, tau, self.pred, self.cl)
 
             fd = (f(h) - f(-h)) / (2 * h)
-            rc = build_sigma_r(mu, var, 1.6, tau, self.pred, self.cl)
-            dS = dSigma_dmu_dir(mu, var, 1.6, rc, dmu)
+            dS = dsigma_dscale(mu, var, 1.6, tau, self.pred, self.cl, dmu=dmu)
             assert rel_err(dS, fd) < 1e-6
 
+    @pytest.mark.parametrize("R", [2, 3])
+    def test_poisson_tweedie_term_off_the_diagonal(self, R):
+        # for R > 1 the diagonal mu^{1-p} of K_r moves the off-diagonal blocks of C too
+        rng = np.random.default_rng(40 + R)
+        m, var, cl = 3, VarianceSpec("poisson_tweedie"), self.cl
+        pred = MatrixPredictor((mat_identity(m), mat_compound_symmetry([0, 0, 1])))
+        mus = [rng.uniform(0.5, 3.0, size=m) for _ in range(R)]
+        taus = [[rng.uniform(0.8, 1.5), 0.2] for _ in range(R)]
+        Sb = sigma_b_from_rho(rng.uniform(-0.3, 0.3, size=R * (R - 1) // 2), R)
+
+        def C_at(p0):
+            p = [p0] + [1.4] * (R - 1)
+            jc = generalized_kronecker(
+                [build_sigma_r(mu, var, pp, t, pred, cl) for mu, pp, t in zip(mus, p, taus)], Sb
+            )
+            s = np.concatenate([variance_scale(mu, var, pp) for mu, pp in zip(mus, p)])
+            return jc, s
+
+        h, p0 = 1e-6, 1.3
+        (jp, sp), (jm, sm) = C_at(p0 + h), C_at(p0 - h)
+        fd = (sp[:, None] * jp.C * sp[None, :] - sm[:, None] * jm.C * sm[None, :]) / (2 * h)
+        jc, s = C_at(p0)
+        e, f = scale_direction(var, mus[0], p0)
+        dC = s[:, None] * dC_dscale(jc, 0, e, f) * s[None, :]
+        assert rel_err(dC, fd) < 1e-6
+        off = dC_dscale(jc, 0, 0.0 * e, f)[m:, :m]
+        assert np.max(np.abs(off)) > 1e-3
 
 class TestWeightMatrix:
     def test_identity_c(self):

@@ -4,6 +4,7 @@ import pytest
 import mcglm.solver
 from mcglm import (
     CovLinkSpec,
+    FactorizationError,
     LinkSpec,
     MatrixPredictor,
     ModelSpec,
@@ -20,7 +21,6 @@ from mcglm.estfun import (
     build_godambe,
     cross_sensitivity_lb,
     cross_variability_lb,
-    dC_dbeta,
     empirical_k4,
     godambe,
     pearson_vector,
@@ -31,7 +31,14 @@ from mcglm.estfun import (
 )
 from mcglm.functions import LOG_ETA_BOUND
 
-from helpers import dense_oracle, random_instance, rel_err, scatter, weight_matrix
+from helpers import (
+    dense_oracle,
+    random_instance,
+    rel_err,
+    scale_dC_beta,
+    scatter,
+    weight_matrix,
+)
 
 
 def iid_normal_model(N, K=1, seed=0):
@@ -156,7 +163,7 @@ class TestPearson:
         model, y, theta = random_instance(rng, N=7, R=2)
         state = build_state(model, y, theta)
         vec = pearson_vector(state)
-        r, C = state.residual, scatter(state.covariance, "C")
+        r, C = state.residual, scatter(state, "C")
         for i, W in enumerate(weights(state)):
             assert vec[i] == pytest.approx(float(r @ W @ r - np.sum(W * C)), rel=1e-12)
 
@@ -165,7 +172,7 @@ class TestPearson:
         rng = np.random.default_rng(6)
         model, _, theta = random_instance(rng, N=6, R=2)
         state0 = build_state(model, np.zeros(model.N * model.R), theta)
-        L = scatter(state0.covariance, "C_chol")
+        L = scatter(state0, "C_chol")
         mu = state0.mu
         acc = np.zeros(state0.Q)
         n_rep = 4000
@@ -205,7 +212,7 @@ class TestLambdaBlocks:
         # d psi_i / d lambda_j = tr(dW_i/dl_j (rr^T - C)) - tr(W_i dC_j)
         # whose expectation under r r^T = C is -tr(W_i C W_j C).
         # Here we check the trace identity directly.
-        M = [W @ scatter(state.covariance, "C") for W in weights(state)]
+        M = [W @ scatter(state, "C") for W in weights(state)]
         S = sensitivity_lambda(state)
         for i in range(Q):
             for j in range(Q):
@@ -264,6 +271,7 @@ class TestCrossBlocks:
             assert np.max(np.abs(cross_sensitivity_lb(state))) < 1e-12
 
     def test_dC_dbeta_fd(self):
+        # dC in beta is S dC_dscale S along the state's beta_slopes
         rng = np.random.default_rng(10)
         found = 0
         while found < 5:
@@ -275,10 +283,10 @@ class TestCrossBlocks:
             for j in range(model.K):
                 e = np.zeros(model.K)
                 e[j] = h
-                Cp = build_state(model, y, theta.with_beta(theta.beta + e)).covariance
-                Cm = build_state(model, y, theta.with_beta(theta.beta - e)).covariance
+                Cp = build_state(model, y, theta.with_beta(theta.beta + e))
+                Cm = build_state(model, y, theta.with_beta(theta.beta - e))
                 Cp, Cm = scatter(Cp, "C"), scatter(Cm, "C")
-                dC = scatter(state.covariance, dC_dbeta(state, j))
+                dC = scatter(state, scale_dC_beta(state, j))
                 assert rel_err(dC, (Cp - Cm) / (2 * h)) < 1e-5
             found += 1
 
@@ -287,7 +295,7 @@ class TestCrossBlocks:
         model, y, theta = random_instance(rng, N=5, R=2)
         state = build_state(model, y, theta)
         r = state.residual
-        A = scatter(state.covariance, "C_inv") @ state.D  # NR x K
+        A = scatter(state, "C_inv") @ state.D  # NR x K
         V = cross_variability_lb(state)
         n = r.size
         for i, W in enumerate(weights(state)):
@@ -308,7 +316,7 @@ def test_k4_variability_and_cross_sensitivity_match_weight_formulas(covlink, R):
     setups = [("tweedie_power", covlink, False), ("poisson_tweedie", covlink, False)]
     model, y, theta = random_instance(rng, N=7, R=R, setups=setups)
     state = build_state(model, y, theta)
-    C, C_inv = scatter(state.covariance, "C"), scatter(state.covariance, "C_inv")
+    C, C_inv = scatter(state, "C"), scatter(state, "C_inv")
     W = weights(state)
     k4 = rng.uniform(0.5, 3.0, size=C.shape[0])
     V_ref = np.array(
@@ -317,13 +325,12 @@ def test_k4_variability_and_cross_sensitivity_match_weight_formulas(covlink, R):
             for Wi in W
         ]
     )
-    W_beta = [
-        weight_matrix(C_inv, scatter(state.covariance, dC_dbeta(state, j))) for j in range(model.K)
-    ]
+    W_beta = [weight_matrix(C_inv, dCj) for dCj in dense_oracle(state)[3]]
     S_ref = np.array([[-np.trace(Wi @ C @ Wb @ C) for Wb in W_beta] for Wi in W])
     assert rel_err(V_ref, -2.0 * sensitivity_lambda(state)) > 1e-3
     assert np.max(np.abs(S_ref)) > 1e-3
-    assert rel_err(variability_lambda(state, k4), V_ref) < 1e-12
+    # variability_lambda reads the standardized cumulants k4 / s^4
+    assert rel_err(variability_lambda(state, k4 / state.scale ** 4), V_ref) < 1e-12
     assert rel_err(cross_sensitivity_lb(state), S_ref) < 1e-12
 
 
@@ -337,7 +344,7 @@ def test_cross_sensitivity_constant_variance_columns_are_zero():
         model, y, theta = random_instance(rng, N=7, R=2, setups=setups)
         kinds = sorted(resp.variance.kind for resp in model.responses)
     state = build_state(model, y, theta)
-    C, C_inv = scatter(state.covariance, "C"), scatter(state.covariance, "C_inv")
+    C, C_inv = scatter(state, "C"), scatter(state, "C_inv")
     W = weights(state)
     S = cross_sensitivity_lb(state)
     for resp, sl in zip(model.responses, model.beta_slices()):
@@ -345,7 +352,7 @@ def test_cross_sensitivity_constant_variance_columns_are_zero():
             assert np.all(S[:, sl] == 0.0)
             continue
         cols = range(sl.start, sl.stop)
-        W_beta = [weight_matrix(C_inv, scatter(state.covariance, dC_dbeta(state, j))) for j in cols]
+        W_beta = [weight_matrix(C_inv, dense_oracle(state)[3][j]) for j in cols]
         S_ref = np.array([[-np.trace(Wi @ C @ Wb @ C) for Wb in W_beta] for Wi in W])
         assert np.max(np.abs(S_ref)) > 1e-3
         assert rel_err(S[:, sl], S_ref) < 1e-12
@@ -365,7 +372,7 @@ class TestBiasCorrection:
         model, y, theta = random_instance(rng, N=7, R=2)
         state = build_state(model, y, theta)
         D = state.D
-        J_inv = np.linalg.inv(D.T @ scatter(state.covariance, "C_inv") @ D)
+        J_inv = np.linalg.inv(D.T @ scatter(state, "C_inv") @ D)
         b = bias_correction(state)
         for i, W in enumerate(weights(state)):
             assert b[i] == pytest.approx(float(np.trace(D.T @ W @ D @ J_inv)), rel=1e-9)
@@ -409,6 +416,21 @@ class TestGodambe:
         state = build_state(model, y, make_theta(model, np.array([0.0]), lam))
         res = build_godambe(state)
         assert res.J_inv[0, 0] == pytest.approx(tau0 / N, rel=1e-10)
+
+
+@pytest.mark.parametrize("covlink", ["identity", "inverse"])
+def test_underflowing_variance_scale_is_not_pd(covlink):
+    # mu = exp(-690) is positive, but V = mu^2 underflows to 0: C = S C_Omega S is singular
+    # while C_Omega is not, so the scale has its own check
+    N = 4
+    resp = ResponseSpec(
+        "y", LinkSpec("log"), VarianceSpec("tweedie_power"), CovLinkSpec(covlink),
+        np.ones((N, 1)), MatrixPredictor((mat_identity(N),)), power_value=2.0,
+    )
+    model = ModelSpec((resp,))
+    theta = make_theta(model, np.array([-690.0]), model.pack_lambda([], [2.0], [[1.0]]))
+    with pytest.raises(FactorizationError, match="pivot 1"):
+        build_state(model, np.ones(N), theta)
 
 
 class TestSaturation:

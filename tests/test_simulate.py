@@ -49,7 +49,7 @@ class TestGaussian:
         n_rep = 20_000
         out = simulate_gaussian(SimSpec(model, theta, n_rep, seed=13))
         mean = stacked_mean(model, theta)
-        C = scatter(build_state(model, np.zeros(12), theta).covariance, "C")
+        C = scatter(build_state(model, np.zeros(12), theta), "C")
         emp_mean = out.mean(axis=0)
         emp_cov = np.cov(out.T)
         sd = np.sqrt(np.diag(C))
@@ -63,7 +63,7 @@ class TestGaussian:
         n_rep = 20_000
         out = simulate_gaussian(SimSpec(model, theta, n_rep, seed=17))
         mean = stacked_mean(model, theta)
-        C = scatter(build_state(model, np.zeros(10), theta).covariance, "C")
+        C = scatter(build_state(model, np.zeros(10), theta), "C")
         sd = np.sqrt(np.diag(C))
         assert np.max(np.abs(out.mean(axis=0) - mean) / (sd / np.sqrt(n_rep))) < 5.0
 

@@ -180,7 +180,7 @@ class TestStepAlgebra:
         y = rng.standard_normal(20)
         t1 = chaser_step(theta, model, y)
         state = build_state(model, y, theta)
-        C_inv = scatter(state.covariance, "C_inv")
+        C_inv = scatter(state, "C_inv")
         D = state.D
         gls = np.linalg.solve(D.T @ C_inv @ D, D.T @ C_inv @ y)
         assert np.max(np.abs(t1.beta - gls)) < 1e-10

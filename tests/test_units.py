@@ -32,14 +32,13 @@ from mcglm.estfun import (
     build_covariance,
     cross_sensitivity_lb,
     cross_variability_lb,
-    dC_dbeta,
     empirical_k4,
     pearson_vector,
     sensitivity_lambda,
     variability_lambda,
 )
 from mcglm.functions import symmetric_inverse
-from mcglm.matpred import unit_partition
+from mcglm.matpred import assemble_U, unit_partition
 from mcglm.simulate import SimSpec, simulate_gaussian, stacked_mean
 
 from helpers import (
@@ -49,6 +48,7 @@ from helpers import (
     gaussian_two_response,
     random_instance,
     rel_err,
+    scale_dC_beta,
     scatter,
     weight_matrix,
 )
@@ -65,7 +65,9 @@ def build_model(N, responses, seed):
     rng = np.random.default_rng(seed)
     specs, betas, taus, powers = [], [], [], []
     for r, (kind, cov, known, comps, *tau) in enumerate(responses):
-        link = "log" if kind in ("tweedie_power", "poisson_tweedie") else "identity"
+        link = {"tweedie_power": "log", "poisson_tweedie": "log", "binomial": "logit"}.get(
+            kind, "identity"
+        )
         X = np.column_stack([np.ones(N), rng.standard_normal(N)])
         p_val = float(rng.uniform(1.1, 1.9)) if kind != "constant" else 1.0
         specs.append(
@@ -160,7 +162,7 @@ CASES = {
            mat_inverse_distance([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0], groups=PAIR_GROUPS)])],
         8,
     ),
-    # equal blocks, but the second response's scale depends on mu
+    # equal blocks, but the second response's scale depends on mu and its power is free
     "mixed_axes": lambda: build_model(
         8,
         [("constant", "identity", True, [mat_identity(8), _cs(PAIR_GROUPS)]),
@@ -173,6 +175,24 @@ CASES = {
     ),
     # R = 2: the pairs share one block, the two triples keep one each
     "shared_next_to_unshared": lambda: build_model(12, _pairs_and_triples(), 11),
+    # R = 2, a free power on poisson_tweedie, whose diagonal of K_r is per unit
+    "poisson_tweedie_r2": lambda: build_model(
+        8,
+        [("poisson_tweedie", "identity", False, [mat_identity(8), _cs(PAIR_GROUPS)]),
+         ("tweedie_power", "identity", True, [mat_identity(8), _cs(PAIR_GROUPS)])],
+        12,
+    ),
+    # R = 1 under the inverse link: C_Omega^{-1} is U, and the free power's A_i is per unit
+    "tweedie_inverse": lambda: build_model(
+        8, [("tweedie_power", "inverse", False, [mat_identity(8), _cs(PAIR_GROUPS)])], 13
+    ),
+    # a known power: the scales are per unit, but C_Omega and every A_i share one block
+    "tweedie_shared_pairs": lambda: build_model(
+        8,
+        [("tweedie_power", "identity", True, [mat_identity(8), _cs(PAIR_GROUPS)]),
+         ("constant", "identity", True, [mat_identity(8), _cs(PAIR_GROUPS)])],
+        14,
+    ),
 }
 
 UNIT_SIZES = {
@@ -188,28 +208,36 @@ UNIT_SIZES = {
     "mixed_axes": {2: 4},
     "precision_shared": {2: 4},
     "shared_next_to_unshared": {2: 3, 3: 2},
+    "poisson_tweedie_r2": {2: 4},
+    "tweedie_inverse": {2: 4},
+    "tweedie_shared_pairs": {2: 4},
 }
 
-# per unit size, the unit axis of every state stack: 1 when all its units share one block
+# per unit size, the unit axes of the C_Omega stacks and of the state's A_i stack: 1 when
+# all its units share one block; a free power's A_i has each unit's scale
 STACK_UNITS = {
-    "shared_blocks": {2: 1},
-    "one_unit_differs": {2: 4},
-    "mixed_axes": {2: 4},
-    "precision_shared": {2: 1},
-    "shared_next_to_unshared": {2: 1, 3: 2},
+    "shared_blocks": {2: (1, 1)},
+    "one_unit_differs": {2: (4, 4)},
+    "mixed_axes": {2: (1, 4)},
+    "precision_shared": {2: (1, 1)},
+    "shared_next_to_unshared": {2: (1, 1), 3: (2, 2)},
+    "poisson_tweedie_r2": {2: (4, 4)},
+    "tweedie_inverse": {2: (1, 4)},
+    "tweedie_shared_pairs": {2: (1, 1)},
 }
 
 
 @pytest.mark.parametrize("case", sorted(STACK_UNITS))
 def test_state_stacks_share_one_block_only_when_every_unit_does(case):
     model, y, theta = CASES[case]()
-    cov = build_state(model, y, theta).covariance
+    state = build_state(model, y, theta)
+    cov = state.covariance
     for grp, joint, A, n in zip(model.unit_groups, cov.groups, cov.A_units, cov.shared_units):
-        units = STACK_UNITS[case][grp.index.shape[1]]
+        units, A_units = STACK_UNITS[case][grp.index.shape[1]]
         assert joint.C_inv.shape[0] == joint.C.shape[0] == joint.C_chol.shape[0] == units
-        assert A.shape[1] == units
-        assert n == grp.index.shape[0] // units
-        if case in ("shared_blocks", "precision_shared"):
+        assert A.shape[1] == A_units
+        assert n == grp.index.shape[0] // A_units
+        if case in ("shared_blocks", "precision_shared", "tweedie_shared_pairs"):
             for pred in grp.predictors:
                 assert all(
                     z.data.shape[0] == 1 and not z.data.flags.writeable for z in pred.components
@@ -224,14 +252,14 @@ def test_stacked_tau_derivatives_equal_one_component_at_a_time(case):
     model, y, theta = CASES[case]()
     cov = build_state(model, y, theta).covariance
     for grp, joint, A in zip(model.unit_groups, cov.groups, cov.A_units):
-        precise = joint.R == 1 and joint.responses[0].precision is not None
         for i, (role, r, d) in enumerate(model.lambda_index_map()):
             if role != "tau":
                 continue
             rc, Z = joint.responses[r], grp.predictors[r].components[d].data
             stacked = grp.predictors[r].blocks[d]
             assert np.array_equal(stacked, np.broadcast_to(Z, stacked.shape))
-            if precise:
+            # C_Omega^{-1} is U for R = 1 under the inverse link without poisson_tweedie
+            if joint.R == 1 and model.responses[r].covlink.kind == "inverse" and rc.sigma is rc.omega:
                 expected = A_dtau(rc, Z)
             else:
                 dS = dSigma_dtau(rc, model.responses[r].covlink, Z)
@@ -245,10 +273,41 @@ def test_unit_path_matches_dense_weight_formulas(case):
     model, y, theta = CASES[case]()
     sizes = {g.index.shape[1]: g.index.shape[0] for g in model.unit_groups}
     assert sizes == UNIT_SIZES[case]
+    assert_matches_dense_oracle(model, y, theta)
+
+
+GRID_COMPONENTS = {
+    "shared": lambda: [mat_identity(8), _cs(PAIR_GROUPS)],
+    "per_unit": lambda: [
+        mat_identity(8), _cs(PAIR_GROUPS),
+        mat_inverse_distance([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0], groups=PAIR_GROUPS),
+    ],
+}
+
+
+@pytest.mark.parametrize("blocks", sorted(GRID_COMPONENTS))
+@pytest.mark.parametrize("R", [1, 2])
+@pytest.mark.parametrize("covlink", ["identity", "inverse"])
+@pytest.mark.parametrize("kind", ["constant", "tweedie_power", "poisson_tweedie", "binomial"])
+def test_every_variance_link_and_R_matches_dense_oracle(kind, covlink, R, blocks):
+    free = kind in ("tweedie_power", "poisson_tweedie")
+    responses = [(kind, covlink, not free, GRID_COMPONENTS[blocks]()) for _ in range(R)]
+    model, y, theta = build_model(8, responses, 20 + R)
+    assert_matches_dense_oracle(model, y, theta)
+
+
+def assert_matches_dense_oracle(model, y, theta):
+    """C, every dC_i and dC_beta_j, and every estimating-function block vs dense_oracle at 1e-12."""
     state = build_state(model, y, theta)
     C, C_inv, dC, dC_beta = dense_oracle(state)
-    assert rel_err(scatter(state.covariance, "C"), C) < 1e-12
-    assert rel_err(scatter(state.covariance, "C_inv"), C_inv) < 1e-12
+    assert rel_err(scatter(state, "C"), C) < 1e-12
+    assert rel_err(scatter(state, "C_inv"), C_inv) < 1e-12
+    cov = state.covariance
+    for i, dC_i in enumerate(dC):
+        dC_units = state.scaled(g.C @ A[i] for g, A in zip(cov.groups, cov.A_units))
+        assert rel_err(scatter(state, dC_units), dC_i) < 1e-12
+    for j, dC_j in enumerate(dC_beta):
+        assert rel_err(scatter(state, scale_dC_beta(state, j)), dC_j) < 1e-12
 
     r, D = state.residual, state.D
     W = [weight_matrix(C_inv, dCi) for dCi in dC]
@@ -266,7 +325,8 @@ def test_unit_path_matches_dense_weight_formulas(case):
     b_ref = [np.trace(D.T @ Wi @ D @ np.linalg.inv(J_beta)) for Wi in W]
     assert rel_err(bias_correction(state), b_ref) < 1e-12
     assert rel_err(sensitivity_lambda(state), S_l) < 1e-12
-    assert rel_err(variability_lambda(state, k4), -2.0 * S_l + k4_term) < 1e-12
+    # variability_lambda reads the standardized cumulants k4 / s^4
+    assert rel_err(variability_lambda(state, k4 / state.scale ** 4), -2.0 * S_l + k4_term) < 1e-12
     assert rel_err(cross_sensitivity_lb(state), S_lb) < 1e-12
     assert rel_err(cross_variability_lb(state), V_lb) < 1e-12
 
@@ -288,7 +348,7 @@ def test_block_simulation_matches_dense_factor():
     cases.append(CASES["car_single_block"]())
     for model, _, theta in cases:
         mean = stacked_mean(model, theta)
-        L = scatter(build_state(model, np.zeros_like(mean), theta).covariance, "C_chol")
+        L = scatter(build_state(model, np.zeros_like(mean), theta), "C_chol")
         children = np.random.SeedSequence(3).spawn(4)
         dense = [mean + L @ np.random.default_rng(c).standard_normal(mean.size) for c in children]
         blocks = simulate_gaussian(SimSpec(model, theta, 4, seed=3))
@@ -313,14 +373,14 @@ def test_shared_block_simulation_equals_per_unit_products():
 def dense_derivative_report(model, y, theta, h=1e-6):
     """derivative_report computed on the dense N R x N R scatters of C and of every dC.
 
-    Each lambda dC_i is the scatter of the same block products C A_i
-    that derivative_report checks.
+    Each lambda dC_i is the scatter of the same block products
+    S C_Omega A_Omega,i S that derivative_report checks.
     """
     state = build_state(model, y, theta)
 
     def C_at(flat):
         th = make_theta(model, flat[: model.K], flat[model.K :])
-        return scatter(build_state(model, y, th).covariance, "C")
+        return scatter(build_state(model, y, th), "C")
 
     def fd(offset):
         e = np.zeros(theta.flat.size)
@@ -330,10 +390,10 @@ def dense_derivative_report(model, y, theta, h=1e-6):
     cov = state.covariance
     worst = {}
     for pos, (role, _, _) in enumerate(model.lambda_index_map()):
-        dC = scatter(cov, [g.C @ A[pos] for g, A in zip(cov.groups, cov.A_units)])
-        worst[role] = max(worst.get(role, 0.0), rel_err(dC, fd(model.K + pos)))
+        dC = state.scaled(g.C @ A[pos] for g, A in zip(cov.groups, cov.A_units))
+        worst[role] = max(worst.get(role, 0.0), rel_err(scatter(state, dC), fd(model.K + pos)))
     for j in range(model.K):
-        dC = scatter(cov, dC_dbeta(state, j))
+        dC = scatter(state, scale_dC_beta(state, j))
         worst["beta"] = max(worst.get("beta", 0.0), rel_err(dC, fd(j)))
     return worst
 
@@ -393,14 +453,18 @@ PAIRS = [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
     ],
 )
 def test_A_units_equal_C_inv_dC_units(responses, precise):
-    model, _, theta = build_model(12, responses, 10)
-    mu = np.random.default_rng(11).uniform(0.2, 0.8, size=12 * model.R)
-    cov = build_covariance(model, mu, theta.lam)
-    jc, dC = dense_covariance(model, mu, theta.lam)
+    # A_i = C^{-1} dC_i = S^{-1} A_Omega,i S; "precise" when C_Omega^{-1} is U itself
+    model, y, theta = build_model(12, responses, 10)
+    state = build_state(model, y, theta)
+    cov, s = state.covariance, state.scale
+    jc, dC = dense_covariance(model, state.mu, theta.lam)
     for i, dC_i in enumerate(dC):
-        assert rel_err(scatter(cov, [A[i] for A in cov.A_units]), jc.C_inv @ dC_i) < 1e-12
-    for g in cov.groups:
-        assert (g.R == 1 and g.responses[0].precision is not None) == precise
+        A = scatter(state, [A[i] for A in cov.A_units]) * np.outer(1.0 / s, s)
+        assert rel_err(A, jc.C_inv @ dC_i) < 1e-12
+    tau = model.split_lambda(theta.lam)[2][0]
+    for grp, g in zip(model.unit_groups, cov.groups):
+        U = assemble_U(tau, grp.predictors[0])
+        assert (g.R == 1 and g.C_inv.shape == U.shape and np.array_equal(g.C_inv, U)) == precise
         if g.R == 1:
             sigma = g.responses[0].sigma
             assert rel_err(g.C_inv, symmetric_inverse(sigma)) < 1e-12
