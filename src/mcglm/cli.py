@@ -3,14 +3,16 @@
 The model is described by a JSON document (schema shipped as
 spec_schema.json next to this module) plus a CSV data file with one row
 per observation unit: response columns and covariate columns side by
-side. Rows with a missing value in any referenced column are dropped
-entirely before assembly.
+side. Rows with a missing value (an empty cell or the spec's missing
+token) in any referenced column are dropped entirely before assembly; a
+cell that parses to a non-finite number is bad input.
 """
 
 import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -96,13 +98,14 @@ def _numeric(cols, name, missing, path):
     for i, v in enumerate(cols[name]):
         if v == missing or v == "":
             out.append(np.nan)
-        else:
-            try:
-                out.append(float(v))
-            except ValueError:
-                raise InputError(
-                    f"{path}: row {i + 2}, column {name!r}: not a number: {v!r}"
-                )
+            continue
+        try:
+            x = float(v)
+        except ValueError:
+            raise InputError(f"{path}: row {i + 2}, column {name!r}: not a number: {v!r}")
+        if not math.isfinite(x):
+            raise InputError(f"{path}: row {i + 2}, column {name!r}: not finite: {v!r}")
+        out.append(x)
     return np.asarray(out)
 
 

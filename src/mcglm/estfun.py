@@ -11,17 +11,17 @@ k4 = empirical_k4 of that r and diag(C_Omega); each trace keeps its
 C-space value. Only poisson_tweedie's diagonal of K_r ties C_Omega to
 beta, so otherwise states that differ only in beta share it
 (EstimatingState.with_beta). Everything is block diagonal over the
-model's independent units and computed batched over the unit blocks of
-every unit size; a stack whose units share one block keeps it alone (a
-unit axis of 1), which broadcasts against the per-unit r, D,
-u = C_Omega^{-1} r and G = C_Omega^{-1} D. The lambda blocks are traces
-tr(W_i M) with W_i = C^{-1} dC_i C^{-1}, read through A_i alone:
+model's independent units and computed batched over the blocks of every
+unit size: one when all its units share C_Omega and every A_i (a unit
+axis of 1), else one per unit. The state reads r, D, u = C_Omega^{-1} r
+and G = C_Omega^{-1} D block-major (StateCovariance.stacks), the units
+of a block side by side in the last axis, so a sum over the units that
+share a block is one batched product with it, whether they are all the
+units or one. The lambda blocks are traces tr(W_i M) with
+W_i = C^{-1} dC_i C^{-1}, read through A_i alone:
 u^T dC_i u = r^T A_i u, tr(C^{-1} dC_i) = tr(A_i) and
-G^T dC_i G = D^T A_i G, so W_i is never formed. Units that share one
-block are summed first: the Pearson quadratic form is the inner product
-of A_i with sum_u r_u u_u^T, the bias correction that of A_i with
-sum_u D_u J_beta^{-T} G_u^T. Where each unit has its own block the
-products stay per unit: the sum would cost as much and add temporaries.
+G^T dC_i G = D^T A_i G, so W_i is never formed; a trace of A_i alone
+counts each block once per unit it stands for.
 """
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -51,11 +51,13 @@ class StateCovariance:
     ``groups`` holds one factorized JointCovariance of C_Omega per size
     of unit, as ``model.unit_groups``: (n_units, R m, R m) stacks whose
     rows and columns sit at ``index`` in the stacked N R vector, or
-    (1, R m, R m) when every unit shares one block. ``variance`` and
-    ``A_units`` (the (Q, n_units, R m, R m) stacks of every A_i) are
-    computed on first use, so a covariance that is only factorized (a
-    rejected proposal, a simulation) forms neither, and states that
-    share this object share them. Only a free power's A_i reads mu.
+    (1, R m, R m) when every unit shares one block. ``stacks`` lays the
+    same positions out block-major for the estimating functions.
+    ``variance`` and ``A_units`` (the (Q, blocks, R m, R m) stacks of
+    every A_i) are computed on first use, so a covariance that is only
+    factorized (a rejected proposal, a simulation) forms neither, and
+    states that share this object share them. Only a free power's A_i
+    reads mu.
     """
 
     model: object
@@ -68,12 +70,19 @@ class StateCovariance:
         return tuple(grp.joint for grp in self.model.unit_groups)
 
     @cached_property
-    def shared_units(self):
-        """Per unit size, how many units each block of A_units stands for: all or 1.
+    def stacks(self):
+        """Per unit size, ``index`` block-major: (blocks, R m, units per block).
 
-        A sum over units of a covariance-only term is this count times the sum over the stack.
+        ``blocks`` is the unit axis of A_units: n_units when some power is
+        free (its A_i reads each unit's scale), else that of C_Omega^{-1}.
+        A vector read through a stack has the units of one block side by
+        side in its last axis.
         """
-        return tuple(idx.shape[0] // A.shape[1] for idx, A in zip(self.index, self.A_units))
+        free = any(resp.power_free for resp in self.model.responses)
+        return tuple(
+            idx.reshape(len(idx) if free else len(g.C_inv), -1, idx.shape[1]).transpose(0, 2, 1)
+            for idx, g in zip(self.index, self.groups)
+        )
 
     @cached_property
     def variance(self):
@@ -133,10 +142,11 @@ class EstimatingState:
     The mean half (mu, the residual, the mean gradient D, the scales and
     whether any inverse link saturated there) is held here; the
     covariance half is a StateCovariance. The ``*_units`` attributes hold
-    one entry per size of unit: the rows of each unit of D / s, of
-    r = (y - mu) / s, of u and of G, computed on first use,
-    as are J_beta = D^T G and the quasi-score psi_beta = D^T u, which the
-    iteration record and the beta step both read.
+    one entry per size of unit, laid out as its ``stacks``: D / s (its K
+    columns of a unit side by side), r = (y - mu) / s, u and G, computed
+    on first use, as are J_beta = D^T G and the quasi-score
+    psi_beta = D^T u, which the iteration record and the beta step both
+    read.
     """
 
     model: object
@@ -160,19 +170,15 @@ class EstimatingState:
     @cached_property
     def D_units(self):
         D = self.D / self.scale[:, None]
-        return tuple(D[idx] for idx in self.covariance.index)
+        return tuple(D[idx].reshape(idx.shape[:2] + (-1,)) for idx in self.covariance.stacks)
 
     @cached_property
     def r_units(self):
-        return tuple((self.residual / self.scale)[idx] for idx in self.covariance.index)
+        return tuple((self.residual / self.scale)[idx] for idx in self.covariance.stacks)
 
     @cached_property
     def u_units(self):
-        return tuple(
-            # C_Omega^{-1} is exactly symmetric, so a shared block multiplies all rows at once
-            r @ g.C_inv[0] if len(g.C_inv) < len(r) else (g.C_inv @ r[..., None])[..., 0]
-            for g, r in zip(self.covariance.groups, self.r_units)
-        )
+        return tuple(g.C_inv @ r for g, r in zip(self.covariance.groups, self.r_units))
 
     @cached_property
     def G_units(self):
@@ -324,22 +330,10 @@ def _T(X):
     return np.swapaxes(X, -1, -2)
 
 
-def _units_last(X):
-    """(n_units, m, K) -> (m, n_units K): each unit's columns side by side."""
-    return np.swapaxes(X, 0, 1).reshape(X.shape[1], -1)
-
-
 def _quad(state):
-    """r^T W_i r = u^T dC_i u = r^T A_i u for every i, summed over units.
-
-    Units that share one block sum first: sum_u r_u^T A_i u_u is the
-    inner product of A_i with sum_u r_u u_u^T.
-    """
-    cov = state.covariance
-    return sum(
-        _flat(A) @ (r.T @ u).ravel() if n > 1 else _flat(A @ u[..., None]) @ r.ravel()
-        for n, r, u, A in zip(cov.shared_units, state.r_units, state.u_units, cov.A_units)
-    )
+    """r^T W_i r = u^T dC_i u = r^T A_i u for every i, summed over units."""
+    A_units = state.covariance.A_units
+    return sum(_flat(A @ u) @ r.ravel() for A, r, u in zip(A_units, state.r_units, state.u_units))
 
 
 def quasi_score(state):
@@ -370,8 +364,8 @@ def pearson_vector(state):
     """psi_lambda_i = tr(W_i (r r^T - C)) = u^T dC_i u - tr(A_i)."""
     cov = state.covariance
     trace = sum(
-        n * np.trace(A, axis1=-2, axis2=-1).sum(axis=1)
-        for n, A in zip(cov.shared_units, cov.A_units)
+        idx.shape[-1] * np.trace(A, axis1=-2, axis2=-1).sum(axis=1)
+        for idx, A in zip(cov.stacks, cov.A_units)
     )
     return _quad(state) - trace
 
@@ -379,7 +373,9 @@ def pearson_vector(state):
 def sensitivity_lambda(state):
     """S_lambda[i, j] = -tr(W_i C W_j C) = -tr(A_i A_j)."""
     cov = state.covariance
-    S = -sum(n * (_flat(A) @ _flat(_T(A)).T) for n, A in zip(cov.shared_units, cov.A_units))
+    S = -sum(
+        idx.shape[-1] * (_flat(A) @ _flat(_T(A)).T) for idx, A in zip(cov.stacks, cov.A_units)
+    )
     return 0.5 * (S + S.T)
 
 
@@ -393,10 +389,9 @@ def variability_lambda(state, k4):
     k4 = np.asarray(k4, dtype=float)
     V = -2.0 * sensitivity_lambda(state)
     cov = state.covariance
-    for idx, g, A, n in zip(cov.index, cov.groups, cov.A_units, cov.shared_units):
+    for idx, g, A in zip(cov.stacks, cov.groups, cov.A_units):
         w = _flat(np.einsum("iuab,uab->iua", A, np.broadcast_to(g.C_inv, A.shape[1:])))
-        k = k4[idx].reshape(-1, n, idx.shape[1]).sum(axis=1)
-        V = V + (w * k.ravel()) @ w.T
+        V = V + (w * k4[idx].sum(-1).ravel()) @ w.T
     return V
 
 
@@ -418,9 +413,9 @@ def cross_sensitivity_lb(state):
     model, cov, K = state.model, state.covariance, state.K
     e, f = state.beta_slopes
     S = np.zeros((state.Q, K))
-    for idx, grp, g, A in zip(cov.index, model.unit_groups, cov.groups, cov.A_units):
-        E = e[idx] if A.shape[1] > 1 else e[idx].sum(axis=0, keepdims=True)
-        S -= 2.0 * _flat(np.diagonal(A, axis1=-2, axis2=-1)) @ E.reshape(-1, K)
+    for idx, grp, g, A in zip(cov.stacks, model.unit_groups, cov.groups, cov.A_units):
+        E = e[idx].sum(axis=2).reshape(-1, K)  # summed over the units that share a block
+        S -= 2.0 * _flat(np.diagonal(A, axis1=-2, axis2=-1)) @ E
         for r, resp in enumerate(model.responses):
             if resp.variance.kind == "poisson_tweedie":
                 F = np.moveaxis(f[r * model.N + grp.index], -1, 0)  # (K, n_units, m)
@@ -469,11 +464,7 @@ def godambe(S_theta, V_theta):
 
 
 def bias_correction(state):
-    """Bias correction b_i = tr(D^T W_i D J_beta^{-1}), with D^T W_i D = D^T A_i G.
-
-    Units that share one block sum first: b_i is the inner product of
-    A_i with sum_u D_u J_beta^{-T} G_u^T.
-    """
+    """Bias correction b_i = tr(D^T W_i D J_beta^{-1}) = <A_i G, D J_beta^{-T}>, over units."""
     J_beta, K = state.J_beta, state.K
     if J_beta.size == 0:
         return np.zeros(state.Q)
@@ -482,14 +473,8 @@ def bias_correction(state):
     except np.linalg.LinAlgError:
         raise SingularMatrixError("J_beta is singular in the bias correction")
     b = np.zeros(state.Q)
-    cov = state.covariance
-    for n, D, G, A in zip(cov.shared_units, state.D_units, state.G_units, cov.A_units):
-        if n > 1:
-            DJ = (D.reshape(-1, K) @ J_inv.T).reshape(D.shape)
-            B = _units_last(DJ) @ _units_last(G).T
-            b += _flat(A) @ B.ravel()
-        else:
-            b += _flat(np.sum(_T(D) @ (A @ G), axis=1)) @ J_inv.T.ravel()
+    for D, G, A in zip(state.D_units, state.G_units, state.covariance.A_units):
+        b += _flat(A @ G) @ (D.reshape(-1, K) @ J_inv.T).ravel()
     return b
 
 

@@ -130,7 +130,10 @@ class _LambdaStep:
     def VinvS(self):
         state = self.state
         k4 = empirical_k4(state.residual / state.scale, state.covariance.variance)
-        return np.linalg.solve(variability_lambda(state, k4), self.S_l)
+        try:
+            return np.linalg.solve(variability_lambda(state, k4), self.S_l)
+        except np.linalg.LinAlgError as exc:
+            raise StepFailureError(f"singular lambda variability: {exc}")
 
     def lam(self, alpha):
         """The new lambda for tuning constant alpha."""

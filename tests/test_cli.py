@@ -61,6 +61,36 @@ def gaussian_fixture(tmp_path, N=20, seed=0, missing_rows=()):
     return spec, np.column_stack([np.ones(N), x]), y
 
 
+def nonpd_fixture(tmp_path):
+    """helpers.nonpd_instance as a spec with its `file` structure matrix and data; the spec path."""
+    model, y, _ = nonpd_instance()
+    Z = model.responses[0].predictor.components[1]
+    save_structure_matrix(Z, tmp_path / "Z.txt")
+    write_csv(tmp_path / "data.csv", ["y", "one"], [[f"{v:.17g}", "1"] for v in y])
+    spec = tmp_path / "spec.json"
+    write_json(
+        spec,
+        {
+            "schema_version": 1,
+            "responses": [
+                {
+                    "name": "y",
+                    "link": "identity",
+                    "variance": "constant",
+                    "covlink": "identity",
+                    "design_columns": ["one"],
+                    "predictor": [
+                        {"type": "identity"},
+                        {"type": "file", "path": "Z.txt"},
+                    ],
+                }
+            ],
+            "data": {"path": "data.csv"},
+        },
+    )
+    return spec
+
+
 def run_cli(*args):
     """Run the CLI in a fresh interpreter, so an escaping exception shows as a traceback."""
     env = dict(os.environ, PYTHONPATH=str(Path(mcglm.__file__).parents[1]))
@@ -152,6 +182,32 @@ class TestFit:
         with open(out / "fitted.csv", newline="") as fh:
             assert len(list(csv.DictReader(fh))) == keep.sum()
 
+    @staticmethod
+    def _set_y_cell(tmp_path, row, cell):
+        data = tmp_path / "data.csv"
+        lines = data.read_text().splitlines()
+        lines[row - 1] = ",".join([cell] + lines[row - 1].split(",")[1:])
+        data.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("cell", ["NA", ""])
+    def test_missing_token_and_empty_cell_drop_their_row(self, tmp_path, cell):
+        spec, _, y = gaussian_fixture(tmp_path)
+        self._set_y_cell(tmp_path, 4, cell)
+        out = tmp_path / "out"
+        assert main(["fit", "--spec", str(spec), "--out", str(out)]) == 0
+        with open(out / "fitted.csv", newline="") as fh:
+            assert len(list(csv.DictReader(fh))) == len(y) - 1
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+    def test_non_finite_cell_exits_1(self, tmp_path, capsys, cell):
+        # a non-finite number is bad input, not a missing value that drops its row
+        spec, _, _ = gaussian_fixture(tmp_path)
+        self._set_y_cell(tmp_path, 4, cell)
+        assert main(["fit", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert f"row 4, column 'y': not finite: '{cell}'" in lines[0]
+
     def test_malformed_spec_exits_1(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         write_json(spec, {"schema_version": 1, "responses": [{"name": "y"}]})
@@ -196,31 +252,7 @@ class TestFit:
     def test_non_pd_chaser_proposal_exits_3(self, tmp_path):
         # a random symmetric `file` structure matrix whose chaser proposal
         # from the starting values is not positive definite
-        model, y, _ = nonpd_instance()
-        Z = model.responses[0].predictor.components[1]
-        save_structure_matrix(Z, tmp_path / "Z.txt")
-        write_csv(tmp_path / "data.csv", ["y", "one"], [[f"{v:.17g}", "1"] for v in y])
-        spec = tmp_path / "spec.json"
-        write_json(
-            spec,
-            {
-                "schema_version": 1,
-                "responses": [
-                    {
-                        "name": "y",
-                        "link": "identity",
-                        "variance": "constant",
-                        "covlink": "identity",
-                        "design_columns": ["one"],
-                        "predictor": [
-                            {"type": "identity"},
-                            {"type": "file", "path": "Z.txt"},
-                        ],
-                    }
-                ],
-                "data": {"path": "data.csv"},
-            },
-        )
+        spec = nonpd_fixture(tmp_path)
         proc = run_cli(
             "fit", "--spec", str(spec), "--out", str(tmp_path / "o"), "--alg", "chaser"
         )
@@ -229,6 +261,18 @@ class TestFit:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "non-PD" in lines[0]
+
+    def test_singular_lambda_variability_exits_2(self, tmp_path, monkeypatch, capsys):
+        # the reciprocal fit escalates alpha, and a damped step solves V_lambda
+        spec = nonpd_fixture(tmp_path)
+        monkeypatch.setattr(
+            mcglm.solver, "variability_lambda", lambda state, k4: np.zeros((state.Q, state.Q))
+        )
+        argv = ["fit", "--spec", str(spec), "--out", str(tmp_path / "o"), "--alg", "reciprocal"]
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "singular lambda variability" in lines[0]
 
     def test_underflowing_variance_exits_3(self, tmp_path, monkeypatch, capsys):
         # mu^2 = exp(-1380) underflows to 0 at the start: C = S C_Omega S is singular

@@ -1,0 +1,22 @@
+"""tools/compare.py end to end: a checkout compared with itself."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_checkout_compared_with_itself_differs_by_nothing():
+    src = str(ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "compare.py"), src, src,
+         "--workload", "paired-r2", "--rounds", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "workload paired-r2: 4 replicates x 1 rounds = 4 fits per checkout"
+    assert lines[1].startswith("median CPU per fit: parent ") and " ratio " in lines[1]
+    assert lines[2].startswith("change faster on ") and "/4 fits" in lines[2]
+    assert lines[3] == "largest relative difference: estimates 0, std errors 0"

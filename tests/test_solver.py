@@ -13,6 +13,7 @@ from mcglm import (
     ModelSpec,
     ResponseSpec,
     SolverOptions,
+    StepFailureError,
     VarianceSpec,
     build_state,
     chaser_step,
@@ -416,6 +417,15 @@ class TestFit:
             assert (entry["beta_step_norm"], entry["lambda_step_norm"]) == (
                 t.beta_step_norm, t.lambda_step_norm,
             )
+
+    def test_singular_lambda_variability_is_a_step_failure(self, monkeypatch):
+        # only a damped step (alpha > 0) solves V_lambda; nonpd_instance escalates alpha
+        model, y, _ = nonpd_instance()
+        monkeypatch.setattr(
+            mcglm.solver, "variability_lambda", lambda state, k4: np.zeros((state.Q, state.Q))
+        )
+        with pytest.raises(StepFailureError, match="singular lambda variability"):
+            fit(model, y, SolverOptions(algorithm="reciprocal"))
 
     def test_max_iter_stops_at_the_last_recorded_iterate(self):
         # no step follows the record of iteration max_iter

@@ -232,11 +232,14 @@ def test_state_stacks_share_one_block_only_when_every_unit_does(case):
     model, y, theta = CASES[case]()
     state = build_state(model, y, theta)
     cov = state.covariance
-    for grp, joint, A, n in zip(model.unit_groups, cov.groups, cov.A_units, cov.shared_units):
+    for grp, joint, A, stack in zip(model.unit_groups, cov.groups, cov.A_units, cov.stacks):
         units, A_units = STACK_UNITS[case][grp.index.shape[1]]
         assert joint.C_inv.shape[0] == joint.C.shape[0] == joint.C_chol.shape[0] == units
         assert A.shape[1] == A_units
-        assert n == grp.index.shape[0] // A_units
+        n_units, Rm = grp.joint.shape
+        # the estimating functions read the units block-major: a permutation of grp.joint
+        assert stack.shape == (A_units, Rm, n_units // A_units)
+        assert np.array_equal(np.sort(stack, axis=None), np.sort(grp.joint, axis=None))
         if case in ("shared_blocks", "precision_shared", "tweedie_shared_pairs"):
             for pred in grp.predictors:
                 assert all(
