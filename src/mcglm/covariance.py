@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import DomainError, FactorizationError
 from .functions import (
-    VarianceSpec,
     cholesky_inverse,
     cholesky_lower,
     covlink_apply_inverse,
@@ -294,11 +293,10 @@ def scale_direction(var, mu, p, dmu=None):
     None for every other variance.
     """
     mu, pt = np.asarray(mu, dtype=float), var.kind == "poisson_tweedie"
-    power = VarianceSpec("tweedie_power") if pt else var
-    v = variance_eval(power, mu, p)
+    v = variance_eval(var, mu, p)
     if dmu is None:
-        return 0.5 * variance_deriv_p(power, mu, p) / v, (-np.log(mu) * mu / v if pt else None)
-    slope = 0.5 * variance_deriv_mu(power, mu, p) / v
+        return 0.5 * variance_deriv_p(var, mu, p) / v, (-np.log(mu) * mu / v if pt else None)
+    slope = 0.5 * variance_deriv_mu(var, mu, p) / v
     return slope[..., None] * dmu, (((1.0 - p) / v)[..., None] * dmu if pt else None)
 
 

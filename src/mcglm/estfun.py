@@ -5,8 +5,9 @@ model at one theta. Its mean half holds the means, scales s =
 sqrt(V(mu)), residuals, mean gradient and link-saturation flag; its
 covariance half, a StateCovariance, holds the correlation C_Omega of
 C = S C_Omega S and, formed on first use, A_i = C_Omega^{-1} dC_Omega,i
-in each lambda. Every estimating function reads C_Omega, the
-standardized residual r = (y - mu) / s and gradient D / s, and
+in each lambda, stacked in theta's order by one walk of the model's
+layout (StateCovariance.A_units). Every estimating function reads
+C_Omega, the standardized residual r = (y - mu) / s and gradient D / s, and
 k4 = empirical_k4 of that r and diag(C_Omega); each trace keeps its
 C-space value. Only poisson_tweedie's diagonal of K_r ties C_Omega to
 beta, so otherwise states that differ only in beta share it
@@ -95,43 +96,39 @@ class StateCovariance:
 
     @cached_property
     def A_units(self):
-        """A_i = C_Omega^{-1} dC_Omega,i; each response's tau derivatives are built in one call.
+        """A_i = C_Omega^{-1} dC_Omega,i, one row block per entry of lambda_index_map.
 
-        The call takes the response's stacked component blocks (a leading
-        axis of D+1): A_dtau when C_Omega^{-1} is U, else dSigma_dtau and
-        dC_dpar_r. A rho or power dC_i is built on its own, a power's by
-        dC_dscale at each unit's mu, and every dC_i of a unit size meets
-        C_Omega^{-1} in one product.
+        Each unit size walks theta's layout once: a rho gives
+        C_Omega^{-1} dC_drho, a free power C_Omega^{-1} dC_dscale at each
+        unit's mu, and a response's first tau all of its taus from one
+        call on its stacked components (a leading axis of D+1): A_dtau
+        when C_Omega^{-1} is U, else C_Omega^{-1} dC_dpar_r(dSigma_dtau).
+        The blocks are concatenated with their unit axes broadcast, since
+        a free power's rows are per unit.
         """
         model = self.model
         out = []
         for grp, joint in zip(model.unit_groups, self.groups):
-            pos, dC, taus = [], [], [[] for _ in model.responses]
-            for i, (role, idx, _) in enumerate(model.lambda_index_map()):
-                if role == "tau":
-                    taus[idx].append(i)
-                    continue
+            blocks = []
+            for i, (role, r, d) in enumerate(model.lambda_index_map()):
                 if role == "rho":
-                    dC_i = dC_drho(joint, idx)
-                else:
-                    mu, var = self.mu[idx * model.N + grp.index], model.responses[idx].variance
-                    dC_i = dC_dscale(joint, idx, *scale_direction(var, mu, self.lam[i]))
-                pos.append(i)
-                dC.append(dC_i[None])
-            units = np.broadcast_shapes(joint.C_inv.shape, *(d.shape[1:] for d in dC))
-            A = np.empty((model.Q,) + units)
-            for r, (resp, rc) in enumerate(zip(model.responses, joint.responses)):
-                Z = grp.predictors[r].blocks
-                if joint.R == 1 and resp.covlink.kind == "inverse" and rc.sigma is rc.omega:
-                    A[taus[r]] = A_dtau(rc, Z)
-                else:
-                    pos += taus[r]
-                    dC.append(dC_dpar_r(joint, r, dSigma_dtau(rc, resp.covlink, Z)))
-            if dC:
-                dC = [d if d.shape[1:] == units else np.broadcast_to(d, d.shape[:1] + units)
-                      for d in dC]
-                A[pos] = joint.C_inv @ np.concatenate(dC)
-            out.append(A)
+                    blocks.append(joint.C_inv @ dC_drho(joint, r)[None])
+                elif role == "power":
+                    mu, var = self.mu[r * model.N + grp.index], model.responses[r].variance
+                    dC = dC_dscale(joint, r, *scale_direction(var, mu, self.lam[i]))
+                    blocks.append(joint.C_inv @ dC[None])
+                elif d == 0:
+                    resp, rc, Z = model.responses[r], joint.responses[r], grp.predictors[r].blocks
+                    if joint.R == 1 and resp.covlink.kind == "inverse" and rc.sigma is rc.omega:
+                        blocks.append(A_dtau(rc, Z))
+                    else:
+                        dSigma = dSigma_dtau(rc, resp.covlink, Z)
+                        blocks.append(joint.C_inv @ dC_dpar_r(joint, r, dSigma))
+            units = np.broadcast_shapes(*(A.shape[1:] for A in blocks))
+            out.append(np.concatenate([
+                A if A.shape[1:] == units else np.broadcast_to(A, A.shape[:1] + units)
+                for A in blocks
+            ]))
         return tuple(out)
 
 

@@ -110,9 +110,10 @@ def _check_mu_domain(var, mu):
 def variance_eval(var, mu, p=None):
     """Evaluate the variance function, elementwise.
 
-    For the poisson_tweedie kind only the mu^p component is returned;
-    the additive diag(mu) term is injected at covariance assembly so
-    that p- and tau-derivatives touch only the dispersion term.
+    For the poisson_tweedie kind only the mu^p component is returned
+    (as by variance_deriv_p and variance_deriv_mu); the additive diag(mu)
+    term is injected at covariance assembly so that p- and
+    tau-derivatives touch only the dispersion term.
     """
     mu = np.asarray(mu, dtype=float)
     _check_mu_domain(var, mu)
@@ -120,7 +121,9 @@ def variance_eval(var, mu, p=None):
         return np.ones_like(mu)
     if var.kind == "binomial":
         return mu * (1.0 - mu)
-    return mu ** p
+    # an overflow to inf is reported by variance_scale as FactorizationError
+    with np.errstate(over="ignore"):
+        return mu ** p
 
 
 def variance_deriv_p(var, mu, p):
@@ -133,17 +136,14 @@ def variance_deriv_p(var, mu, p):
 
 
 def variance_deriv_mu(var, mu, p=None):
-    """Derivative of the variance function w.r.t. mu, elementwise."""
+    """Derivative of the variance function w.r.t. mu, elementwise (of mu^p for poisson_tweedie)."""
     mu = np.asarray(mu, dtype=float)
     _check_mu_domain(var, mu)
     if var.kind == "constant":
         return np.zeros_like(mu)
     if var.kind == "binomial":
         return 1.0 - 2.0 * mu
-    dpow = p * mu ** (p - 1.0)
-    if var.kind == "poisson_tweedie":
-        return 1.0 + dpow
-    return dpow
+    return p * mu ** (p - 1.0)
 
 
 def cholesky_lower(M):

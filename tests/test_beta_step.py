@@ -35,6 +35,7 @@ from mcglm.simulate import SimSpec
 from mcglm.solver import _beta_step
 
 from helpers import car_components, gaussian_two_response, nonpd_instance, random_instance
+from test_covariance import car_inverse_model
 
 
 def paired_r2():
@@ -214,3 +215,29 @@ def test_tweedie_car_fit_assembles_U_once_per_proposal(monkeypatch):
     res, n = counted_fit(monkeypatch, model, y, binding=(mcglm.covariance, "assemble_U"))
     assert res.n_alpha_escalations > 0
     assert n == 1 + (res.n_iter - 1) + res.n_alpha_escalations
+
+
+def test_rejected_proposals_form_no_A(monkeypatch):
+    # R = 1 CAR, inverse link: each accepted state forms its A_i in one A_dtau call, and
+    # neither a rejected lambda proposal nor the constant-variance beta step forms any
+    model, _, y = car_inverse_model()
+    res, n = counted_fit(monkeypatch, model, y, binding=(mcglm.estfun, "A_dtau"))
+    assert res.n_alpha_escalations > 0
+    assert n == res.n_iter
+
+
+def test_constant_variance_beta_step_reuses_A(monkeypatch):
+    # R = 2: one dC_drho and one dC_dpar_r per response for each accepted lambda
+    model, theta = gaussian_two_response(N=40, seed=3)
+    y = simulate_gaussian(SimSpec(model, theta, 1, seed=1))[0]
+    calls = []
+    original = mcglm.estfun.dC_dpar_r
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(mcglm.estfun, "dC_dpar_r", counted)
+    res, n = counted_fit(monkeypatch, model, y, binding=(mcglm.estfun, "dC_drho"))
+    assert n == res.n_iter
+    assert len(calls) == 2 * res.n_iter

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -291,6 +292,27 @@ class TestFit:
         assert main(["fit", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 3
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: fit failed: ")
+
+    def test_overflowing_variance_exits_3_with_one_line(self, tmp_path, monkeypatch, capsys):
+        # mu^2 = exp(1380) overflows to inf at the start: the scale is rejected, silently
+        spec, _, _ = gaussian_fixture(tmp_path, N=4)
+        doc = json.loads(spec.read_text())
+        doc["responses"][0].update(
+            link="log", variance="tweedie_power", power={"value": 2.0}, design_columns=["one"]
+        )
+        write_json(spec, doc)
+        start = mcglm.solver.initialize
+
+        def far_start(model, y):
+            return start(model, y).with_beta(np.array([690.0]))
+
+        monkeypatch.setattr(mcglm.solver, "initialize", far_start)
+        with warnings.catch_warnings(record=True) as caught:  # what would reach stderr
+            warnings.simplefilter("always")
+            assert main(["fit", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 3
+        assert [str(w.message) for w in caught] == []
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: fit failed: variance scale")
 
     def test_byte_determinism_under_single_thread(self, tmp_path):
         spec, _, _ = gaussian_fixture(tmp_path)

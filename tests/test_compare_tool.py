@@ -1,5 +1,6 @@
 """tools/compare.py end to end: a checkout compared with itself."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,3 +21,11 @@ def test_checkout_compared_with_itself_differs_by_nothing():
     assert lines[1].startswith("median CPU per fit: parent ") and " ratio " in lines[1]
     assert lines[2].startswith("change faster on ") and "/4 fits" in lines[2]
     assert lines[3] == "largest relative difference: estimates 0, std errors 0"
+    quartiles = re.fullmatch(
+        r"per-replicate CPU ratio: 25% (\d+\.\d{4}), 50% (\d+\.\d{4}), 75% (\d+\.\d{4})",
+        lines[4],
+    )
+    assert quartiles
+    q1, q2, q3 = map(float, quartiles.groups())
+    assert 0 < q1 <= q2 <= q3
+    assert len(lines) == 5

@@ -177,6 +177,7 @@ class TestVarianceDerivMu:
         cases = [
             (VarianceSpec("tweedie_power"), (0.2, 5.0)),
             (VarianceSpec("binomial"), (0.05, 0.95)),
+            (VarianceSpec("poisson_tweedie"), (0.2, 5.0)),
         ]
         for var, (lo, hi) in cases:
             for _ in range(100):
@@ -184,11 +185,6 @@ class TestVarianceDerivMu:
                 p = rng.uniform(0.5, 2.5)
                 fd = (variance_eval(var, mu + h, p) - variance_eval(var, mu - h, p)) / (2 * h)
                 assert rel_err(variance_deriv_mu(var, mu, p), fd) < 1e-6
-
-    def test_poisson_tweedie_includes_mean_term(self):
-        # derivative of the full mu + mu^p variance
-        d = variance_deriv_mu(VarianceSpec("poisson_tweedie"), np.array([2.0]), 2.0)[0]
-        assert d == pytest.approx(1.0 + 4.0)
 
 
 class TestCovLink:

@@ -11,9 +11,12 @@ alternating, and each fit's CPU time is taken with ``time.process_time``.
 BLAS is pinned to one thread.
 
 It prints the ratio of the median CPU time per fit (change / parent),
-the share of fits on which the change took less CPU time, and the
-largest relative difference in estimates and in standard errors (each
-relative to the largest magnitude of the parent's vector). It stops with
+the share of fits on which the change took less CPU time, the largest
+relative difference in estimates and in standard errors (each relative
+to the largest magnitude of the parent's vector), and the 25th, 50th
+and 75th percentiles of the per-replicate CPU ratio (change / parent of
+the two back-to-back fits), whose spread shows how far one ratio of
+medians can be trusted. It stops with
 an error when the two disagree on convergence, iteration count or alpha
 escalations, since their times would then not measure the same work.
 Otherwise it reports only: no bound, no exit status from the timings.
@@ -132,6 +135,8 @@ def compare(parent_src, change_src, workload_name, rounds, workdir):
     print(f"change faster on {won}/{n} fits ({100.0 * won / n:.1f}%)")
     print(f"largest relative difference: estimates {diff['estimates']:.3g}, "
           f"std errors {diff['std_errors']:.3g}")
+    q1, q2, q3 = np.percentile(np.divide(cpu["change"], cpu["parent"]), [25, 50, 75])
+    print(f"per-replicate CPU ratio: 25% {q1:.4f}, 50% {q2:.4f}, 75% {q3:.4f}")
 
 
 def main(argv=None):
