@@ -4,8 +4,10 @@ The model is described by a JSON document (schema shipped as
 spec_schema.json next to this module) plus a CSV data file with one row
 per observation unit: response columns and covariate columns side by
 side. Rows with a missing value (an empty cell or the spec's missing
-token) in any referenced column are dropped entirely before assembly; a
-cell that parses to a non-finite number is bad input.
+token) in any referenced column, a component's group or level labels
+included, are dropped entirely before assembly; a cell that parses to a
+non-finite number is bad input, and so is a non-finite number in either
+JSON document.
 """
 
 import argparse
@@ -42,12 +44,24 @@ def _spec_validator():
     return cls(schema)
 
 
-def load_spec_document(path):
+def _finite(text, parse=float):
+    if not math.isfinite(float(text)):
+        raise ValueError(f"not a finite number: {text}")
+    return parse(text)
+
+
+def _read_json(path):
+    """A JSON document whose numbers all fit a finite float: NaN, Infinity, 1e999 are bad input."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return json.load(fh, parse_float=_finite, parse_constant=_finite,
+                             parse_int=functools.partial(_finite, parse=int))
+    except (OSError, ValueError) as exc:
         raise InputError(f"{path}: {exc}")
+
+
+def load_spec_document(path):
+    doc = _read_json(path)
     from jsonschema.exceptions import best_match
 
     error = best_match(_spec_validator().iter_errors(doc))
@@ -157,7 +171,7 @@ def build_model_and_data(doc, data_path, spec_dir):
     missing = doc.get("data", {}).get("missing", "NA")
     cols = read_csv_columns(data_path)
 
-    needed_numeric = []
+    needed_numeric, labels = [], []
     for resp in doc["responses"]:
         needed_numeric.append(resp["name"])
         needed_numeric.extend(resp["design_columns"])
@@ -166,13 +180,17 @@ def build_model_and_data(doc, data_path, spec_dir):
             if absent:
                 raise InputError(f"response {resp['name']!r}: {comp['type']} lacks {absent}")
             for key in ("groups", "levels"):
-                if key in comp and comp[key] not in cols:
-                    raise InputError(f"{data_path}: column {comp[key]!r} not found")
+                if key in comp:
+                    if comp[key] not in cols:
+                        raise InputError(f"{data_path}: column {comp[key]!r} not found")
+                    labels.append(comp[key])
             if comp["type"] == "inverse_distance":
                 needed_numeric.append(comp["positions"])
     arrays = {name: _numeric(cols, name, missing, data_path) for name in needed_numeric}
 
-    keep = complete_case_mask(arrays.values())
+    # a missing label counts as a missing value: NaN where it is, 0 elsewhere
+    present = [np.where(np.isin(cols[name], [missing, ""]), np.nan, 0.0) for name in labels]
+    keep = complete_case_mask([*arrays.values(), *present])
     if not keep.any():
         raise InputError(f"{data_path}: no complete cases")
 
@@ -318,11 +336,7 @@ def _read_theta(model, path):
 
     from .model import make_theta
 
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"{path}: {exc}")
+    doc = _read_json(path)
 
     def vector(key, value):
         v = np.asarray(value, dtype=float)

@@ -9,7 +9,9 @@ U_r itself, and for R = 1 so is C_Omega^{-1} (A_dtau). A tau or rho
 moves C_Omega; a power or a beta moves the scale (dC_dscale). In a
 parameter of K_r, the diagonal block (r, r) of dC_Omega is dK_r itself;
 only the off-diagonal blocks, present for R > 1, go through the
-Cholesky-factor derivative, each written with its exact transpose.
+Cholesky-factor derivative. C_Omega, its inverse and every dC_Omega are
+filled by one block writer (_joint), which writes each off-diagonal
+block's mirror as its exact transpose.
 
 Every function takes one matrix per response or, batched, a stack
 (n_units, m, m) of the blocks of independent units of one size; the
@@ -51,6 +53,20 @@ def _sym(M):
 
 def _diag(v):
     return v[..., :, None] * np.eye(v.shape[-1])
+
+
+def _joint(shape, blocks):
+    """Symmetric matrix of ``shape``, zero but for ``blocks`` {(r, s): block of rows r, columns s}.
+
+    An off-diagonal block is also written at (s, r), as its exact transpose.
+    """
+    out = np.zeros(shape)
+    for (r, s), block in blocks.items():
+        N = block.shape[-1]
+        out[..., r * N : (r + 1) * N, s * N : (s + 1) * N] = block
+        if s != r:
+            out[..., s * N : (s + 1) * N, r * N : (r + 1) * N] = _T(block)
+    return out
 
 
 class ResponseCovariance:
@@ -117,18 +133,11 @@ class JointCovariance:
     @cached_property
     def C(self):
         """Block (r, s) is Sb[r, s] chol_r chol_s^T; the diagonal blocks are K_r exactly."""
-        C = np.empty(self.C_inv.shape)
         rcs = self.responses
-        for r in range(self.R):
-            for s in range(r, self.R):
-                if r == s:
-                    block = rcs[r].sigma
-                else:
-                    block = self.Sb[r, s] * (rcs[r].chol @ _T(rcs[s].chol))
-                self.block(C, r, s)[...] = block
-                if s != r:
-                    self.block(C, s, r)[...] = _T(block)
-        return C
+        return _joint(self.C_inv.shape, {
+            (r, s): rcs[r].sigma if r == s else self.Sb[r, s] * (rcs[r].chol @ _T(rcs[s].chol))
+            for r in range(self.R) for s in range(r, self.R)
+        })
 
     @cached_property
     def C_chol(self):
@@ -213,13 +222,10 @@ def generalized_kronecker(responses, Sb):
     Sb_inv = cholesky_inverse(Lb)
     N = responses[0].dim
     units = np.broadcast_shapes(*(rc.sigma.shape[:-2] for rc in responses))
-    C_inv = np.empty(units + (N * R, N * R))
-    for r in range(R):
-        for s in range(r, R):
-            block = Sb_inv[r, s] * (_T(responses[r].chol_inv) @ responses[s].chol_inv)
-            C_inv[..., r * N : (r + 1) * N, s * N : (s + 1) * N] = block
-            if s > r:
-                C_inv[..., s * N : (s + 1) * N, r * N : (r + 1) * N] = _T(block)
+    C_inv = _joint(units + (N * R, N * R), {
+        (r, s): Sb_inv[r, s] * (_T(responses[r].chol_inv) @ responses[s].chol_inv)
+        for r in range(R) for s in range(r, R)
+    })
     return JointCovariance(C_inv=_sym(C_inv), responses=responses, Sb=Sb, Lb=Lb)
 
 
@@ -245,11 +251,8 @@ def dC_drho(assembly, i):
     if not 0 <= i < len(pairs):
         raise DomainError(f"rho index {i} out of range")
     a, b = pairs[i]
-    dC = np.zeros(assembly.C_inv.shape)
-    block = assembly.responses[a].chol @ _T(assembly.responses[b].chol)
-    assembly.block(dC, a, b)[...] = block
-    assembly.block(dC, b, a)[...] = _T(block)
-    return dC
+    rcs = assembly.responses
+    return _joint(assembly.C_inv.shape, {(a, b): rcs[a].chol @ _T(rcs[b].chol)})
 
 
 def dC_dpar_r(assembly, r, dSigma_r):
@@ -264,17 +267,12 @@ def dC_dpar_r(assembly, r, dSigma_r):
     of dSigma_r beyond the unit axis carry over to dC.
     """
     units = np.broadcast_shapes(dSigma_r.shape[:-2], assembly.C_inv.shape[:-2])
-    dC = np.zeros(units + assembly.C_inv.shape[-2:])
-    assembly.block(dC, r, r)[...] = dSigma_r
+    blocks, rcs = {(r, r): dSigma_r}, assembly.responses
     if assembly.R > 1:
-        rc = assembly.responses[r]
-        dL = chol_deriv(rc.chol, rc.chol_inv, dSigma_r)
-        for s in range(assembly.R):
-            if s != r:
-                block = assembly.Sb[r, s] * (dL @ _T(assembly.responses[s].chol))
-                assembly.block(dC, r, s)[...] = block
-                assembly.block(dC, s, r)[...] = _T(block)
-    return dC
+        dL = chol_deriv(rcs[r].chol, rcs[r].chol_inv, dSigma_r)
+        blocks.update({(r, s): assembly.Sb[r, s] * (dL @ _T(rcs[s].chol))
+                       for s in range(assembly.R) if s != r})
+    return _joint(units + assembly.C_inv.shape[-2:], blocks)
 
 
 def dSigma_dtau(rc, cl, Z):

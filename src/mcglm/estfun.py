@@ -30,6 +30,8 @@ from functools import cached_property
 import numpy as np
 
 from .covariance import (
+    _T,
+    _diag,
     A_dtau,
     build_sigma_r,
     dC_dpar_r,
@@ -51,9 +53,10 @@ class StateCovariance:
 
     ``groups`` holds one factorized JointCovariance of C_Omega per size
     of unit, as ``model.unit_groups``: (n_units, R m, R m) stacks whose
-    rows and columns sit at ``index`` in the stacked N R vector, or
-    (1, R m, R m) when every unit shares one block. ``stacks`` lays the
-    same positions out block-major for the estimating functions.
+    rows and columns sit at the group's ``joint`` in the stacked N R
+    vector, or (1, R m, R m) when every unit shares one block.
+    ``stacks`` lays the same positions out block-major for the
+    estimating functions.
     ``variance`` and ``A_units`` (the (Q, blocks, R m, R m) stacks of
     every A_i) are computed on first use, so a covariance that is only
     factorized (a rejected proposal, a simulation) forms neither, and
@@ -67,12 +70,8 @@ class StateCovariance:
     groups: tuple = field(repr=False)
 
     @cached_property
-    def index(self):
-        return tuple(grp.joint for grp in self.model.unit_groups)
-
-    @cached_property
     def stacks(self):
-        """Per unit size, ``index`` block-major: (blocks, R m, units per block).
+        """Per unit size, the group's ``joint`` block-major: (blocks, R m, units per block).
 
         ``blocks`` is the unit axis of A_units: n_units when some power is
         free (its A_i reads each unit's scale), else that of C_Omega^{-1}.
@@ -82,16 +81,16 @@ class StateCovariance:
         free = any(resp.power_free for resp in self.model.responses)
         return tuple(
             idx.reshape(len(idx) if free else len(g.C_inv), -1, idx.shape[1]).transpose(0, 2, 1)
-            for idx, g in zip(self.index, self.groups)
+            for idx, g in zip((grp.joint for grp in self.model.unit_groups), self.groups)
         )
 
     @cached_property
     def variance(self):
         """diag(C_Omega), the marginal variances of the standardized responses."""
         out = np.empty(self.model.N * self.model.R)
-        for idx, g in zip(self.index, self.groups):
+        for grp, g in zip(self.model.unit_groups, self.groups):
             diags = [np.diagonal(rc.sigma, axis1=-2, axis2=-1) for rc in g.responses]
-            out[idx] = np.concatenate(np.broadcast_arrays(*diags), axis=-1)
+            out[grp.joint] = np.concatenate(np.broadcast_arrays(*diags), axis=-1)
         return out
 
     @cached_property
@@ -209,7 +208,7 @@ class EstimatingState:
         """S X S for C_Omega-space stacks X per unit size (C, dC), or S X (C's factor)."""
         return tuple(
             self.scale[idx][..., :, None] * X * (self.scale[idx][..., None, :] if right else 1.0)
-            for idx, X in zip(self.covariance.index, blocks)
+            for idx, X in zip((grp.joint for grp in self.model.unit_groups), blocks)
         )
 
     def with_beta(self, beta):
@@ -249,7 +248,8 @@ class EstimatingState:
 def _mean_half(model, beta):
     """The stacked means, the mean gradient D and whether any inverse link saturated, at beta.
 
-    The one place the fit and the simulators evaluate g^{-1}(X beta).
+    The one place the fit, its starting values (solver.initialize) and
+    the simulators evaluate g^{-1}(X beta).
     """
     N, K = model.N, model.K
     slices = model.beta_slices()
@@ -323,10 +323,6 @@ def _flat(X):
     return X.reshape(X.shape[0], -1)
 
 
-def _T(X):
-    return np.swapaxes(X, -1, -2)
-
-
 def _quad(state):
     """r^T W_i r = u^T dC_i u = r^T A_i u for every i, summed over units."""
     A_units = state.covariance.A_units
@@ -340,9 +336,9 @@ def quasi_score(state):
 
 def _check_beta_rank(M):
     # flag the columns loading on the null direction when D is rank deficient
-    w, v = np.linalg.eigh(M)
+    w = np.linalg.eigvalsh(M)
     if w[-1] <= 0 or w[0] / w[-1] < 1e-12:
-        load = np.abs(v[:, 0])
+        load = np.abs(np.linalg.eigh(M)[1][:, 0])
         cols = np.flatnonzero(load > 0.5 * load.max())
         raise SingularMatrixError(
             f"design is rank deficient; null direction loads on beta columns {cols.tolist()}"
@@ -416,7 +412,7 @@ def cross_sensitivity_lb(state):
         for r, resp in enumerate(model.responses):
             if resp.variance.kind == "poisson_tweedie":
                 F = np.moveaxis(f[r * model.N + grp.index], -1, 0)  # (K, n_units, m)
-                dC = dC_dpar_r(g, r, F[..., None] * np.eye(F.shape[-1]))
+                dC = dC_dpar_r(g, r, _diag(F))
                 S -= _flat(A) @ _flat(_T(g.C_inv @ dC)).T
     return S
 
@@ -462,16 +458,13 @@ def godambe(S_theta, V_theta):
 
 def bias_correction(state):
     """Bias correction b_i = tr(D^T W_i D J_beta^{-1}) = <A_i G, D J_beta^{-T}>, over units."""
-    J_beta, K = state.J_beta, state.K
-    if J_beta.size == 0:
-        return np.zeros(state.Q)
     try:
-        J_inv = np.linalg.inv(J_beta)
+        J_inv = np.linalg.inv(state.J_beta)
     except np.linalg.LinAlgError:
         raise SingularMatrixError("J_beta is singular in the bias correction")
     b = np.zeros(state.Q)
     for D, G, A in zip(state.D_units, state.G_units, state.covariance.A_units):
-        b += _flat(A @ G) @ (D.reshape(-1, K) @ J_inv.T).ravel()
+        b += _flat(A @ G) @ (D.reshape(-1, state.K) @ J_inv.T).ravel()
     return b
 
 

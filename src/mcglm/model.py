@@ -36,6 +36,8 @@ class ResponseSpec:
                 f"response {self.name!r}: design has {design.shape[0]} rows "
                 f"but predictor dimension is {self.predictor.dim}"
             )
+        if design.shape[1] == 0:
+            raise DomainError(f"response {self.name!r}: design has no columns")
 
     @property
     def k(self):

@@ -49,7 +49,7 @@ def simulate_gaussian(spec):
     children = np.random.SeedSequence(spec.seed).spawn(spec.n_replicates)
     for i, child in enumerate(children):
         z = np.random.default_rng(child).standard_normal(n)
-        for idx, L in zip(state.covariance.index, factors):
+        for idx, L in zip((grp.joint for grp in model.unit_groups), factors):
             out[i, idx] = mean[idx] + (L @ z[idx][..., None])[..., 0]
     return out
 

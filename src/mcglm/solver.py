@@ -19,6 +19,8 @@ from .errors import (
     StepFailureError,
 )
 from .estfun import (
+    _check_beta_rank,
+    _mean_half,
     bias_correction,
     build_godambe,
     build_state,
@@ -29,7 +31,7 @@ from .estfun import (
     sensitivity_lambda,
     variability_lambda,
 )
-from .functions import link_inverse, link_inverse_deriv, variance_eval
+from .functions import variance_eval
 from .model import make_theta
 
 
@@ -176,77 +178,57 @@ IRLS_ITER = 10
 def initialize(model, y):
     """Starting values from independent per-response quasi-GLM fits.
 
-    Each response is fitted with an iid working covariance; tau_0 comes
-    from the mean squared Pearson residual (its reciprocal under the
-    inverse covariance link), remaining tau are zero, rho is zero, and
-    the power starts at 1 (tweedie) or 1.5 (poisson_tweedie).
+    IRLS_ITER Fisher-scoring steps beta += (D^T W D)^{-1} D^T W (y - mu),
+    with the iid working weights W = 1 / V(mu) at the starting power
+    (plus mu for poisson_tweedie), are taken for all responses at once
+    on the mean half: D is block diagonal over responses, so each is
+    that response's own IRLS step. Each response's first constant
+    design column starts at the link-scale mean of its response, and a
+    rank-deficient design raises SingularMatrixError naming the beta
+    columns. tau_0 comes from the mean squared Pearson residual (its
+    reciprocal under the inverse covariance link), remaining tau are
+    zero, rho is zero, and the power starts at 1 (tweedie) or 1.5
+    (poisson_tweedie).
     """
     y = np.asarray(y, dtype=float).reshape(-1)
-    N = model.N
-    betas, taus, powers = [], [], []
-    for r, resp in enumerate(model.responses):
-        y_r = y[r * N : (r + 1) * N]
-        X = resp.design
-        if resp.power_free:
-            p0 = 1.5 if resp.variance.kind == "poisson_tweedie" else 1.0
-        else:
-            p0 = resp.power_value
-        beta = _irls_single(y_r, X, resp, p0)
-        eta = X @ beta
-        mu = link_inverse(resp.link, eta)
-        vfun = variance_eval(resp.variance, mu, p0)
-        if resp.variance.kind == "poisson_tweedie":
-            tau0 = float(np.mean(((y_r - mu) ** 2 - mu) / vfun))
-            tau0 = max(tau0, 1e-2)
-        else:
-            tau0 = float(np.mean((y_r - mu) ** 2 / vfun))
-            tau0 = max(tau0, 1e-10)
-        if resp.covlink.kind == "inverse":
-            tau0 = 1.0 / tau0
-        tau = np.zeros(resp.predictor.D_plus_1)
-        tau[0] = tau0
-        betas.append(beta)
-        taus.append(tau)
-        powers.append(p0)
-    rho = np.zeros(model.n_rho)
-    lam = model.pack_lambda(rho, np.array(powers), taus)
-    return make_theta(model, np.concatenate(betas), lam)
+    N, resps, slices = model.N, model.responses, model.beta_slices()
+    pts = [resp.variance.kind == "poisson_tweedie" for resp in resps]
+    p0 = [(1.5 if t else 1.0) if resp.power_free else resp.power_value
+          for resp, t in zip(resps, pts)]
+    pt = np.repeat(pts, N)
+    rows = [slice(r * N, (r + 1) * N) for r in range(model.R)]
 
+    def variance(mu):
+        return np.concatenate([variance_eval(resp.variance, mu[i], p)
+                               for resp, i, p in zip(resps, rows, p0)])
 
-def _irls_single(y_r, X, resp, p0):
-    n, k = X.shape
-    beta = np.zeros(k)
-    # crude mean start on the link scale
-    ybar = float(np.mean(y_r))
-    if resp.link.kind == "log":
-        start = np.log(max(ybar, 1e-8))
-    elif resp.link.kind == "logit":
-        yb = min(max(ybar, 1e-6), 1 - 1e-6)
-        start = np.log(yb / (1 - yb))
-    else:
-        start = ybar
-    const = np.flatnonzero(np.all(X == X[:1, :], axis=0) & (X[0] != 0))
-    if const.size:
-        beta[const[0]] = start / X[0, const[0]]
+    beta = np.zeros(model.K)
+    for resp, i, b in zip(resps, rows, slices):
+        # crude mean start on the link scale
+        X, ybar = resp.design, float(np.mean(y[i]))
+        const = np.flatnonzero(np.all(X == X[:1, :], axis=0) & (X[0] != 0))
+        if const.size:
+            if resp.link.kind == "log":
+                ybar = np.log(max(ybar, 1e-8))
+            elif resp.link.kind == "logit":
+                ybar = min(max(ybar, 1e-6), 1 - 1e-6)
+                ybar = np.log(ybar / (1 - ybar))
+            beta[b.start + const[0]] = ybar / X[0, const[0]]
     for _ in range(IRLS_ITER):
-        eta = X @ beta
-        mu = link_inverse(resp.link, eta)
-        d = link_inverse_deriv(resp.link, eta)
-        v = variance_eval(resp.variance, mu, p0)
-        if resp.variance.kind == "poisson_tweedie":
-            v = v + mu
-        w = d ** 2 / v
-        z = eta + (y_r - mu) / d
-        XtW = X.T * w
-        try:
-            beta = np.linalg.solve(XtW @ X, XtW @ z)
-        except np.linalg.LinAlgError:
-            raise StepFailureError(
-                f"degenerate single-response fit for {resp.name!r}"
-            )
+        mu, D, _ = _mean_half(model, beta)
+        WD = D / (variance(mu) + pt * mu)[:, None]
+        M = D.T @ WD
+        _check_beta_rank(M)
+        beta = beta + np.linalg.solve(M, WD.T @ (y - mu))
     if not np.all(np.isfinite(beta)):
-        raise StepFailureError(f"degenerate single-response fit for {resp.name!r}")
-    return beta
+        raise StepFailureError("degenerate starting fit: non-finite beta")
+    mu = _mean_half(model, beta)[0]
+    pearson = ((y - mu) ** 2 - pt * mu) / variance(mu)
+    taus = [np.zeros(resp.predictor.D_plus_1) for resp in resps]
+    for tau, resp, i, t in zip(taus, resps, rows, pts):
+        tau0 = max(float(np.mean(pearson[i])), 1e-2 if t else 1e-10)
+        tau[0] = 1.0 / tau0 if resp.covlink.kind == "inverse" else tau0
+    return make_theta(model, beta, model.pack_lambda(np.zeros(model.n_rho), np.array(p0), taus))
 
 
 def _max_abs(x):

@@ -190,7 +190,7 @@ def scatter(state, blocks):
     joint covariance C = S C_Omega S of the EstimatingState ``state``,
     its lower factor S L_Omega or its inverse S^{-1} C_Omega^{-1} S^{-1}.
     """
-    index = state.covariance.index
+    index = [grp.joint for grp in state.model.unit_groups]
     if isinstance(blocks, str) and blocks == "C_inv":
         s = state.scale
         return scatter(state, [g.C_inv for g in state.covariance.groups]) / np.outer(s, s)

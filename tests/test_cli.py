@@ -216,6 +216,21 @@ class TestFit:
         assert code == 1
         assert "schema violation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("between", [float("nan")]), ("solver", {"tol_score": float("nan")}),
+    ], ids=["between", "tol_score"])
+    def test_non_finite_spec_number_exits_1(self, tmp_path, capsys, key, value):
+        # json.dumps writes NaN; x is a second response, so that between has one correlation
+        spec, _, _ = gaussian_fixture(tmp_path)
+        doc = json.loads(spec.read_text())
+        doc["responses"].append(dict(doc["responses"][0], name="x", design_columns=["one"]))
+        doc[key] = value
+        write_json(spec, doc)
+        code = main(["fit", "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {spec}: not a finite number: NaN"]
+        assert not (tmp_path / "o").exists()
+
     def test_unparseable_json_exits_1(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text("{not json")
@@ -475,6 +490,25 @@ class TestSimulate:
         else:
             assert lines == [] and (out / "rep_0001.csv").is_file()
 
+    @pytest.mark.parametrize("number", ["NaN", "1e999", "1" + "0" * 400],
+                             ids=["nan", "overflowing-float", "overflowing-int"])
+    def test_non_finite_theta_exits_1(self, tmp_path, capsys, number):
+        # tau[0][1] = 0.3 is the coefficient of one compound-symmetry block over all rows
+        spec, _, _ = gaussian_fixture(tmp_path)
+        doc = json.loads(spec.read_text())
+        doc["responses"][0]["predictor"].append({"type": "compound_symmetry", "groups": "one"})
+        write_json(spec, doc)
+        theta = tmp_path / "theta.json"
+        theta.write_text(f'{{"beta": [[2.0, 0.7]], "tau": [[{number}, 0.3]]}}')
+        out = tmp_path / "o"
+        code = main(["simulate", "--spec", str(spec), "--theta", str(theta),
+                     "--n", "1", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {theta}: not a finite number: {number}"
+        ]
+        assert not out.exists()
+
     def test_non_pd_theta_exits_3(self, tmp_path):
         spec, _, _ = gaussian_fixture(tmp_path)
         theta = self.theta_doc(tmp_path, tau=((-1.0,),))
@@ -626,6 +660,7 @@ def test_rank_deficient_design_exits_2(tmp_path, command):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {command} failed: ")
+    assert lines[0].endswith("beta columns [0, 1]")
 
 
 class TestCheckDerivatives:
@@ -803,6 +838,23 @@ class TestTwoResponse:
             },
         )
         return spec
+
+    def test_missing_group_labels_drop_their_rows(self, tmp_path):
+        # data rows 3 and 7 carry the missing token as their group, row 5 an empty cell
+        spec = self.two_response_fixture(tmp_path, N=40)
+        data = tmp_path / "data2.csv"
+        header, *rows = [line.split(",") for line in data.read_text().splitlines()]
+        for row, label in ((3, "NA"), (7, "NA"), (5, "")):
+            rows[row - 1][-1] = label
+        write_csv(data, header, rows)
+        out = tmp_path / "out"
+        assert main(["fit", "--spec", str(spec), "--out", str(out)]) == 0
+        with open(out / "fitted.csv", newline="") as fh:
+            assert len(list(csv.DictReader(fh))) == 37
+
+        write_csv(data, header, [row for i, row in enumerate(rows, 1) if i not in (3, 5, 7)])
+        assert main(["fit", "--spec", str(spec), "--out", str(tmp_path / "deleted")]) == 0
+        assert read_estimates(out) == read_estimates(tmp_path / "deleted")
 
     def test_fit_writes_sigma_b(self, tmp_path):
         spec = self.two_response_fixture(tmp_path)

@@ -29,3 +29,19 @@ def test_checkout_compared_with_itself_differs_by_nothing():
     q1, q2, q3 = map(float, quartiles.groups())
     assert 0 < q1 <= q2 <= q3
     assert len(lines) == 5
+
+
+def test_all_workloads_print_five_lines_each():
+    src = str(ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "compare.py"), src, src,
+         "--workload", "all", "--rounds", "1"],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 15
+    assert [line.split(":")[0] for line in lines[::5]] == [
+        "workload paired-r2", "workload car-mc", "workload cli-mc"
+    ]
+    assert lines[3::5] == ["largest relative difference: estimates 0, std errors 0"] * 3

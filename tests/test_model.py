@@ -74,3 +74,9 @@ class TestLayout:
     def test_pack_names_a_block_of_the_wrong_length(self, rho, p, tau, message):
         with pytest.raises(DomainError, match=message):
             three_response_model().pack_lambda(rho, p, tau)
+
+
+def test_design_without_columns_is_rejected():
+    with pytest.raises(DomainError, match="response 'y': design has no columns"):
+        ResponseSpec("y", LinkSpec("identity"), VarianceSpec("constant"), CovLinkSpec("identity"),
+                     np.zeros((N, 0)), MatrixPredictor((mat_identity(N),)))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -13,6 +14,7 @@ from mcglm import (
     ModelSpec,
     ResponseSpec,
     SolverOptions,
+    SingularMatrixError,
     StepFailureError,
     VarianceSpec,
     build_state,
@@ -253,6 +255,16 @@ class TestInitialize:
         _, _, tau_id = mk("identity").split_lambda(t_id.lam)
         _, _, tau_inv = mk("inverse").split_lambda(t_inv.lam)
         assert tau_inv[0][0] == pytest.approx(1.0 / tau_id[0][0], rel=1e-10)
+
+    def test_rank_deficient_design_names_its_beta_columns(self):
+        # y1 repeats its constant column: beta columns 2 and 3 of the joint beta
+        model, _ = gaussian_two_response(N=12, seed=9)
+        X = model.responses[1].design
+        y1 = dataclasses.replace(model.responses[1], design=np.column_stack([X[:, :1], X]))
+        model = ModelSpec((model.responses[0], y1))
+        y = np.random.default_rng(10).standard_normal(24)
+        with pytest.raises(SingularMatrixError, match=r"rank deficient.*beta columns \[2, 3\]$"):
+            initialize(model, y)
 
 
 class TestFit:

@@ -363,7 +363,7 @@ def test_shared_block_simulation_equals_per_unit_products():
     model, _, theta = _shared_pairs()
     mean = stacked_mean(model, theta)
     cov = build_covariance(model, mean, theta.lam)
-    (idx,), (joint,) = cov.index, cov.groups
+    (idx,), (joint,) = [grp.joint for grp in model.unit_groups], cov.groups
     assert joint.C_chol.shape[0] == 1
     L = np.repeat(joint.C_chol, idx.shape[0], axis=0)
     expected = np.empty((4, mean.size))

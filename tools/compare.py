@@ -1,6 +1,7 @@
-"""Fit-by-fit interleaved comparison of two mcglm checkouts on one benchmark workload.
+"""Fit-by-fit interleaved comparison of two mcglm checkouts on the benchmark's workloads.
 
     python3 tools/compare.py PARENT_SRC CHANGE_SRC --workload car-mc --rounds 8
+    python3 tools/compare.py PARENT_SRC CHANGE_SRC --workload all --rounds 8
 
 PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
 Each checkout's ``mcglm`` is imported in this one process under its own
@@ -16,7 +17,8 @@ relative difference in estimates and in standard errors (each relative
 to the largest magnitude of the parent's vector), and the 25th, 50th
 and 75th percentiles of the per-replicate CPU ratio (change / parent of
 the two back-to-back fits), whose spread shows how far one ratio of
-medians can be trusted. It stops with
+medians can be trusted. ``--workload all`` prints these five lines for
+every workload in turn (paired-r2, car-mc, cli-mc). It stops with
 an error when the two disagree on convergence, iteration count or alpha
 escalations, since their times would then not measure the same work.
 Otherwise it reports only: no bound, no exit status from the timings.
@@ -86,15 +88,14 @@ def rel_diff(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b))) if b.size else 0.0
 
 
-def compare(parent_src, change_src, workload_name, rounds, workdir):
+def compare(modules, workload_name, rounds, workdir):
+    """Print the five comparison lines for one workload; ``modules`` is (parent, change)."""
     sides = []
-    for tag, src in (("parent", parent_src), ("change", change_src)):
-        pkg = load_package(src, f"mcglm_{tag}")
-        module = load_workloads(pkg, f"workloads_{tag}")
+    for tag, module in zip(("parent", "change"), modules):
         if workload_name not in module.WORKLOADS:
             raise SystemExit(f"error: unknown workload {workload_name!r}")
-        side = Path(workdir) / tag
-        side.mkdir()
+        side = Path(workdir) / workload_name / tag
+        side.mkdir(parents=True)
         workload = module.WORKLOADS[workload_name](side)
         workload.setup()
         workload.prepare()
@@ -143,13 +144,19 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("parent_src")
     p.add_argument("change_src")
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", required=True, help="a workload name, or all")
     p.add_argument("--rounds", type=int, default=8)
     args = p.parse_args(argv)
     if args.rounds < 1:
         p.error("--rounds must be >= 1")
+    modules = [
+        load_workloads(load_package(src, f"mcglm_{tag}"), f"workloads_{tag}")
+        for tag, src in (("parent", args.parent_src), ("change", args.change_src))
+    ]
+    names = list(modules[1].WORKLOADS) if args.workload == "all" else [args.workload]
     with tempfile.TemporaryDirectory(prefix="mcglm-compare-") as workdir:
-        compare(args.parent_src, args.change_src, args.workload, args.rounds, workdir)
+        for name in names:
+            compare(modules, name, args.rounds, workdir)
 
 
 if __name__ == "__main__":
