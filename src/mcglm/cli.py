@@ -490,7 +490,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"error: {message}\n")
 
 
+@functools.cache
 def make_parser():
+    """The argparse tree, built once per process.
+
+    Each command is named by its function, looked up in this module when
+    it runs, so a patched ``cmd_*`` is the one called.
+    """
     parser = _Parser(
         prog="mcglm",
         description="Fit multivariate covariance GLMs from second-moment assumptions.",
@@ -504,7 +510,7 @@ def make_parser():
     p_fit.add_argument("--out", required=True)
     p_fit.add_argument("--max-iter", type=int, default=None, dest="max_iter")
     p_fit.add_argument("--alg", choices=["chaser", "reciprocal"], default=None)
-    p_fit.set_defaults(func=cmd_fit)
+    p_fit.set_defaults(func="cmd_fit")
 
     p_sim = sub.add_parser("simulate", help="draw Gaussian replicates at a theta")
     p_sim.add_argument("--spec", required=True)
@@ -513,7 +519,7 @@ def make_parser():
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out", required=True)
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.set_defaults(func="cmd_simulate")
 
     p_chk = sub.add_parser(
         "check-derivatives", help="verify analytic covariance derivatives"
@@ -521,7 +527,7 @@ def make_parser():
     p_chk.add_argument("--spec", required=True)
     p_chk.add_argument("--data", default=None)
     p_chk.add_argument("--seed", type=int, default=0)
-    p_chk.set_defaults(func=cmd_check_derivatives)
+    p_chk.set_defaults(func="cmd_check_derivatives")
 
     p_bm = sub.add_parser("build-matrices", help="write structure-matrix files")
     bm_sub = p_bm.add_subparsers(dest="kind", required=True)
@@ -531,13 +537,13 @@ def make_parser():
     p_nb.add_argument("--out", required=True)
     p_nb.add_argument("--prefix", default="")
     p_nb.add_argument("--icar", action="store_true", help="also write D + W")
-    p_nb.set_defaults(func=cmd_build_matrices)
+    p_nb.set_defaults(func="cmd_build_matrices")
     p_kr = bm_sub.add_parser("kron")
     p_kr.add_argument("--a", required=True)
     p_kr.add_argument("--b", required=True)
     p_kr.add_argument("--out", required=True)
     p_kr.add_argument("--prefix", default="")
-    p_kr.set_defaults(func=cmd_build_matrices)
+    p_kr.set_defaults(func="cmd_build_matrices")
 
     return parser
 
@@ -555,7 +561,7 @@ def main(argv=None):
                 raise InputError(f"--threads must be at least 1, got {args.threads}")
             for var in THREAD_VARS:
                 os.environ[var] = str(args.threads)
-        return args.func(args)
+        return globals()[args.func](args)
     except (InputError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -57,11 +57,12 @@ class StateCovariance:
     vector, or (1, R m, R m) when every unit shares one block.
     ``stacks`` lays the same positions out block-major for the
     estimating functions.
-    ``variance`` and ``A_units`` (the (Q, blocks, R m, R m) stacks of
-    every A_i) are computed on first use, so a covariance that is only
-    factorized (a rejected proposal, a simulation) forms neither, and
-    states that share this object share them. Only a free power's A_i
-    reads mu.
+    ``variance``, ``A_units`` (the (Q, blocks, R m, R m) stacks of
+    every A_i) and the residual-free sums of A_i alone, the Pearson
+    trace and S_lambda, are computed on first use, so a covariance that
+    is only factorized (a rejected proposal, a simulation) forms none of
+    them, and states that share this object share them. Only a free
+    power's A_i reads mu.
     """
 
     model: object
@@ -130,6 +131,22 @@ class StateCovariance:
             ]))
         return tuple(out)
 
+    @cached_property
+    def pearson_trace(self):
+        """tr(C^{-1} dC_i) = tr(A_i) for every i, summed over units."""
+        return sum(
+            idx.shape[-1] * np.trace(A, axis1=-2, axis2=-1).sum(axis=1)
+            for idx, A in zip(self.stacks, self.A_units)
+        )
+
+    @cached_property
+    def S_lambda(self):
+        """S_lambda[i, j] = -tr(A_i A_j), summed over units; read-only."""
+        S = -sum(
+            idx.shape[-1] * (_flat(A) @ _flat(_T(A)).T) for idx, A in zip(self.stacks, self.A_units)
+        )
+        return _frozen(0.5 * (S + S.T))
+
 
 @dataclass(frozen=True)
 class EstimatingState:
@@ -140,9 +157,10 @@ class EstimatingState:
     covariance half is a StateCovariance. The ``*_units`` attributes hold
     one entry per size of unit, laid out as its ``stacks``: D / s (its K
     columns of a unit side by side), r = (y - mu) / s, u and G, computed
-    on first use, as are J_beta = D^T G and the quasi-score
-    psi_beta = D^T u, which the iteration record and the beta step both
-    read.
+    on first use, as are J_beta = D^T G, the quasi-score psi_beta =
+    D^T u, which the iteration record and the beta step both read, and
+    the bias correction. D_units, G_units, J_beta and the bias
+    correction do not read the residual: with_beta hands them on.
     """
 
     model: object
@@ -189,6 +207,18 @@ class EstimatingState:
         )
 
     @cached_property
+    def bias(self):
+        """Bias correction b_i = tr(D^T W_i D J_beta^{-1}) = <A_i G, D J_beta^{-T}>; read-only."""
+        try:
+            J_inv = np.linalg.inv(self.J_beta)
+        except np.linalg.LinAlgError:
+            raise SingularMatrixError("J_beta is singular in the bias correction")
+        b = np.zeros(self.Q)
+        for D, G, A in zip(self.D_units, self.G_units, self.covariance.A_units):
+            b += _flat(A @ G) @ (D.reshape(-1, self.K) @ J_inv.T).ravel()
+        return _frozen(b)
+
+    @cached_property
     def psi_beta(self):
         """The quasi-score psi_beta = D^T C^{-1} (y - mu) = D^T u, summed over units."""
         K = self.K
@@ -217,7 +247,10 @@ class EstimatingState:
         Only poisson_tweedie's diagonal ties C_Omega to beta, so without it
         the new state keeps C_Omega (and its caches, unless a free power's
         A_i reads the new means); otherwise it is rebuilt, which raises
-        FactorizationError when it is not PD.
+        FactorizationError when it is not PD. When D, the scales and the
+        covariance are the very objects this state holds (an identity link
+        and a constant variance), the new state also takes this one's
+        residual-free caches.
         """
         model = self.model
         theta = self.theta.with_beta(beta)
@@ -229,8 +262,11 @@ class EstimatingState:
             covariance = build_covariance(model, mu, theta.lam)
         elif any(resp.power_free for resp in model.responses):
             covariance = replace(covariance, mu=mu)  # a power's A_i reads the new scales
-        return replace(self, theta=theta, mu=mu, residual=self.y - mu, D=D, scale=scale,
-                       saturated=saturated, covariance=covariance)
+        new = replace(self, theta=theta, mu=mu, residual=self.y - mu, D=D, scale=scale,
+                      saturated=saturated, covariance=covariance)
+        if D is self.D and scale is self.scale and covariance is self.covariance:
+            new.__dict__.update({k: v for k, v in vars(self).items() if k in _RESIDUAL_FREE})
+        return new
 
     def with_lambda(self, lam):
         """The state at new covariance parameters: the means are kept and C is built again.
@@ -245,23 +281,36 @@ class EstimatingState:
         )
 
 
+_RESIDUAL_FREE = ("D_units", "G_units", "J_beta", "bias")
+
+
+def _frozen(a):
+    a.setflags(write=False)
+    return a
+
+
 def _mean_half(model, beta):
     """The stacked means, the mean gradient D and whether any inverse link saturated, at beta.
 
     The one place the fit, its starting values (solver.initialize) and
-    the simulators evaluate g^{-1}(X beta).
+    the simulators evaluate g^{-1}(X beta). When every link is the
+    identity, D is the model's read-only block design, one object for
+    every beta.
     """
-    N, K = model.N, model.K
-    slices = model.beta_slices()
+    N, slices = model.N, model.beta_slices()
     mu = np.empty(N * model.R)
-    D = np.zeros((N * model.R, K))
+    D = model.identity_gradient
+    fill = D is None
+    if fill:
+        D = np.zeros((N * model.R, model.K))
     saturated = False
     for r, resp in enumerate(model.responses):
         eta = resp.design @ beta[slices[r]]
         mu[r * N : (r + 1) * N], sat = link_inverse(resp.link, eta, return_saturation=True)
         saturated = saturated or sat
-        d_r = link_inverse_deriv(resp.link, eta)
-        D[r * N : (r + 1) * N, slices[r]] = d_r[:, None] * resp.design
+        if fill:
+            d_r = link_inverse_deriv(resp.link, eta)
+            D[r * N : (r + 1) * N, slices[r]] = d_r[:, None] * resp.design
     return mu, D, saturated
 
 
@@ -335,14 +384,25 @@ def quasi_score(state):
 
 
 def _check_beta_rank(M):
-    # flag the columns loading on the null direction when D is rank deficient
-    w = np.linalg.eigvalsh(M)
-    if w[-1] <= 0 or w[0] / w[-1] < 1e-12:
+    """Raise SingularMatrixError naming the beta columns of a null direction of M = D^T W D.
+
+    The eigenvalue ratio is read on d M d, d = diag(M)^{-1/2}, so a
+    column's units do not matter; a zero diagonal entry is itself a
+    null direction, its column.
+    """
+    diag = np.diagonal(M)
+    cols = np.flatnonzero(~(diag > 0))
+    if not cols.size:
+        d = 1.0 / np.sqrt(diag)
+        M = d[:, None] * M * d
+        w = np.linalg.eigvalsh(M)
+        if w[0] / w[-1] >= 1e-12:
+            return
         load = np.abs(np.linalg.eigh(M)[1][:, 0])
         cols = np.flatnonzero(load > 0.5 * load.max())
-        raise SingularMatrixError(
-            f"design is rank deficient; null direction loads on beta columns {cols.tolist()}"
-        )
+    raise SingularMatrixError(
+        f"design is rank deficient; null direction loads on beta columns {cols.tolist()}"
+    )
 
 
 def sensitivity_beta(state):
@@ -354,22 +414,13 @@ def sensitivity_beta(state):
 
 
 def pearson_vector(state):
-    """psi_lambda_i = tr(W_i (r r^T - C)) = u^T dC_i u - tr(A_i)."""
-    cov = state.covariance
-    trace = sum(
-        idx.shape[-1] * np.trace(A, axis1=-2, axis2=-1).sum(axis=1)
-        for idx, A in zip(cov.stacks, cov.A_units)
-    )
-    return _quad(state) - trace
+    """psi_lambda_i = tr(W_i (r r^T - C)) = u^T dC_i u - tr(A_i); the trace is the covariance's."""
+    return _quad(state) - state.covariance.pearson_trace
 
 
 def sensitivity_lambda(state):
-    """S_lambda[i, j] = -tr(W_i C W_j C) = -tr(A_i A_j)."""
-    cov = state.covariance
-    S = -sum(
-        idx.shape[-1] * (_flat(A) @ _flat(_T(A)).T) for idx, A in zip(cov.stacks, cov.A_units)
-    )
-    return 0.5 * (S + S.T)
+    """S_lambda[i, j] = -tr(W_i C W_j C) = -tr(A_i A_j), kept by the covariance (read-only)."""
+    return state.covariance.S_lambda
 
 
 def variability_lambda(state, k4):
@@ -457,15 +508,8 @@ def godambe(S_theta, V_theta):
 
 
 def bias_correction(state):
-    """Bias correction b_i = tr(D^T W_i D J_beta^{-1}) = <A_i G, D J_beta^{-T}>, over units."""
-    try:
-        J_inv = np.linalg.inv(state.J_beta)
-    except np.linalg.LinAlgError:
-        raise SingularMatrixError("J_beta is singular in the bias correction")
-    b = np.zeros(state.Q)
-    for D, G, A in zip(state.D_units, state.G_units, state.covariance.A_units):
-        b += _flat(A @ G) @ (D.reshape(-1, state.K) @ J_inv.T).ravel()
-    return b
+    """Bias correction b_i = tr(D^T W_i D J_beta^{-1}), kept by the state (read-only)."""
+    return state.bias
 
 
 def build_godambe(state):

@@ -143,6 +143,22 @@ class ModelSpec:
             + [("tau", r, d) for r, resp in resps for d in range(resp.predictor.D_plus_1)]
         )
 
+    @cached_property
+    def identity_gradient(self):
+        """The mean gradient when every link is the identity, else None; built once, read-only.
+
+        It is the NR x K block design: X_r in response r's rows and beta
+        columns, zero elsewhere.
+        """
+        if any(resp.link.kind != "identity" for resp in self.responses):
+            return None
+        N = self.N
+        D = np.zeros((N * self.R, self.K))
+        for r, (resp, b) in enumerate(zip(self.responses, self.beta_slices())):
+            D[r * N : (r + 1) * N, b] = resp.design
+        D.setflags(write=False)
+        return D
+
     def beta_slices(self):
         owners = [r for _, r, _ in self.layout[: self.K]]
         return [slice(bisect_left(owners, r), bisect_right(owners, r)) for r in range(self.R)]

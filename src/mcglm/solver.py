@@ -172,23 +172,26 @@ def alpha_strategy(previous_alpha, eps=0.01, alpha_max=1.0):
     return min(previous_alpha + eps, alpha_max)
 
 
-IRLS_ITER = 10
+IRLS_ITER = 10  # the most scoring steps the starting fit takes
+IRLS_STEP_TOL = 1e-10  # it stops once max|step| <= IRLS_STEP_TOL * max(1, max|beta|)
 
 
 def initialize(model, y):
     """Starting values from independent per-response quasi-GLM fits.
 
-    IRLS_ITER Fisher-scoring steps beta += (D^T W D)^{-1} D^T W (y - mu),
-    with the iid working weights W = 1 / V(mu) at the starting power
-    (plus mu for poisson_tweedie), are taken for all responses at once
-    on the mean half: D is block diagonal over responses, so each is
-    that response's own IRLS step. Each response's first constant
-    design column starts at the link-scale mean of its response, and a
-    rank-deficient design raises SingularMatrixError naming the beta
-    columns. tau_0 comes from the mean squared Pearson residual (its
-    reciprocal under the inverse covariance link), remaining tau are
-    zero, rho is zero, and the power starts at 1 (tweedie) or 1.5
-    (poisson_tweedie).
+    Up to IRLS_ITER Fisher-scoring steps beta += (D^T W D)^{-1} D^T W
+    (y - mu), with the iid working weights W = 1 / V(mu) at the starting
+    power (plus mu for poisson_tweedie), are taken for all responses at
+    once on the mean half: D is block diagonal over responses, so each
+    is that response's own IRLS step. They stop once a step vanishes
+    against beta (IRLS_STEP_TOL): with an identity link and a constant
+    variance the first step is the least-squares fit, so the second
+    ends it. Each response's first constant design column starts at the
+    link-scale mean of its response, and a rank-deficient design raises
+    SingularMatrixError naming the beta columns. tau_0 comes from the
+    mean squared Pearson residual (its reciprocal under the inverse
+    covariance link), remaining tau are zero, rho is zero, and the
+    power starts at 1 (tweedie) or 1.5 (poisson_tweedie).
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     N, resps, slices = model.N, model.responses, model.beta_slices()
@@ -219,7 +222,10 @@ def initialize(model, y):
         WD = D / (variance(mu) + pt * mu)[:, None]
         M = D.T @ WD
         _check_beta_rank(M)
-        beta = beta + np.linalg.solve(M, WD.T @ (y - mu))
+        step = np.linalg.solve(M, WD.T @ (y - mu))
+        beta = beta + step
+        if _max_abs(step) <= IRLS_STEP_TOL * max(1.0, _max_abs(beta)):
+            break
     if not np.all(np.isfinite(beta)):
         raise StepFailureError("degenerate starting fit: non-finite beta")
     mu = _mean_half(model, beta)[0]

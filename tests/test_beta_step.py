@@ -1,5 +1,7 @@
 """The beta step keeps the covariance when no response's variance depends on mu."""
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -31,11 +33,13 @@ from mcglm.estfun import (
     sensitivity_lambda,
     variability_lambda,
 )
+from mcglm.estfun import _RESIDUAL_FREE, EstimatingState, StateCovariance
 from mcglm.simulate import SimSpec
 from mcglm.solver import _beta_step
 
 from helpers import car_components, gaussian_two_response, nonpd_instance, random_instance
 from test_covariance import car_inverse_model
+from test_units import CASES
 
 
 def paired_r2():
@@ -241,3 +245,103 @@ def test_constant_variance_beta_step_reuses_A(monkeypatch):
     res, n = counted_fit(monkeypatch, model, y, binding=(mcglm.estfun, "dC_drho"))
     assert n == res.n_iter
     assert len(calls) == 2 * res.n_iter
+
+
+# identity link, constant variance: shared blocks and per-unit blocks, R = 1, 2 and 3
+CARRYING = {
+    "paired_r2": paired_r2,
+    "car_inverse": car_inverse,
+    "r3_constant": r3_constant,
+    "precision_shared": CASES["precision_shared"],
+    "one_unit_differs": CASES["one_unit_differs"],
+    "shared_next_to_unshared": CASES["shared_next_to_unshared"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CARRYING))
+def test_beta_step_carries_the_residual_free_sums(case):
+    model, y, theta = CARRYING[case]()
+    state = build_state(model, y, theta)
+    bias_correction(state)  # the record forms J_beta, G_units and b, as fit does
+    state_b = _beta_step(state)
+    assert state_b.D is state.D and state_b.covariance is state.covariance
+    for name in _RESIDUAL_FREE:
+        assert getattr(state_b, name) is getattr(state, name)
+    fresh = build_state(model, y, state_b.theta)
+    assert np.array_equal(state_b.J_beta, fresh.J_beta)
+    assert np.array_equal(state_b.bias, fresh.bias)
+    for carried, built in zip(state_b.G_units + state_b.D_units, fresh.G_units + fresh.D_units):
+        assert np.array_equal(carried, built)
+    assert not np.array_equal(state_b.psi_beta, state.psi_beta)
+
+
+def identity_link(kind, power_known):
+    N = 12
+    rng = np.random.default_rng(21)
+    resp = ResponseSpec(
+        "y", LinkSpec("identity"), VarianceSpec(kind, power_known=power_known),
+        CovLinkSpec("identity"), np.column_stack([np.ones(N), rng.uniform(0, 1, N)]),
+        MatrixPredictor((mat_identity(N),)), power_value=1.3,
+    )
+    model = ModelSpec((resp,))
+    theta = make_theta(model, np.array([3.0, 0.5]), model.pack_lambda([], [1.3], [[0.8]]))
+    return model, rng.uniform(2.0, 5.0, N), theta
+
+
+def log_link_constant():
+    N = 12
+    rng = np.random.default_rng(22)
+    resp = ResponseSpec(
+        "y", LinkSpec("log"), VarianceSpec("constant"), CovLinkSpec("identity"),
+        np.column_stack([np.ones(N), rng.standard_normal(N)]), MatrixPredictor((mat_identity(N),)),
+    )
+    model = ModelSpec((resp,))
+    theta = make_theta(model, np.array([1.0, 0.2]), model.pack_lambda([], [1.0], [[0.8]]))
+    return model, rng.uniform(1.0, 5.0, N), theta
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        log_link_constant,
+        lambda: identity_link("tweedie_power", False),
+        lambda: identity_link("tweedie_power", True),
+        lambda: identity_link("poisson_tweedie", True),
+    ],
+    ids=["log_link", "free_power", "known_power", "poisson_tweedie"],
+)
+def test_a_new_gradient_scale_or_covariance_carries_nothing(case):
+    model, y, theta = case()
+    state = build_state(model, y, theta)
+    bias_correction(state)
+    state_b = _beta_step(state)
+    assert not set(_RESIDUAL_FREE) & set(vars(state_b))
+    fresh = build_state(model, y, state_b.theta)
+    assert np.array_equal(bias_correction(state_b), bias_correction(fresh))
+
+
+def count_property(monkeypatch, cls, name):
+    """Count the evaluations of the cached_property ``cls.name``."""
+    calls = []
+    original = vars(cls)[name].func
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    prop = cached_property(counted)
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
+    return calls
+
+
+def test_chaser_forms_each_residual_free_sum_once_per_covariance(monkeypatch):
+    # every accepted covariance is recorded once, and the beta step keeps it
+    model, y, _ = paired_r2()
+    bias = count_property(monkeypatch, EstimatingState, "bias")
+    J_beta = count_property(monkeypatch, EstimatingState, "J_beta")
+    trace = count_property(monkeypatch, StateCovariance, "pearson_trace")
+    S_lambda = count_property(monkeypatch, StateCovariance, "S_lambda")
+    res = fit(model, y)
+    assert res.converged and res.n_alpha_escalations == 0
+    assert len(bias) == len(J_beta) == len(trace) == len(S_lambda) == res.n_iter

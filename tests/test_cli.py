@@ -161,6 +161,17 @@ class TestFit:
         assert main(["fit", "--spec", str(spec), "--out", str(out)]) == 0
         assert json.loads((out / "result.json").read_text())["saturated"] is True
 
+    def test_parser_built_once_runs_a_patched_command(self, tmp_path, monkeypatch):
+        spec, _, _ = gaussian_fixture(tmp_path)
+        assert main(["fit", "--spec", str(spec), "--out", str(tmp_path / "a")]) == 0
+        parser = mcglm.cli.make_parser()
+        ran = []
+        monkeypatch.setattr(mcglm.cli, "cmd_fit", lambda args: ran.append(args.out) or 0)
+        assert main(["fit", "--spec", str(spec), "--out", str(tmp_path / "b")]) == 0
+        assert ran == [str(tmp_path / "b")]
+        assert not (tmp_path / "b").exists()
+        assert mcglm.cli.make_parser() is parser
+
     def test_bad_alpha_options_exit_1(self, tmp_path):
         spec, _, _ = gaussian_fixture(tmp_path)
         doc = json.loads(spec.read_text())

@@ -28,10 +28,11 @@ def test_checkout_compared_with_itself_differs_by_nothing():
     assert quartiles
     q1, q2, q3 = map(float, quartiles.groups())
     assert 0 < q1 <= q2 <= q3
-    assert len(lines) == 5
+    assert lines[5] == "fits missing the reference: parent 0/4, change 0/4"
+    assert len(lines) == 6
 
 
-def test_all_workloads_print_five_lines_each():
+def test_all_workloads_print_six_lines_each():
     src = str(ROOT / "src")
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "compare.py"), src, src,
@@ -40,8 +41,11 @@ def test_all_workloads_print_five_lines_each():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 15
-    assert [line.split(":")[0] for line in lines[::5]] == [
+    assert len(lines) == 18
+    assert [line.split(":")[0] for line in lines[::6]] == [
         "workload paired-r2", "workload car-mc", "workload cli-mc"
     ]
-    assert lines[3::5] == ["largest relative difference: estimates 0, std errors 0"] * 3
+    assert lines[3::6] == ["largest relative difference: estimates 0, std errors 0"] * 3
+    assert lines[5::6] == [
+        f"fits missing the reference: parent 0/{n}, change 0/{n}" for n in (4, 24, 24)
+    ]

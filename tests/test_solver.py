@@ -33,7 +33,7 @@ from mcglm.estfun import GodambeResult, pearson_vector, quasi_score
 from mcglm.simulate import SimSpec
 from mcglm.solver import alpha_strategy
 
-from helpers import gaussian_two_response, nonpd_instance, random_instance, scatter
+from helpers import gaussian_two_response, nonpd_instance, random_instance, rel_err, scatter
 
 
 def iid_normal(N, K, seed=0):
@@ -265,6 +265,89 @@ class TestInitialize:
         y = np.random.default_rng(10).standard_normal(24)
         with pytest.raises(SingularMatrixError, match=r"rank deficient.*beta columns \[2, 3\]$"):
             initialize(model, y)
+
+
+    @staticmethod
+    def counted_steps(monkeypatch):
+        # initialize checks the rank of D^T W D once per scoring step
+        steps = []
+        original = mcglm.solver._check_beta_rank
+        monkeypatch.setattr(mcglm.solver, "_check_beta_rank", lambda M: steps.append(M) or original(M))
+        return steps
+
+    @pytest.mark.parametrize("R", [1, 2])
+    def test_identity_constant_start_stops_after_two_steps(self, monkeypatch, R):
+        # the first step is the least-squares fit; the second moves nothing and ends it
+        model = iid_normal(30, 3, seed=23) if R == 1 else gaussian_two_response(N=30, seed=24)[0]
+        y = np.random.default_rng(25).normal(3.0, 2.0, 30 * R)
+        steps = self.counted_steps(monkeypatch)
+        theta0 = initialize(model, y)
+        assert len(steps) == 2
+        ols = np.concatenate([
+            np.linalg.lstsq(resp.design, y[r * 30 : (r + 1) * 30], rcond=None)[0]
+            for r, resp in enumerate(model.responses)
+        ])
+        assert np.max(np.abs(theta0.beta - ols)) <= 1e-12
+
+    def test_log_link_start_matches_ten_steps(self, monkeypatch):
+        model = poisson_model(40, 3, seed=26)
+        X = model.responses[0].design
+        y = np.random.default_rng(27).poisson(np.exp(X @ [1.0, 0.4, -0.3])).astype(float)
+        steps = self.counted_steps(monkeypatch)
+        stopped = initialize(model, y)
+        n_stopped = len(steps)
+        assert n_stopped < mcglm.solver.IRLS_ITER
+        monkeypatch.setattr(mcglm.solver, "IRLS_STEP_TOL", -1.0)
+        ten = initialize(model, y)
+        assert len(steps) - n_stopped == mcglm.solver.IRLS_ITER
+        assert np.max(np.abs(stopped.flat - ten.flat)) <= 1e-10 * np.max(np.abs(ten.flat))
+
+
+class TestRankCheck:
+    """The rank test reads D^T W D scaled to unit diagonal, so units do not matter."""
+
+    @staticmethod
+    def line(N=40, c=1.0):
+        rng = np.random.default_rng(28)
+        x = rng.standard_normal(N)
+        resp = ResponseSpec(
+            "y", LinkSpec("identity"), VarianceSpec("constant"), CovLinkSpec("identity"),
+            np.column_stack([np.ones(N), c * x]), MatrixPredictor((mat_identity(N),)),
+        )
+        return ModelSpec((resp,)), 2.0 + 0.7 * x + rng.standard_normal(N)
+
+    @pytest.mark.parametrize("c", [1e6, 1e7])
+    def test_a_column_in_large_units_fits(self, c):
+        model, y = self.line(c=c)
+        res, ref = fit(model, y), fit(self.line()[0], y)
+        assert res.converged
+        unit = np.array([1.0, c, 1.0])
+        assert rel_err(res.theta_hat.flat * unit, ref.theta_hat.flat) < 1e-9
+        assert rel_err(res.std_errors * unit, ref.std_errors) < 1e-9
+
+    def test_responses_on_far_apart_scales_fit(self):
+        # two Gaussian responses, one near 1e7 and the other near 0.1, both designs [1, x]
+        N = 40
+        model, _ = self.line(N)
+        model = ModelSpec((model.responses[0], dataclasses.replace(model.responses[0], name="z")))
+        rng = np.random.default_rng(29)
+        x = model.responses[0].design[:, 1]
+        y = np.concatenate([1 + 0.1 * x + 0.05 * rng.standard_normal(N),
+                            1 + 0.3 * x + 0.2 * rng.standard_normal(N)])
+        scale = np.repeat([1e7, 0.1], N)
+        res, ref = fit(model, scale * y), fit(model, y)
+        assert res.converged
+        # beta in the responses' units, rho free of them, tau in their squares
+        unit = np.array([1e7, 1e7, 0.1, 0.1, 1.0, 1e14, 1e-2])
+        assert rel_err(res.theta_hat.flat / unit, ref.theta_hat.flat) < 1e-9
+        assert rel_err(res.std_errors / unit, ref.std_errors) < 1e-9
+
+    def test_a_zero_column_is_named(self):
+        model, y = self.line()
+        X = model.responses[0].design
+        resp = dataclasses.replace(model.responses[0], design=np.column_stack([X, 0.0 * X[:, 0]]))
+        with pytest.raises(SingularMatrixError, match=r"rank deficient.*beta columns \[2\]$"):
+            initialize(ModelSpec((resp,)), y)
 
 
 class TestFit:

@@ -17,8 +17,11 @@ relative difference in estimates and in standard errors (each relative
 to the largest magnitude of the parent's vector), and the 25th, 50th
 and 75th percentiles of the per-replicate CPU ratio (change / parent of
 the two back-to-back fits), whose spread shows how far one ratio of
-medians can be trusted. ``--workload all`` prints these five lines for
-every workload in turn (paired-r2, car-mc, cli-mc). It stops with
+medians can be trusted, and for each side how many fits miss the
+benchmark's reference (the workload module's ``load_reference`` and
+``matches``, at its ``RTOL``), the gate ``perfbench/run.py`` applies.
+``--workload all`` prints these six lines for every workload in turn
+(paired-r2, car-mc, cli-mc). It stops with
 an error when the two disagree on convergence, iteration count or alpha
 escalations, since their times would then not measure the same work.
 Otherwise it reports only: no bound, no exit status from the timings.
@@ -89,7 +92,7 @@ def rel_diff(a, b):
 
 
 def compare(modules, workload_name, rounds, workdir):
-    """Print the five comparison lines for one workload; ``modules`` is (parent, change)."""
+    """Print the six comparison lines for one workload; ``modules`` is (parent, change)."""
     sides = []
     for tag, module in zip(("parent", "change"), modules):
         if workload_name not in module.WORKLOADS:
@@ -103,7 +106,10 @@ def compare(modules, workload_name, rounds, workdir):
         sides.append(workload)
     parent, change = sides
     pool = parent.pool_size
+    # both sides load this checkout's workloads.py, so one gate serves both
+    refs, matches = modules[0].load_reference(workload_name)["replicates"], modules[0].matches
     cpu = {"parent": [], "change": []}
+    missed = {"parent": 0, "change": 0}
     won = 0
     diff = {"estimates": 0.0, "std_errors": 0.0}
     for k in range(rounds):
@@ -128,6 +134,8 @@ def compare(modules, workload_name, rounds, workdir):
             cpu["parent"].append(t_p)
             cpu["change"].append(t_c)
             won += t_c < t_p
+            missed["parent"] += not matches(o_p, refs[i])
+            missed["change"] += not matches(o_c, refs[i])
     n = rounds * pool
     med = {tag: statistics.median(ts) for tag, ts in cpu.items()}
     print(f"workload {workload_name}: {pool} replicates x {rounds} rounds = {n} fits per checkout")
@@ -138,6 +146,8 @@ def compare(modules, workload_name, rounds, workdir):
           f"std errors {diff['std_errors']:.3g}")
     q1, q2, q3 = np.percentile(np.divide(cpu["change"], cpu["parent"]), [25, 50, 75])
     print(f"per-replicate CPU ratio: 25% {q1:.4f}, 50% {q2:.4f}, 75% {q3:.4f}")
+    print(f"fits missing the reference: parent {missed['parent']}/{n}, "
+          f"change {missed['change']}/{n}")
 
 
 def main(argv=None):
