@@ -24,7 +24,7 @@ derivative per component along that leading axis.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -100,7 +100,7 @@ class ResponseCovariance:
 
     @cached_property
     def inverse(self):
-        return _sym(_T(self.chol_inv) @ self.chol_inv)
+        return cholesky_inverse(self.chol)
 
 
 @dataclass(frozen=True)
@@ -229,10 +229,18 @@ def generalized_kronecker(responses, Sb):
     return JointCovariance(C_inv=_sym(C_inv), responses=responses, Sb=Sb, Lb=Lb)
 
 
+@cache
+def _phi_weight(m):
+    """The m x m weights of phi_operator: ones below the diagonal, 0.5 on it, zeros above."""
+    W = np.tril(np.ones((m, m)), -1) + 0.5 * np.eye(m)
+    W.flags.writeable = False
+    return W
+
+
 def phi_operator(M):
     """Lower-triangle projection with half diagonal; Phi(M) + Phi(M)^T = M for symmetric M."""
     M = np.asarray(M, dtype=float)
-    return np.tril(M, -1) + 0.5 * _diag(np.diagonal(M, axis1=-2, axis2=-1))
+    return M * _phi_weight(M.shape[-1])
 
 
 def chol_deriv(chol, chol_inv, dSigma):

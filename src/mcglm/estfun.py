@@ -44,7 +44,7 @@ from .covariance import (
     variance_scale,
 )
 from .errors import SingularMatrixError
-from .functions import link_inverse, link_inverse_deriv
+from .functions import link_inverse, link_inverse_deriv, solve, symmetric_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,7 @@ class EstimatingState:
     def bias(self):
         """Bias correction b_i = tr(D^T W_i D J_beta^{-1}) = <A_i G, D J_beta^{-T}>; read-only."""
         try:
-            J_inv = np.linalg.inv(self.J_beta)
+            J_inv = solve(self.J_beta, np.eye(self.K))
         except np.linalg.LinAlgError:
             raise SingularMatrixError("J_beta is singular in the bias correction")
         b = np.zeros(self.Q)
@@ -395,7 +395,7 @@ def _check_beta_rank(M):
     if not cols.size:
         d = 1.0 / np.sqrt(diag)
         M = d[:, None] * M * d
-        w = np.linalg.eigvalsh(M)
+        w = symmetric_eigenvalues(M)
         if w[0] / w[-1] >= 1e-12:
             return
         load = np.abs(np.linalg.eigh(M)[1][:, 0])
@@ -495,7 +495,7 @@ def godambe(S_theta, V_theta):
     S_theta = np.asarray(S_theta, dtype=float)
     V_theta = np.asarray(V_theta, dtype=float)
     try:
-        Sinv = np.linalg.inv(S_theta)
+        Sinv = solve(S_theta, np.eye(len(S_theta)))
     except np.linalg.LinAlgError:
         w, v = np.linalg.eigh(0.5 * (S_theta + S_theta.T))
         null = np.flatnonzero(np.abs(w) < 1e-12 * np.abs(w).max())

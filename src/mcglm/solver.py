@@ -31,7 +31,7 @@ from .estfun import (
     sensitivity_lambda,
     variability_lambda,
 )
-from .functions import variance_eval
+from .functions import solve, variance_eval
 from .model import make_theta
 
 
@@ -112,7 +112,7 @@ def _beta_step(state):
     not PD.
     """
     S_b = sensitivity_beta(state)
-    return state.with_beta(state.theta.beta - np.linalg.solve(S_b, quasi_score(state)))
+    return state.with_beta(state.theta.beta - solve(S_b, quasi_score(state)))
 
 
 class _LambdaStep:
@@ -133,7 +133,7 @@ class _LambdaStep:
         state = self.state
         k4 = empirical_k4(state.residual / state.scale, state.covariance.variance)
         try:
-            return np.linalg.solve(variability_lambda(state, k4), self.S_l)
+            return solve(variability_lambda(state, k4), self.S_l)
         except np.linalg.LinAlgError as exc:
             raise StepFailureError(f"singular lambda variability: {exc}")
 
@@ -142,7 +142,7 @@ class _LambdaStep:
         psi, S_l = self.psi, self.S_l
         M = S_l if alpha == 0.0 else alpha * float(psi @ psi) * self.VinvS + S_l
         try:
-            step = np.linalg.solve(M, psi)
+            step = solve(M, psi)
         except np.linalg.LinAlgError as exc:
             raise StepFailureError(f"singular lambda-step matrix: {exc}")
         return self.state.theta.lam - step
@@ -222,7 +222,7 @@ def initialize(model, y):
         WD = D / (variance(mu) + pt * mu)[:, None]
         M = D.T @ WD
         _check_beta_rank(M)
-        step = np.linalg.solve(M, WD.T @ (y - mu))
+        step = solve(M, WD.T @ (y - mu))
         beta = beta + step
         if _max_abs(step) <= IRLS_STEP_TOL * max(1.0, _max_abs(beta)):
             break

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from mcglm import CovLinkSpec, DomainError, FactorizationError, LinkSpec, VarianceSpec
+import mcglm.covariance
+import mcglm.functions
+from mcglm import (
+    CovLinkSpec,
+    DomainError,
+    FactorizationError,
+    LinkSpec,
+    SolverOptions,
+    VarianceSpec,
+    fit,
+)
 from mcglm.functions import (
     cholesky_inverse,
     cholesky_lower,
@@ -9,12 +19,16 @@ from mcglm.functions import (
     covlink_deriv,
     link_inverse,
     link_inverse_deriv,
+    solve,
+    symmetric_eigenvalues,
+    triangular_inverse,
     variance_deriv_mu,
     variance_deriv_p,
     variance_eval,
 )
 
 from helpers import random_pd, random_symmetric, rel_err
+from test_covariance import car_inverse_model
 
 
 class TestLinkInverse:
@@ -238,6 +252,111 @@ class TestCholeskyInverse:
         with pytest.raises(FactorizationError) as exc:
             cholesky_inverse(L)
         assert exc.value.pivot == 2
+
+
+class TestOneMatrixPath:
+    """One matrix takes one LAPACK call; a stack of several takes numpy's batched routines."""
+
+    @staticmethod
+    def in_stack(rng, M):
+        """M as the middle matrix of a stack of three."""
+        m = M.shape[-1]
+        return np.stack([random_pd(rng, m), M, random_pd(rng, m)])
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 48])
+    def test_agrees_with_the_stack_path(self, m):
+        rng = np.random.default_rng(100 + m)
+        M = random_pd(rng, m)
+        stack = self.in_stack(rng, M)
+        L, L_stack = cholesky_lower(M), cholesky_lower(stack)
+        assert rel_err(L, L_stack[1]) < 1e-13
+        assert rel_err(triangular_inverse(L), triangular_inverse(L_stack)[1]) < 1e-13
+        inv = cholesky_inverse(L)
+        assert np.array_equal(inv, inv.T)
+        assert rel_err(inv, cholesky_inverse(L_stack)[1]) < 1e-13
+        for b in (rng.standard_normal(m), rng.standard_normal((m, 3))):
+            x = solve(M, b)
+            assert x.shape == b.shape
+            assert rel_err(x, np.linalg.solve(stack, b)[1]) < 1e-13
+
+    def test_a_stack_of_one_keeps_its_shape(self):
+        rng = np.random.default_rng(5)
+        M = random_pd(rng, 4)
+        L = cholesky_lower(M[None])
+        assert L.shape == (1, 4, 4)
+        assert np.array_equal(L[0], cholesky_lower(M))
+        assert np.array_equal(triangular_inverse(L)[0], triangular_inverse(L[0]))
+        assert np.array_equal(cholesky_inverse(L)[0], cholesky_inverse(L[0]))
+
+    @pytest.mark.parametrize("m", [2, 4, 48])
+    def test_non_pd_pivot_matches_the_stack_path(self, m):
+        rng = np.random.default_rng(200 + m)
+        M = random_pd(rng, m)
+        k = m // 2
+        M[k, k] -= M[k, k] + 1.0  # the leading k x k block stays PD, the next one is not
+        pivots = []
+        for arg in (M, self.in_stack(rng, M)):
+            with pytest.raises(FactorizationError) as exc:
+                cholesky_lower(arg)
+            pivots.append(exc.value.pivot)
+        assert pivots == [k + 1, k + 1]
+
+    @pytest.mark.parametrize("m", [2, 4, 48])
+    def test_singular_factor_pivot_matches_the_stack_path(self, m):
+        rng = np.random.default_rng(300 + m)
+        L = cholesky_lower(random_pd(rng, m))
+        L[m - 1, m - 1] = 0.0
+        stack = np.stack([L + np.eye(m), L])
+        for inverse in (triangular_inverse, cholesky_inverse):
+            pivots = []
+            for arg in (L, stack):
+                with pytest.raises(FactorizationError) as exc:
+                    inverse(arg)
+                pivots.append(exc.value.pivot)
+            assert pivots == [m, m]
+
+    def test_solve_raises_linalg_error_on_a_singular_matrix(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))
+
+    @pytest.mark.parametrize("m", [1, 4, 48])
+    def test_symmetric_eigenvalues_match_numpy(self, m):
+        M = random_symmetric(np.random.default_rng(400 + m), m)
+        assert rel_err(symmetric_eigenvalues(M), np.linalg.eigvalsh(M)) < 1e-13
+
+
+def test_rejected_proposal_is_factorized_once(monkeypatch):
+    # 6 x 8 CAR under the inverse link, reciprocal solver: a U that is not PD is found by
+    # the one factorization its cholesky_lower call makes, which also gives the pivot
+    model, _, y = car_inverse_model()
+    made = []
+    for module, name in [(np.linalg, "cholesky"), (mcglm.functions, "dpotrf")]:
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, **kwargs):
+            made.append(name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    per_call, failed = [], []
+    original_chol = mcglm.functions.cholesky_lower
+
+    def chol(M):
+        before = len(made)
+        try:
+            return original_chol(M)
+        except FactorizationError:
+            failed.append(len(made) - before)
+            raise
+        finally:
+            per_call.append(len(made) - before)
+
+    monkeypatch.setattr(mcglm.functions, "cholesky_lower", chol)
+    monkeypatch.setattr(mcglm.covariance, "cholesky_lower", chol)
+    res = fit(model, y, SolverOptions(algorithm="reciprocal"))
+    assert res.converged and res.n_alpha_escalations > 0
+    assert failed == [1] * res.n_alpha_escalations
+    assert set(per_call) == {1}
 
 
 class TestCovLinkDeriv:

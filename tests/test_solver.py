@@ -34,6 +34,7 @@ from mcglm.simulate import SimSpec
 from mcglm.solver import alpha_strategy
 
 from helpers import gaussian_two_response, nonpd_instance, random_instance, rel_err, scatter
+from test_covariance import car_inverse_model
 
 
 def iid_normal(N, K, seed=0):
@@ -565,6 +566,32 @@ class TestFit:
         # point estimates within a few standard errors of the truth
         delta = np.abs(res.theta_hat.flat - theta_true.flat)
         assert np.all(delta < 6.0 * np.maximum(res.std_errors, 0.05))
+
+
+def _two_response_data():
+    model, theta = gaussian_two_response(N=40, seed=3)
+    return model, simulate_gaussian(SimSpec(model, theta, 1, seed=1))[0]
+
+
+def _car_inverse_data():
+    model, _, y = car_inverse_model()
+    return model, y
+
+
+@pytest.mark.parametrize("data", [_two_response_data, _car_inverse_data])
+def test_one_block_fit_calls_no_numpy_linalg_routine(monkeypatch, data):
+    # every unit shares one block, so each factorization, inverse, solve and eigenvalue
+    # problem of the fit is one matrix: mcglm.functions' one-call LAPACK wrappers take it
+    model, y = data()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the fit called a numpy.linalg routine")
+
+    for name in ("cholesky", "solve", "inv", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    res = fit(model, y, SolverOptions(algorithm="reciprocal"))
+    assert res.converged
+    assert np.all(np.isfinite(res.std_errors))
 
 
 class TestSolverOptions:

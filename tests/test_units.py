@@ -16,10 +16,12 @@ from mcglm import (
     MatrixPredictor,
     ModelSpec,
     ResponseSpec,
+    SolverOptions,
     StructureMatrix,
     VarianceSpec,
     build_godambe,
     build_state,
+    fit,
     make_theta,
     mat_compound_symmetry,
     mat_identity,
@@ -371,6 +373,37 @@ def test_shared_block_simulation_equals_per_unit_products():
         z = np.random.default_rng(child).standard_normal(mean.size)
         expected[i, idx] = mean[idx] + (L @ z[idx][..., None])[..., 0]
     assert np.array_equal(simulate_gaussian(SimSpec(model, theta, 4, seed=3)), expected)
+
+
+@pytest.mark.parametrize("R", [1, 2])
+def test_per_unit_blocks_fit_through_the_batched_path_to_the_dense_root(monkeypatch, R):
+    # 20 pairs, one or two apart: the units do not share a block, so the fit factorizes
+    # and inverts stacks of 20 with numpy's batched routines, and reaches the root of the
+    # dense quasi-score and bias-corrected Pearson equations
+    groups = np.repeat(np.arange(20), 2)
+    at = np.ravel([[3.0 * k, 3.0 * k + 1 + k % 2] for k in range(20)])
+    comps = [mat_identity(40), _cs(groups), mat_inverse_distance(at, groups=groups)]
+    model, _, theta = build_model(40, [("constant", "identity", True, comps, [1.0, 0.3, 0.2])] * R, 15)
+    y = simulate_gaussian(SimSpec(model, theta, 1, seed=4))[0]
+    stacks = []
+    original = np.linalg.cholesky
+
+    def counted(M):
+        stacks.append(M.shape[:-2])
+        return original(M)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    res = fit(model, y, SolverOptions(tol_score=1e-10))
+    assert res.converged
+    assert stacks and set(stacks) == {(20,)}
+    state = build_state(model, y, res.theta_hat)
+    C, C_inv, dC, _ = dense_oracle(state)
+    r, D = state.residual, state.D
+    J_inv = np.linalg.inv(D.T @ C_inv @ D)
+    W = [weight_matrix(C_inv, dCi) for dCi in dC]
+    pearson = [r @ Wi @ r - np.sum(Wi * C) + np.trace(D.T @ Wi @ D @ J_inv) for Wi in W]
+    assert np.max(np.abs(D.T @ C_inv @ r)) < 1e-9
+    assert np.max(np.abs(pearson)) < 1e-9
 
 
 def dense_derivative_report(model, y, theta, h=1e-6):
