@@ -301,8 +301,7 @@ def write_fit_outputs(out_dir, model, result):
         "warnings": list(result.warnings),
     }
     with open(out / "result.json", "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")  # one write, not one per chunk
 
 
 def _load(args):

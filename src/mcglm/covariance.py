@@ -24,7 +24,7 @@ derivative per component along that leading axis.
 """
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .model import rho_index_pairs
 
 
 def _T(M):
-    return np.swapaxes(M, -1, -2)
+    return M.swapaxes(-1, -2)
 
 
 def _sym(M):
@@ -53,6 +53,33 @@ def _sym(M):
 
 def _diag(v):
     return v[..., :, None] * np.eye(v.shape[-1])
+
+
+class _cached_property:
+    """functools.cached_property without its lock: computed on first access, kept in __dict__.
+
+    Python 3.11's functools.cached_property takes an RLock on every first
+    access, which the per-proposal objects (ResponseCovariance,
+    JointCovariance and estfun's StateCovariance and EstimatingState) pay
+    hundreds of times per fit; Python 3.12 dropped that lock. The value
+    is stored in the instance ``__dict__`` under the attribute's name,
+    so a frozen dataclass takes it and a plain assignment (or a
+    ``__dict__`` update) in its place is read as the cached value. Two
+    threads reading it first at once may both compute it.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.attrname = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
 
 
 def _joint(shape, blocks):
@@ -90,15 +117,15 @@ class ResponseCovariance:
     def dim(self):
         return self.sigma.shape[-1]
 
-    @cached_property
+    @_cached_property
     def chol(self):
         return cholesky_lower(self.sigma)
 
-    @cached_property
+    @_cached_property
     def chol_inv(self):
         return triangular_inverse(self.chol)
 
-    @cached_property
+    @_cached_property
     def inverse(self):
         return cholesky_inverse(self.chol)
 
@@ -130,7 +157,7 @@ class JointCovariance:
         N = self.N
         return M[..., r * N : (r + 1) * N, s * N : (s + 1) * N]
 
-    @cached_property
+    @_cached_property
     def C(self):
         """Block (r, s) is Sb[r, s] chol_r chol_s^T; the diagonal blocks are K_r exactly."""
         rcs = self.responses
@@ -139,7 +166,7 @@ class JointCovariance:
             for r in range(self.R) for s in range(r, self.R)
         })
 
-    @cached_property
+    @_cached_property
     def C_chol(self):
         """Block (r, s <= r) is Lb[r, s] chol_r; for R = 1 that is chol_1 itself."""
         L = np.zeros(self.C_inv.shape)
@@ -147,6 +174,10 @@ class JointCovariance:
             for s in range(r + 1):
                 self.block(L, r, s)[...] = self.Lb[r, s] * self.responses[r].chol
         return L
+
+
+_ONE = np.ones((1, 1))  # Sigma_b and its factor for R = 1, read-only
+_ONE.setflags(write=False)
 
 
 def sigma_b_from_rho(rho, R):
@@ -204,9 +235,11 @@ def generalized_kronecker(responses, Sb):
     is not positive definite though every K_r is. A 1 x 1 Sigma_b is
     [1], its own factor, so for R = 1 the joint factor is chol_1 itself
     and the joint inverse is K_1^{-1}, which needs no factor when it is
-    U_1.
+    U_1; Sb is then kept as given, unread and unchecked.
     """
     responses = tuple(responses)
+    if len(responses) == 1:
+        return JointCovariance(C_inv=responses[0].inverse, responses=responses, Sb=Sb, Lb=_ONE)
     R = len(responses)
     Sb = np.asarray(Sb, dtype=float)
     if Sb.shape != (R, R):
@@ -214,10 +247,6 @@ def generalized_kronecker(responses, Sb):
     dims = {rc.dim for rc in responses}
     if len(dims) != 1:
         raise DomainError("per-response covariances must share one dimension")
-    if R == 1:
-        return JointCovariance(
-            C_inv=responses[0].inverse, responses=responses, Sb=Sb, Lb=np.ones((1, 1))
-        )
     Lb = cholesky_lower(Sb)
     Sb_inv = cholesky_inverse(Lb)
     N = responses[0].dim

@@ -24,13 +24,14 @@ u^T dC_i u = r^T A_i u, tr(C^{-1} dC_i) = tr(A_i) and
 G^T dC_i G = D^T A_i G, so W_i is never formed; a trace of A_i alone
 counts each block once per unit it stands for.
 """
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .covariance import (
+    _ONE,
     _T,
+    _cached_property,
     _diag,
     A_dtau,
     build_sigma_r,
@@ -70,7 +71,7 @@ class StateCovariance:
     lam: np.ndarray = field(repr=False)
     groups: tuple = field(repr=False)
 
-    @cached_property
+    @_cached_property
     def stacks(self):
         """Per unit size, the group's ``joint`` block-major: (blocks, R m, units per block).
 
@@ -85,7 +86,7 @@ class StateCovariance:
             for idx, g in zip((grp.joint for grp in self.model.unit_groups), self.groups)
         )
 
-    @cached_property
+    @_cached_property
     def variance(self):
         """diag(C_Omega), the marginal variances of the standardized responses."""
         out = np.empty(self.model.N * self.model.R)
@@ -94,7 +95,7 @@ class StateCovariance:
             out[grp.joint] = np.concatenate(np.broadcast_arrays(*diags), axis=-1)
         return out
 
-    @cached_property
+    @_cached_property
     def A_units(self):
         """A_i = C_Omega^{-1} dC_Omega,i, one row block per entry of lambda_index_map.
 
@@ -104,7 +105,8 @@ class StateCovariance:
         call on its stacked components (a leading axis of D+1): A_dtau
         when C_Omega^{-1} is U, else C_Omega^{-1} dC_dpar_r(dSigma_dtau).
         The blocks are concatenated with their unit axes broadcast, since
-        a free power's rows are per unit.
+        a free power's rows are per unit; a walk that yields one block
+        (one response's taus alone) returns it as it is.
         """
         model = self.model
         out = []
@@ -124,6 +126,9 @@ class StateCovariance:
                     else:
                         dSigma = dSigma_dtau(rc, resp.covlink, Z)
                         blocks.append(joint.C_inv @ dC_dpar_r(joint, r, dSigma))
+            if len(blocks) == 1:
+                out.append(blocks[0])
+                continue
             units = np.broadcast_shapes(*(A.shape[1:] for A in blocks))
             out.append(np.concatenate([
                 A if A.shape[1:] == units else np.broadcast_to(A, A.shape[:1] + units)
@@ -131,7 +136,7 @@ class StateCovariance:
             ]))
         return tuple(out)
 
-    @cached_property
+    @_cached_property
     def pearson_trace(self):
         """tr(C^{-1} dC_i) = tr(A_i) for every i, summed over units."""
         return sum(
@@ -139,7 +144,7 @@ class StateCovariance:
             for idx, A in zip(self.stacks, self.A_units)
         )
 
-    @cached_property
+    @_cached_property
     def S_lambda(self):
         """S_lambda[i, j] = -tr(A_i A_j), summed over units; read-only."""
         S = -sum(
@@ -160,7 +165,9 @@ class EstimatingState:
     on first use, as are J_beta = D^T G, the quasi-score psi_beta =
     D^T u, which the iteration record and the beta step both read, and
     the bias correction. D_units, G_units, J_beta and the bias
-    correction do not read the residual: with_beta hands them on.
+    correction do not read the residual: with_beta hands them on. D_units
+    and r_units read nothing of the covariance: with_lambda hands them on
+    while the scales stay.
     """
 
     model: object
@@ -181,24 +188,24 @@ class EstimatingState:
     def Q(self):
         return self.model.Q
 
-    @cached_property
+    @_cached_property
     def D_units(self):
         D = self.D / self.scale[:, None]
         return tuple(D[idx].reshape(idx.shape[:2] + (-1,)) for idx in self.covariance.stacks)
 
-    @cached_property
+    @_cached_property
     def r_units(self):
         return tuple((self.residual / self.scale)[idx] for idx in self.covariance.stacks)
 
-    @cached_property
+    @_cached_property
     def u_units(self):
         return tuple(g.C_inv @ r for g, r in zip(self.covariance.groups, self.r_units))
 
-    @cached_property
+    @_cached_property
     def G_units(self):
         return tuple(g.C_inv @ D for g, D in zip(self.covariance.groups, self.D_units))
 
-    @cached_property
+    @_cached_property
     def J_beta(self):
         """J_beta = D^T C^{-1} D = D^T G, summed over units."""
         K = self.K
@@ -206,7 +213,7 @@ class EstimatingState:
             D.reshape(-1, K).T @ G.reshape(-1, K) for D, G in zip(self.D_units, self.G_units)
         )
 
-    @cached_property
+    @_cached_property
     def bias(self):
         """Bias correction b_i = tr(D^T W_i D J_beta^{-1}) = <A_i G, D J_beta^{-T}>; read-only."""
         try:
@@ -218,13 +225,13 @@ class EstimatingState:
             b += _flat(A @ G) @ (D.reshape(-1, self.K) @ J_inv.T).ravel()
         return _frozen(b)
 
-    @cached_property
+    @_cached_property
     def psi_beta(self):
         """The quasi-score psi_beta = D^T C^{-1} (y - mu) = D^T u, summed over units."""
         K = self.K
         return sum(D.reshape(-1, K).T @ u.ravel() for D, u in zip(self.D_units, self.u_units))
 
-    @cached_property
+    @_cached_property
     def beta_slopes(self):
         """scale_direction's (e, f) along each column of D, N R x K; f is 0 off poisson_tweedie."""
         N, (_, p, _) = self.model.N, self.model.split_lambda(self.theta.lam)
@@ -261,27 +268,42 @@ class EstimatingState:
         if "poisson_tweedie" in kinds:
             covariance = build_covariance(model, mu, theta.lam)
         elif any(resp.power_free for resp in model.responses):
-            covariance = replace(covariance, mu=mu)  # a power's A_i reads the new scales
-        new = replace(self, theta=theta, mu=mu, residual=self.y - mu, D=D, scale=scale,
-                      saturated=saturated, covariance=covariance)
+            # a power's A_i reads the new scales
+            covariance = StateCovariance(model, mu, covariance.lam, covariance.groups)
+        new = EstimatingState(model=model, theta=theta, y=self.y, mu=mu, residual=self.y - mu,
+                              D=D, scale=scale, saturated=saturated, covariance=covariance)
         if D is self.D and scale is self.scale and covariance is self.covariance:
-            new.__dict__.update({k: v for k, v in vars(self).items() if k in _RESIDUAL_FREE})
+            _hand_on(self, new, _RESIDUAL_FREE)
         return new
 
     def with_lambda(self, lam):
         """The state at new covariance parameters: the means are kept and C is built again.
 
+        Without a free power the scales are kept too, so the new state
+        takes this one's D / s and r = (y - mu) / s, which read nothing
+        else: at the same means the new covariance lays them out by equal
+        stacks.
         Raises FactorizationError when the new covariance is not PD.
         """
         model, theta = self.model, self.theta.with_lambda(lam)
         free = any(resp.power_free for resp in model.responses)
-        return replace(
-            self, theta=theta, scale=_scales(model, self.mu, theta.lam) if free else self.scale,
-            covariance=build_covariance(model, self.mu, theta.lam),
+        new = EstimatingState(
+            model=model, theta=theta, y=self.y, mu=self.mu, residual=self.residual, D=self.D,
+            scale=_scales(model, self.mu, theta.lam) if free else self.scale,
+            saturated=self.saturated, covariance=build_covariance(model, self.mu, theta.lam),
         )
+        if not free:
+            _hand_on(self, new, _MEAN_HALF)
+        return new
 
 
 _RESIDUAL_FREE = ("D_units", "G_units", "J_beta", "bias")
+_MEAN_HALF = ("D_units", "r_units")
+
+
+def _hand_on(old, new, names):
+    """Give ``new`` the values ``old`` has already cached under ``names``."""
+    new.__dict__.update({k: v for k, v in vars(old).items() if k in names})
 
 
 def _frozen(a):
@@ -329,7 +351,7 @@ def build_covariance(model, mu, lam):
     """
     rho, p, tau = model.split_lambda(lam)
     N = model.N
-    Sb = sigma_b_from_rho(rho, model.R)
+    Sb = _ONE if model.R == 1 else sigma_b_from_rho(rho, model.R)
     joint = []
     for grp in model.unit_groups:
         resp_cov = [

@@ -1,7 +1,7 @@
 """Model specification and the theta = (beta, lambda) parameter layout."""
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -245,10 +245,10 @@ class ThetaPartition:
         return np.concatenate([self.beta, self.lam])
 
     def with_beta(self, beta):
-        return replace(self, beta=np.asarray(beta, dtype=float))
+        return ThetaPartition(beta, self.lam)
 
     def with_lambda(self, lam):
-        return replace(self, lam=np.asarray(lam, dtype=float))
+        return ThetaPartition(self.beta, lam)
 
 
 def make_theta(model, beta, lam):

@@ -238,7 +238,7 @@ def initialize(model, y):
 
 
 def _max_abs(x):
-    return float(np.max(np.abs(x))) if x.size else 0.0
+    return float(np.abs(x).max()) if x.size else 0.0
 
 
 def _next_state(state, opts):

@@ -33,7 +33,9 @@ from mcglm.estfun import (
     sensitivity_lambda,
     variability_lambda,
 )
-from mcglm.estfun import _RESIDUAL_FREE, EstimatingState, StateCovariance
+from mcglm.covariance import build_sigma_r, generalized_kronecker, sigma_b_from_rho
+from mcglm.estfun import _MEAN_HALF, _RESIDUAL_FREE, EstimatingState, StateCovariance
+from mcglm.estfun import build_covariance
 from mcglm.simulate import SimSpec
 from mcglm.solver import _beta_step
 
@@ -345,3 +347,50 @@ def test_chaser_forms_each_residual_free_sum_once_per_covariance(monkeypatch):
     res = fit(model, y)
     assert res.converged and res.n_alpha_escalations == 0
     assert len(bias) == len(J_beta) == len(trace) == len(S_lambda) == res.n_iter
+
+
+# with_lambda keeps mu, D and the residual, and without a free power the scales
+LAMBDA_CASES = {"paired_r2": paired_r2, "car_inverse": car_inverse, **CASES}
+
+
+@pytest.mark.parametrize("case", sorted(LAMBDA_CASES))
+def test_lambda_step_hands_on_the_mean_half_stacks(case):
+    model, y, theta = LAMBDA_CASES[case]()
+    state = build_state(model, y, theta)
+    pearson_vector(state)
+    bias_correction(state)  # the lambda step forms r_units and D_units, as fit does
+    new = state.with_lambda(1.01 * theta.lam)
+    free = any(resp.power_free for resp in model.responses)  # a free power carries neither
+    for name in _MEAN_HALF:
+        assert (getattr(new, name) is getattr(state, name)) != free
+    fresh = build_state(model, y, new.theta)
+    for carried, built in zip(new.D_units + new.r_units, fresh.D_units + fresh.r_units):
+        assert np.array_equal(carried, built)
+    assert np.array_equal(pearson_vector(new), pearson_vector(fresh))
+
+
+@pytest.mark.parametrize(
+    "case", ["car_inverse", "car_single_block", "interleaved", "one_unit_differs",
+             "poisson_tweedie_free_power", "precision_shared", "tweedie_inverse", "unequal_sizes"]
+)
+def test_single_response_covariance_matches_the_sigma_b_route(case):
+    # R = 1: build_covariance takes a constant [[1]] for Sigma_b where it called sigma_b_from_rho
+    model, y, theta = LAMBDA_CASES[case]()
+    assert model.R == 1
+    mu = build_state(model, y, theta).mu
+    cov = build_covariance(model, mu, theta.lam)
+    _, p, tau = model.split_lambda(theta.lam)
+    resp = model.responses[0]
+    for grp, joint in zip(model.unit_groups, cov.groups):
+        rc = build_sigma_r(mu[grp.index], resp.variance, p[0], tau[0], grp.predictors[0],
+                           resp.covlink)
+        old = generalized_kronecker([rc], sigma_b_from_rho([], 1))
+        assert np.array_equal(joint.C_inv, old.C_inv)
+        assert np.array_equal(joint.Sb, np.eye(1)) and np.array_equal(joint.Lb, np.ones((1, 1)))
+
+
+def test_a_single_block_A_units_is_minus_Z_Omega():
+    model, y, theta = car_inverse()
+    cov = build_state(model, y, theta).covariance
+    Z, omega = model.unit_groups[0].predictors[0].blocks, cov.groups[0].responses[0].omega
+    assert np.array_equal(cov.A_units[0], -(Z @ omega))

@@ -353,6 +353,13 @@ class TestFit:
         for fname in ("estimates.csv", "fitted.csv", "result.json"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
+    def test_result_json_is_its_document_dumped_with_sorted_keys(self, tmp_path):
+        spec, _, _ = gaussian_fixture(tmp_path)
+        out = tmp_path / "out"
+        assert main(["--threads", "1", "fit", "--spec", str(spec), "--out", str(out)]) == 0
+        text = (out / "result.json").read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
 
 class TestSimulate:
     def theta_doc(self, tmp_path, beta=((2.0, 0.7),), tau=((1.5,),)):

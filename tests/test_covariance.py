@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ import mcglm.covariance
 import mcglm.estfun
 from mcglm.covariance import (
     ResponseCovariance,
+    _cached_property,
     chol_deriv,
     dC_dpar_r,
     dC_drho,
@@ -550,3 +553,46 @@ class TestWeightMatrix:
 def test_sigma_b_length_check():
     with pytest.raises(DomainError):
         sigma_b_from_rho([0.1, 0.2], 2)
+
+
+class TestCachedProperty:
+    """covariance._cached_property: functools.cached_property without the lock."""
+
+    @staticmethod
+    def counted():
+        calls = []
+
+        @dataclasses.dataclass(frozen=True)
+        class Box:
+            x: float
+
+            @_cached_property
+            def doubled(self):
+                """Twice x."""
+                calls.append(self)
+                return 2.0 * self.x
+
+        return Box, calls
+
+    def test_computes_once_per_instance_and_keeps_the_value_in_dict(self):
+        Box, calls = self.counted()
+        a, b = Box(1.0), Box(3.0)
+        assert "doubled" not in vars(a)
+        assert (a.doubled, a.doubled, b.doubled) == (2.0, 2.0, 6.0)
+        assert calls == [a, b]
+        assert vars(a)["doubled"] == 2.0
+
+    def test_class_access_returns_the_descriptor_with_its_docstring(self):
+        Box, _ = self.counted()
+        prop = Box.doubled
+        assert isinstance(prop, _cached_property) and prop is vars(Box)["doubled"]
+        assert prop.__doc__ == "Twice x."
+        assert prop.func(Box(2.0)) == 4.0
+
+    def test_a_value_put_in_dict_is_read_without_computing(self):
+        Box, calls = self.counted()
+        a = Box(1.0)
+        a.__dict__["doubled"] = -1.0
+        assert a.doubled == -1.0 and calls == []
+        rc = ResponseCovariance(np.eye(2), np.eye(2), chol=np.eye(2))
+        assert vars(rc)["chol"] is rc.chol
