@@ -13,6 +13,7 @@ JSON document.
 import argparse
 import csv
 import functools
+import io
 import json
 import math
 import os
@@ -85,22 +86,26 @@ def resolve_data_path(args, doc):
 
 
 def read_csv_columns(path):
-    """Read a CSV into {column: list-of-str}; RFC-4180 quoting."""
+    """Read a CSV into {column: list-of-str}; RFC-4180 quoting.
+
+    Blank lines are skipped, a row with fewer or more cells than the
+    header is bad input, and a repeated column name reads its last column.
+    """
     try:
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
                 raise InputError(f"{path}: empty file")
-            cols = {name: [] for name in reader.fieldnames}
-            for lineno, row in enumerate(reader, 2):
-                for name in cols:
-                    val = row.get(name)
-                    if val is None:
-                        raise InputError(f"{path}:{lineno}: short row")
-                    cols[name].append(val)
+            rows = [row for row in reader if row]
     except OSError as exc:
         raise InputError(f"{path}: {exc}")
-    return cols
+    for lineno, row in enumerate(rows, 2):
+        if len(row) != len(header):
+            length = "short" if len(row) < len(header) else "long"
+            raise InputError(f"{path}:{lineno}: {length} row")
+    columns = list(zip(*rows)) or [()] * len(header)
+    return {name: list(columns[i]) for name, i in {n: i for i, n in enumerate(header)}.items()}
 
 
 def _numeric(cols, name, missing, path):
@@ -123,7 +128,30 @@ def _numeric(cols, name, missing, path):
     return np.asarray(out)
 
 
-def _build_component(comp, cols, keep, missing, data_path, spec_dir):
+def _numeric_columns(cols, names, missing, path):
+    """{name: column as floats} for each distinct name, NaN where a cell is missing or empty.
+
+    Every column goes through one cast, which calls float() on each
+    cell; a missing column or a cell that is not a finite number sends
+    them through _numeric one by one, which names the first of them.
+    """
+    import numpy as np
+
+    names = list(dict.fromkeys(names))
+    if all(name in cols for name in names):
+        cells = np.array([cols[name] for name in names], dtype=object)
+        absent = (cells == missing) | (cells == "")
+        cells[absent] = "nan"
+        try:
+            x = cells.astype(float)
+        except ValueError:
+            x = None
+        if x is not None and (np.isfinite(x) | absent).all():
+            return dict(zip(names, x))
+    return {name: _numeric(cols, name, missing, path) for name in names}
+
+
+def _build_component(comp, cols, arrays, keep, spec_dir):
     import numpy as np
 
     from . import matpred
@@ -136,7 +164,7 @@ def _build_component(comp, cols, keep, missing, data_path, spec_dir):
         groups = np.asarray(cols[comp["groups"]])[keep]
         return matpred.mat_compound_symmetry(groups)
     if kind == "inverse_distance":
-        pos = _numeric(cols, comp["positions"], missing, data_path)[keep]
+        pos = arrays[comp["positions"]][keep]
         groups = None
         if "groups" in comp:
             groups = np.asarray(cols[comp["groups"]])[keep]
@@ -186,22 +214,26 @@ def build_model_and_data(doc, data_path, spec_dir):
                     labels.append(comp[key])
             if comp["type"] == "inverse_distance":
                 needed_numeric.append(comp["positions"])
-    arrays = {name: _numeric(cols, name, missing, data_path) for name in needed_numeric}
+    arrays = _numeric_columns(cols, needed_numeric, missing, data_path)
 
     # a missing label counts as a missing value: NaN where it is, 0 elsewhere
-    present = [np.where(np.isin(cols[name], [missing, ""]), np.nan, 0.0) for name in labels]
+    present = [np.where(np.isin(cols[name], [missing, ""]), np.nan, 0.0)
+               for name in dict.fromkeys(labels)]
     keep = complete_case_mask([*arrays.values(), *present])
     if not keep.any():
         raise InputError(f"{data_path}: no complete cases")
 
     responses = []
     ys = []
+    built = {}  # canonical JSON of a component document -> its StructureMatrix
     for resp in doc["responses"]:
         design = np.column_stack([arrays[c][keep] for c in resp["design_columns"]])
-        components = [
-            _build_component(c, cols, keep, missing, data_path, spec_dir)
-            for c in resp["predictor"]
-        ]
+        components = []
+        for comp in resp["predictor"]:
+            key = json.dumps(comp, sort_keys=True)
+            if key not in built:
+                built[key] = _build_component(comp, cols, arrays, keep, spec_dir)
+            components.append(built[key])
         power = resp.get("power", {})
         variance = VarianceSpec(resp["variance"], power_known=power.get("fixed", True))
         responses.append(
@@ -235,48 +267,41 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
-def write_fit_outputs(out_dir, model, result):
-    import numpy as np
+def _write_csv(path, header, rows):
+    """Write the header and rows as csv.writer renders them (CRLF line ends), in one write."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    with open(path, "w", newline="") as fh:
+        fh.write(buf.getvalue())
 
+
+def write_fit_outputs(out_dir, model, result):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     names = model.parameter_names()
     est = result.theta_hat.flat
     se = result.std_errors
-    with open(out / "estimates.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["parameter", "estimate", "std_error", "z"])
-        for name, e, s in zip(names, est, se):
-            z = e / s if s > 0 else float("nan")
-            w.writerow([name, _fmt(e), _fmt(s), _fmt(z)])
+    _write_csv(out / "estimates.csv", ["parameter", "estimate", "std_error", "z"], [
+        [name, _fmt(e), _fmt(s), _fmt(e / s if s > 0 else float("nan"))]
+        for name, e, s in zip(names, est, se)
+    ])
 
     if model.R > 1:
         from .model import rho_index_pairs
 
         rho, _, _ = model.split_lambda(result.theta_hat.lam)
         rho_se = {i: s for (role, i, _), s in zip(model.layout, se) if role == "rho"}
-        with open(out / "sigma_b.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["row", "col", "estimate", "std_error"])
-            for i, (a, b) in enumerate(rho_index_pairs(model.R)):
-                s = rho_se.get(i)
-                w.writerow(
-                    [
-                        model.responses[a].name,
-                        model.responses[b].name,
-                        _fmt(rho[i]),
-                        _fmt(s) if s is not None else "",
-                    ]
-                )
+        _write_csv(out / "sigma_b.csv", ["row", "col", "estimate", "std_error"], [
+            [model.responses[a].name, model.responses[b].name, _fmt(rho[i]),
+             _fmt(rho_se[i]) if i in rho_se else ""]
+            for i, (a, b) in enumerate(rho_index_pairs(model.R))
+        ])
 
-    N = model.N
-    with open(out / "fitted.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["row"] + [r.name for r in model.responses])
-        for i in range(N):
-            w.writerow(
-                [i] + [_fmt(result.fitted[r * N + i]) for r in range(model.R)]
-            )
+    fitted = [map(_fmt, f.tolist()) for f in result.fitted.reshape(model.R, model.N)]
+    _write_csv(out / "fitted.csv", ["row"] + [r.name for r in model.responses],
+               zip(range(model.N), *fitted))
 
     doc = {
         "converged": bool(result.converged),
@@ -384,19 +409,15 @@ def cmd_simulate(args):
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    N = model.N
-    idx = np.flatnonzero(keep)
     covariate_names = [
         c for c in cols if c not in {r.name for r in model.responses}
     ]
+    header = [r.name for r in model.responses] + covariate_names
+    covariates = [[cols[c][i] for c in covariate_names] for i in np.flatnonzero(keep).tolist()]
     for i in range(args.n):
-        with open(out / f"rep_{i + 1:04d}.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([r.name for r in model.responses] + covariate_names)
-            for row in range(N):
-                vals = [_fmt(reps[i, r * N + row]) for r in range(model.R)]
-                vals += [cols[c][idx[row]] for c in covariate_names]
-                w.writerow(vals)
+        draws = [map(_fmt, y.tolist()) for y in reps[i].reshape(model.R, model.N)]
+        _write_csv(out / f"rep_{i + 1:04d}.csv", header,
+                   [[*ys, *cs] for *ys, cs in zip(*draws, covariates)])
     print(f"wrote {args.n} replicates to {out}")
     return EXIT_OK
 

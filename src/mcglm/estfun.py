@@ -99,38 +99,42 @@ class StateCovariance:
     def A_units(self):
         """A_i = C_Omega^{-1} dC_Omega,i, one row block per entry of lambda_index_map.
 
-        Each unit size walks theta's layout once: a rho gives
-        C_Omega^{-1} dC_drho, a free power C_Omega^{-1} dC_dscale at each
-        unit's mu, and a response's first tau all of its taus from one
-        call on its stacked components (a leading axis of D+1): A_dtau
-        when C_Omega^{-1} is U, else C_Omega^{-1} dC_dpar_r(dSigma_dtau).
-        The blocks are concatenated with their unit axes broadcast, since
-        a free power's rows are per unit; a walk that yields one block
-        (one response's taus alone) returns it as it is.
+        Each unit size walks theta's layout once: a rho gives dC_drho, a
+        free power dC_dscale at each unit's mu, and a response's first
+        tau all of its taus from one call on its stacked components (a
+        leading axis of D+1): A_dtau when C_Omega^{-1} is U, else
+        dC_dpar_r(dSigma_dtau). Consecutive dC stacks with one unit axis
+        take one C_Omega^{-1} product together. The blocks are
+        concatenated with their unit axes broadcast, since a free
+        power's rows are per unit; a walk that yields one block (one
+        response's taus alone) returns it as it is.
         """
         model = self.model
         out = []
         for grp, joint in zip(model.unit_groups, self.groups):
-            blocks = []
+            blocks = []  # A_i stacks, and lists of dC stacks awaiting one product
             for i, (role, r, d) in enumerate(model.lambda_index_map()):
                 if role == "rho":
-                    blocks.append(joint.C_inv @ dC_drho(joint, r)[None])
+                    dC = dC_drho(joint, r)[None]
                 elif role == "power":
                     mu, var = self.mu[r * model.N + grp.index], model.responses[r].variance
-                    dC = dC_dscale(joint, r, *scale_direction(var, mu, self.lam[i]))
-                    blocks.append(joint.C_inv @ dC[None])
+                    dC = dC_dscale(joint, r, *scale_direction(var, mu, self.lam[i]))[None]
                 elif d == 0:
                     resp, rc, Z = model.responses[r], joint.responses[r], grp.predictors[r].blocks
                     if joint.R == 1 and resp.covlink.kind == "inverse" and rc.sigma is rc.omega:
                         blocks.append(A_dtau(rc, Z))
-                    else:
-                        dSigma = dSigma_dtau(rc, resp.covlink, Z)
-                        blocks.append(joint.C_inv @ dC_dpar_r(joint, r, dSigma))
-            if len(blocks) == 1:
-                out.append(blocks[0])
-                continue
+                        continue
+                    dC = dC_dpar_r(joint, r, dSigma_dtau(rc, resp.covlink, Z))
+                else:
+                    continue
+                run = blocks[-1] if blocks and isinstance(blocks[-1], list) else None
+                if run and run[0].shape[1:] == dC.shape[1:]:
+                    run.append(dC)
+                else:
+                    blocks.append([dC])
+            blocks = [joint.C_inv @ _stacked(b) if isinstance(b, list) else b for b in blocks]
             units = np.broadcast_shapes(*(A.shape[1:] for A in blocks))
-            out.append(np.concatenate([
+            out.append(_stacked([
                 A if A.shape[1:] == units else np.broadcast_to(A, A.shape[:1] + units)
                 for A in blocks
             ]))
@@ -306,6 +310,11 @@ def _hand_on(old, new, names):
     new.__dict__.update({k: v for k, v in vars(old).items() if k in names})
 
 
+def _stacked(arrays):
+    """The arrays concatenated along their first axis; one array is returned as it is."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
 def _frozen(a):
     a.setflags(write=False)
     return a
@@ -346,8 +355,9 @@ def _scales(model, mu, lam):
 def build_covariance(model, mu, lam):
     """Factorize the joint correlation C_Omega at the covariance parameters lam.
 
-    mu is read only by poisson_tweedie. One JointCovariance per unit
-    size; raises FactorizationError on non-PD covariance.
+    mu is read only by poisson_tweedie, the one variance handed its
+    units' means. One JointCovariance per unit size; raises
+    FactorizationError on non-PD covariance.
     """
     rho, p, tau = model.split_lambda(lam)
     N = model.N
@@ -356,8 +366,8 @@ def build_covariance(model, mu, lam):
     for grp in model.unit_groups:
         resp_cov = [
             build_sigma_r(
-                mu[r * N + grp.index], resp.variance, p[r], tau[r], grp.predictors[r],
-                resp.covlink,
+                mu[r * N + grp.index] if resp.variance.kind == "poisson_tweedie" else None,
+                resp.variance, p[r], tau[r], grp.predictors[r], resp.covlink,
             )
             for r, resp in enumerate(model.responses)
         ]

@@ -230,7 +230,7 @@ def cholesky_inverse(L):
         if info > 0:
             raise _pivot_error(info, "Cholesky factor is singular")
         np.copyto(inv, inv.T, where=_strict_upper(inv.shape[0]))
-        return inv.reshape(L.shape)
+        return inv.T.reshape(L.shape)  # exactly symmetric: the transpose is its C-ordered view
     Li = triangular_inverse(L)
     inv = np.swapaxes(Li, -1, -2) @ Li
     return 0.5 * (inv + np.swapaxes(inv, -1, -2))

@@ -52,9 +52,12 @@ class StructureMatrix:
         return _stored(sp.csr_matrix(M))
 
     def nonzeros(self):
-        """Row indices, column indices and values of the stored entries, row by row."""
-        coo = self.data.tocoo()
-        return coo.row, coo.col, coo.data
+        """Row indices, column indices and values of the stored entries, row by row.
+
+        The columns and values are the CSR arrays themselves, not copies.
+        """
+        M = self.data
+        return np.repeat(np.arange(M.shape[0]), np.diff(M.indptr)), M.indices, M.data
 
     def submatrix(self, index):
         """Principal submatrix on the ascending observation indices ``index``."""
@@ -135,10 +138,6 @@ class MatrixPredictor:
     def D_plus_1(self):
         return len(self.components)
 
-    def unit_blocks(self, index):
-        """The predictor restricted to the units of one size (see StructureMatrix.unit_blocks)."""
-        return MatrixPredictor(tuple(z.unit_blocks(index) for z in self.components))
-
     @cached_property
     def blocks(self):
         """The read-only (D+1, n_units, m, m) stack of a restricted predictor's unit blocks.
@@ -180,12 +179,11 @@ def unit_partition(components):
         if np.array_equal(new, label):
             break
         label = new
-    # row u of this incidence matrix lists, in ascending order, the
-    # observations whose unit has smallest index u
-    units = sp.csr_matrix((np.ones(N), (label, np.arange(N))), shape=(N, N))
-    start, size = units.indptr[:-1], np.diff(units.indptr)
+    members = np.argsort(label, kind="stable")  # unit by unit, each ascending
+    size = np.bincount(label, minlength=N)  # at u, the size of the unit whose smallest index is u
+    start = np.cumsum(size) - size
     return tuple(
-        units.indices[start[size == m][:, None] + np.arange(m)]
+        members[start[size == m][:, None] + np.arange(m)]
         for m in sorted(set(size.tolist()) - {0})
     )
 

@@ -113,17 +113,23 @@ class ModelSpec:
 
         The units partition the observations by the union nonzero pattern
         of every response's structure matrices (matpred.unit_partition),
-        so C, C^{-1} and every dC_i are block diagonal over them.
+        so C, C^{-1} and every dC_i are block diagonal over them. Each
+        distinct component object is restricted once per unit size, and
+        responses whose predictors hold the same components share one
+        restricted predictor.
         """
-        comps = [z for resp in self.responses for z in resp.predictor.components]
-        return tuple(
-            UnitGroup(
+        keys = [tuple(map(id, resp.predictor.components)) for resp in self.responses]
+        comps = {id(z): z for resp in self.responses for z in resp.predictor.components}
+        groups = []
+        for index in unit_partition(list(comps.values())):
+            blocks = {key: z.unit_blocks(index) for key, z in comps.items()}
+            preds = {key: MatrixPredictor(tuple(blocks[i] for i in key)) for key in set(keys)}
+            groups.append(UnitGroup(
                 index=index,
                 joint=np.concatenate([r * self.N + index for r in range(self.R)], axis=1),
-                predictors=tuple(resp.predictor.unit_blocks(index) for resp in self.responses),
-            )
-            for index in unit_partition(comps)
-        )
+                predictors=tuple(preds[key] for key in keys),
+            ))
+        return tuple(groups)
 
     @cached_property
     def layout(self):

@@ -12,8 +12,11 @@ import pytest
 
 import mcglm
 import mcglm.estfun
-from mcglm.cli import main
+from mcglm.cli import _read_theta, build_model_and_data, load_spec_document, main, solver_options
 from mcglm.matpred import save_structure_matrix
+from mcglm.model import rho_index_pairs
+from mcglm.simulate import SimSpec, simulate_gaussian
+from mcglm.solver import fit
 
 from helpers import nonpd_instance
 
@@ -125,6 +128,47 @@ def assert_one_error_line_in_process(code, capsys):
 def read_estimates(out_dir):
     with open(out_dir / "estimates.csv", newline="") as fh:
         return {row["parameter"]: row for row in csv.DictReader(fh)}
+
+
+def row_by_row_fit_outputs(out, model, result):
+    """The CSV files of write_fit_outputs, written row by row through csv.writer."""
+    out.mkdir(parents=True, exist_ok=True)
+    names, est, se = model.parameter_names(), result.theta_hat.flat, result.std_errors
+    with open(out / "estimates.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["parameter", "estimate", "std_error", "z"])
+        for name, e, s in zip(names, est, se):
+            z = e / s if s > 0 else float("nan")
+            w.writerow([name, f"{e:.17g}", f"{s:.17g}", f"{z:.17g}"])
+    if model.R > 1:
+        rho, _, _ = model.split_lambda(result.theta_hat.lam)
+        rho_se = {i: s for (role, i, _), s in zip(model.layout, se) if role == "rho"}
+        with open(out / "sigma_b.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["row", "col", "estimate", "std_error"])
+            for i, (a, b) in enumerate(rho_index_pairs(model.R)):
+                s = rho_se.get(i)
+                w.writerow([model.responses[a].name, model.responses[b].name, f"{rho[i]:.17g}",
+                            f"{s:.17g}" if s is not None else ""])
+    N = model.N
+    with open(out / "fitted.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["row"] + [r.name for r in model.responses])
+        for i in range(N):
+            w.writerow([i] + [f"{result.fitted[r * N + i]:.17g}" for r in range(model.R)])
+
+
+def row_by_row_replicates(out, model, reps, cols, keep):
+    """The replicate files of ``mcglm simulate``, written row by row through csv.writer."""
+    N, idx = model.N, np.flatnonzero(keep)
+    covariate_names = [c for c in cols if c not in {r.name for r in model.responses}]
+    for i in range(len(reps)):
+        with open(out / f"rep_{i + 1:04d}.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow([r.name for r in model.responses] + covariate_names)
+            for row in range(N):
+                vals = [f"{reps[i, r * N + row]:.17g}" for r in range(model.R)]
+                w.writerow(vals + [cols[c][idx[row]] for c in covariate_names])
 
 
 class TestFit:
@@ -819,7 +863,7 @@ class TestBuildMatrices:
 
 
 class TestTwoResponse:
-    def two_response_fixture(self, tmp_path, N=16, seed=0):
+    def two_response_fixture(self, tmp_path, N=16, seed=0, names=("y1", "y2"), label="{}"):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(N)
         g = np.repeat(np.arange(N // 2), 2)
@@ -828,9 +872,9 @@ class TestTwoResponse:
         data = tmp_path / "data2.csv"
         write_csv(
             data,
-            ["y1", "y2", "one", "x", "g"],
+            [*names, "one", "x", "g"],
             [
-                [f"{y1[i]:.17g}", f"{y2[i]:.17g}", "1", f"{x[i]:.17g}", str(g[i])]
+                [f"{y1[i]:.17g}", f"{y2[i]:.17g}", "1", f"{x[i]:.17g}", label.format(g[i])]
                 for i in range(N)
             ],
         )
@@ -850,7 +894,7 @@ class TestTwoResponse:
             spec,
             {
                 "schema_version": 1,
-                "responses": [resp("y1"), resp("y2")],
+                "responses": [resp(name) for name in names],
                 "between": "free",
                 "data": {"path": "data2.csv"},
             },
@@ -873,6 +917,58 @@ class TestTwoResponse:
         write_csv(data, header, [row for i, row in enumerate(rows, 1) if i not in (3, 5, 7)])
         assert main(["fit", "--spec", str(spec), "--out", str(tmp_path / "deleted")]) == 0
         assert read_estimates(out) == read_estimates(tmp_path / "deleted")
+
+    @pytest.mark.parametrize("length, cells", [("short", -1), ("long", 1)])
+    def test_row_of_another_length_than_the_header_exits_1(self, tmp_path, capsys, length, cells):
+        spec = self.two_response_fixture(tmp_path, N=40)
+        data = tmp_path / "data2.csv"
+        header, *rows = list(csv.reader(data.open(newline="")))
+        rows[4] = rows[4][:cells] if cells < 0 else rows[4] + ["7"] * cells
+        write_csv(data, header, rows)
+        assert main(["fit", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {data}:6: {length} row"]
+
+    def test_outputs_equal_the_row_by_row_csv_writer_rendering(self, tmp_path):
+        # names and labels that csv.writer quotes, and a row the complete-case rule drops
+        names = ('y "1"', "y,2")
+        spec = self.two_response_fixture(tmp_path, N=12, names=names, label="g,{}")
+        data = tmp_path / "data2.csv"
+        header, *rows = list(csv.reader(data.open(newline="")))
+        rows[3][0] = "NA"
+        write_csv(data, header, rows)
+        out = tmp_path / "out"
+        assert main(["fit", "--spec", str(spec), "--out", str(out)]) == 0
+        doc = load_spec_document(spec)
+        model, y, cols, keep = build_model_and_data(doc, str(data), tmp_path)
+        result = fit(model, y, solver_options(doc, {}))
+        old = tmp_path / "row_by_row"
+        row_by_row_fit_outputs(old, model, result)
+        for name in ("estimates.csv", "sigma_b.csv", "fitted.csv"):
+            assert (out / name).read_bytes() == (old / name).read_bytes(), name
+
+        theta = tmp_path / "theta.json"
+        write_json(theta, {"beta": [[1.0, 0.5], [2.0, -0.3]], "rho": [0.3],
+                           "tau": [[1.0, 0.2], [1.5, 0.1]]})
+        sim = tmp_path / "sim"
+        argv = ["simulate", "--spec", str(spec), "--theta", str(theta), "--n", "2",
+                "--seed", "3", "--out", str(sim)]
+        assert main(argv) == 0
+        reps = simulate_gaussian(SimSpec(model, _read_theta(model, theta), 2, 3))
+        row_by_row_replicates(old, model, reps, cols, keep)
+        for i in (1, 2):
+            name = f"rep_{i:04d}.csv"
+            assert (sim / name).read_bytes() == (old / name).read_bytes(), name
+
+    def test_responses_sharing_a_component_document_share_one_structure_matrix(self, tmp_path):
+        spec = self.two_response_fixture(tmp_path)
+        doc = json.loads(spec.read_text())
+        # the same document with its keys in another order, and one the other response lacks
+        doc["responses"][1]["predictor"][1] = {"groups": "g", "type": "compound_symmetry"}
+        doc["responses"][1]["predictor"].append({"type": "compound_symmetry", "groups": "one"})
+        model, *_ = build_model_and_data(doc, str(tmp_path / "data2.csv"), tmp_path)
+        (identity, cs), (identity2, cs2, ones) = (r.predictor.components for r in model.responses)
+        assert identity2 is identity and cs2 is cs
+        assert ones is not cs and np.array_equal(ones.dense(), np.ones((16, 16)))
 
     def test_fit_writes_sigma_b(self, tmp_path):
         spec = self.two_response_fixture(tmp_path)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
 import mcglm.covariance
 import mcglm.functions
@@ -252,6 +253,18 @@ class TestCholeskyInverse:
         with pytest.raises(FactorizationError) as exc:
             cholesky_inverse(L)
         assert exc.value.pivot == 2
+
+    @pytest.mark.parametrize("shape", [(1,), (5,), (48,), (1, 48)])
+    def test_one_matrix_is_c_ordered_and_equals_the_mirrored_dpotri_result(self, shape):
+        # a C-ordered operand keeps a stacked product such as A_dtau's Z @ Omega on the BLAS path
+        M = random_pd(np.random.default_rng(shape[-1]), shape[-1])
+        L = cholesky_lower(M).reshape(shape[:-1] + (shape[-1],) * 2)
+        inv, info = scipy.linalg.lapack.dpotri(cholesky_lower(M), lower=1)
+        assert info == 0
+        inv = np.tril(inv) + np.tril(inv, -1).T
+        got = cholesky_inverse(L)
+        assert got.flags.c_contiguous and got.shape == L.shape
+        assert np.array_equal(got.reshape(inv.shape), inv)
 
 
 class TestOneMatrixPath:

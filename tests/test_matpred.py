@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from mcglm import DomainError, MatrixPredictor, StructureMatrix
 from mcglm.matpred import (
@@ -289,6 +291,58 @@ class TestStructureMatrixStorage:
     def test_predictor_dimension_check(self):
         with pytest.raises(DomainError):
             MatrixPredictor((mat_identity(2), mat_identity(3)))
+
+
+def random_sparse_symmetric(rng, n, density, groups=None):
+    """StructureMatrix of a random symmetric matrix, its entries kept within equal groups."""
+    M = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
+    if groups is not None:
+        M *= groups[:, None] == groups[None, :]
+    return StructureMatrix.from_dense(M + M.T)
+
+
+def random_components(seed, tmp_path, N=24):
+    """Random components of every origin: dense input, kron, mat_sum, submatrix and a file."""
+    rng = np.random.default_rng(seed)
+    A = random_sparse_symmetric(rng, N, 0.3, rng.integers(0, 8, N))
+    K = mat_kronecker(random_sparse_symmetric(rng, 4, 0.4), random_sparse_symmetric(rng, 6, 0.2))
+    sub = random_sparse_symmetric(rng, N + 6, 0.05).submatrix(np.sort(rng.permutation(N + 6)[:N]))
+    save_structure_matrix(random_sparse_symmetric(rng, N, 0.1, rng.integers(0, 5, N)),
+                          tmp_path / "z.txt")
+    return {"dense": A, "kron": K, "sum": mat_sum(A, K), "submatrix": sub,
+            "file": load_structure_matrix(tmp_path / "z.txt")}
+
+
+def connected_units(components):
+    """unit_partition's grouping from scipy's connected components and a CSR incidence matrix."""
+    N = components[0].dim
+    pattern = sum(abs(z.data) for z in components)
+    _, comp = connected_components(pattern + sp.identity(N), directed=False)
+    smallest = np.full(comp.max() + 1, N)
+    np.minimum.at(smallest, comp, np.arange(N))
+    # row u lists, ascending, the observations whose unit has smallest index u
+    units = sp.csr_matrix((np.ones(N), (smallest[comp], np.arange(N))), shape=(N, N))
+    start, size = units.indptr[:-1], np.diff(units.indptr)
+    return [units.indices[start[size == m][:, None] + np.arange(m)]
+            for m in sorted(set(size.tolist()) - {0})]
+
+
+class TestCSRReads:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nonzeros_are_the_coo_triplets(self, seed, tmp_path):
+        for name, z in random_components(seed, tmp_path).items():
+            coo = z.data.tocoo()
+            for got, expected in zip(z.nonzeros(), (coo.row, coo.col, coo.data)):
+                assert np.array_equal(got, expected), name
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unit_partition_equals_the_connected_components(self, seed, tmp_path):
+        comps = random_components(seed, tmp_path)
+        for names in (["dense"], ["kron"], ["submatrix"], ["file"], ["dense", "file"],
+                      ["submatrix", "sum"], list(comps)):
+            got = unit_partition([comps[name] for name in names])
+            expected = connected_units([comps[name] for name in names])
+            assert [p.tolist() for p in got] == [p.tolist() for p in expected], names
 
 
 class TestCoordinateFile:

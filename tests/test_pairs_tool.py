@@ -1,6 +1,7 @@
 """tools/pairs.py: the claim-rule verdict on synthetic runs, and a checkout without a benchmark."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -54,3 +55,30 @@ def test_a_checkout_without_run_py_gives_one_error_line(tmp_path):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0] == f"error: no perfbench/run.py under {tmp_path}"
+
+
+def test_workload_all_runs_every_workload_in_turn(tmp_path, monkeypatch, capsys):
+    roots = [tmp_path / "parent", tmp_path / "change"]
+    for root in roots:
+        (root / "perfbench").mkdir(parents=True)
+        (root / "perfbench" / "run.py").write_text("")
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    calls = []
+
+    def run_bench(root, workload, seed, seconds):
+        calls.append((Path(root).name, workload, seed))
+        value = 1.0 + workloads.index(workload) + (0.5 if Path(root).name == "change" else 0.0)
+        return {"correct": True, "failed": 0, "attempted": 10,
+                "metrics": {m["name"]: {"value": value} for m in metrics}}
+
+    monkeypatch.setattr(pairs, "run_bench", run_bench)
+    argv = [str(roots[0]), str(roots[1]), "--workload", "all", "--pairs", "2", "--seconds", "1"]
+    assert pairs.main(argv) == 0
+    assert calls == [(side, w, k) for w in workloads
+                     for k, order in ((1, ("parent", "change")), (2, ("change", "parent")))
+                     for side in order]
+    blocks = capsys.readouterr().out.split("workload ")[1:]
+    assert [b.split(":")[0] for b in blocks] == workloads
+    for i, block in enumerate(blocks):
+        assert f"parent {1.0 + i:g} [" in block and f"change {1.5 + i:g} [" in block

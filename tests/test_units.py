@@ -28,7 +28,7 @@ from mcglm import (
     mat_inverse_distance,
 )
 from mcglm.checks import derivative_report
-from mcglm.covariance import A_dtau, dC_dpar_r, dSigma_dtau
+from mcglm.covariance import A_dtau, dC_dpar_r, dC_drho, dC_dscale, dSigma_dtau, scale_direction
 from mcglm.estfun import (
     bias_correction,
     build_covariance,
@@ -271,6 +271,56 @@ def test_stacked_tau_derivatives_equal_one_component_at_a_time(case):
                 expected = joint.C_inv @ dC_dpar_r(joint, r, dS)
             assert A[i].shape == np.broadcast_shapes(A[i].shape, expected.shape)
             assert rel_err(A[i], expected) < 1e-12
+
+
+def entrywise_A_units(cov):
+    """StateCovariance.A_units with one C_Omega^{-1} product per entry of theta's layout."""
+    model = cov.model
+    out = []
+    for grp, joint in zip(model.unit_groups, cov.groups):
+        blocks = []
+        for i, (role, r, d) in enumerate(model.lambda_index_map()):
+            if role == "rho":
+                blocks.append(joint.C_inv @ dC_drho(joint, r)[None])
+            elif role == "power":
+                mu, var = cov.mu[r * model.N + grp.index], model.responses[r].variance
+                dC = dC_dscale(joint, r, *scale_direction(var, mu, cov.lam[i]))
+                blocks.append(joint.C_inv @ dC[None])
+            elif d == 0:
+                resp, rc, Z = model.responses[r], joint.responses[r], grp.predictors[r].blocks
+                if joint.R == 1 and resp.covlink.kind == "inverse" and rc.sigma is rc.omega:
+                    blocks.append(A_dtau(rc, Z))
+                else:
+                    dSigma = dSigma_dtau(rc, resp.covlink, Z)
+                    blocks.append(joint.C_inv @ dC_dpar_r(joint, r, dSigma))
+        units = np.broadcast_shapes(*(A.shape[1:] for A in blocks))
+        out.append(np.concatenate([np.broadcast_to(A, A.shape[:1] + units) for A in blocks]))
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_A_units_equal_one_product_per_entry_bitwise(case):
+    # A_units takes one C_Omega^{-1} product per run of dC stacks that share a unit axis
+    model, y, theta = CASES[case]()
+    cov = build_state(model, y, theta).covariance
+    for A, expected in zip(cov.A_units, entrywise_A_units(cov)):
+        assert A.shape == expected.shape and np.array_equal(A, expected)
+
+
+def test_unit_groups_restrict_each_distinct_component_once(monkeypatch):
+    comps = [mat_identity(8), _cs(PAIR_GROUPS)]
+    model, _, _ = build_model(8, [("constant", "identity", True, comps),
+                                  ("constant", "identity", True, list(comps)),
+                                  ("constant", "identity", True, comps[:1])], 15)
+    restricted = []
+    unit_blocks = StructureMatrix.unit_blocks
+    monkeypatch.setattr(StructureMatrix, "unit_blocks",
+                        lambda z, index: restricted.append(z) or unit_blocks(z, index))
+    (grp,) = model.unit_groups
+    assert sorted(map(id, restricted)) == sorted(map(id, comps))
+    first, second, third = grp.predictors
+    assert second is first and third is not first
+    assert third.components[0] is first.components[0]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

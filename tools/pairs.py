@@ -1,12 +1,15 @@
 """Alternating benchmark pairs of two mcglm checkouts, read by the claim rule.
 
     python3 tools/pairs.py PARENT_ROOT CHANGE_ROOT --workload car-mc --pairs 10 --seconds 36
+    python3 tools/pairs.py PARENT_ROOT CHANGE_ROOT --workload all --pairs 10 --seconds 36
 
 PARENT_ROOT and CHANGE_ROOT are the roots of two checkouts. Pair k
 (k = 1 .. --pairs) runs each checkout's own ``perfbench/run.py
 --workload W --seed k --seconds S`` in its own process, the parent first
 in odd pairs and the change first in even ones, and reads the JSON
-object on the last line of each run.
+object on the last line of each run. ``--workload all`` runs the pairs
+of every workload in this checkout's ``BENCHMARK.json`` in turn and
+prints one block for each as soon as its pairs are done.
 
 For every end-to-end metric in this checkout's ``BENCHMARK.json`` it
 prints each side's median and quartiles over the runs and the number of
@@ -107,23 +110,27 @@ def main(argv=None):
     args = p.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0:
         p.error("--pairs must be >= 1 and --seconds > 0")
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = ([w["name"] for w in bench["workloads"]] if args.workload == "all"
+                 else [args.workload])
     roots = {"parent": args.parent_root, "change": args.change_root}
-    runs = {"parent": [], "change": []}
     try:
         for root in roots.values():
             if not (Path(root) / "perfbench" / "run.py").is_file():
                 raise RuntimeError(f"no perfbench/run.py under {root}")
-        for k in range(1, args.pairs + 1):
-            order = ("parent", "change") if k % 2 else ("change", "parent")
-            for side in order:
-                runs[side].append(run_bench(roots[side], args.workload, k, args.seconds))
+        for workload in workloads:
+            runs = {"parent": [], "change": []}
+            for k in range(1, args.pairs + 1):
+                order = ("parent", "change") if k % 2 else ("change", "parent")
+                for side in order:
+                    runs[side].append(run_bench(roots[side], workload, k, args.seconds))
+            print(f"workload {workload}: {args.pairs} pairs of {args.seconds:g} s runs, "
+                  f"seeds 1-{args.pairs}")
+            report(bench["end_to_end"], runs)
+            sys.stdout.flush()  # a block is read while the next workload runs
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"workload {args.workload}: {args.pairs} pairs of {args.seconds:g} s runs, "
-          f"seeds 1-{args.pairs}")
-    report(metrics, runs)
     return 0
 
 
