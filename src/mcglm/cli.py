@@ -11,6 +11,7 @@ JSON document.
 """
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -51,13 +52,24 @@ def _finite(text, parse=float):
     return parse(text)
 
 
+@contextlib.contextmanager
+def _reading(path, newline=None):
+    """Open a text input; a file that cannot be opened, read or decoded is one InputError."""
+    try:
+        with open(path, newline=newline) as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"{path}: {exc}")
+
+
 def _read_json(path):
     """A JSON document whose numbers all fit a finite float: NaN, Infinity, 1e999 are bad input."""
+    with _reading(path) as fh:
+        text = fh.read()
     try:
-        with open(path) as fh:
-            return json.load(fh, parse_float=_finite, parse_constant=_finite,
-                             parse_int=functools.partial(_finite, parse=int))
-    except (OSError, ValueError) as exc:
+        return json.loads(text, parse_float=_finite, parse_constant=_finite,
+                          parse_int=functools.partial(_finite, parse=int))
+    except ValueError as exc:
         raise InputError(f"{path}: {exc}")
 
 
@@ -86,93 +98,89 @@ def resolve_data_path(args, doc):
 
 
 def read_csv_columns(path):
-    """Read a CSV into {column: list-of-str}; RFC-4180 quoting.
+    """Read a CSV into {column: list-of-str} and the line each kept row starts on.
 
-    Blank lines are skipped, a row with fewer or more cells than the
-    header is bad input, and a repeated column name reads its last column.
+    RFC-4180 quoting. Blank lines are skipped, a row with fewer or more
+    cells than the header is bad input, and a repeated column name reads
+    its last column. A row is named by its first physical line, so blank
+    lines and quoted line breaks above it count.
     """
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
+    rows, lines = [], []
+    with _reading(path, newline="") as fh:
+        reader = csv.reader(fh)
+        start = 1  # the line the record being read starts on
+        try:
             header = next(reader, None)
             if header is None:
                 raise InputError(f"{path}: empty file")
-            rows = [row for row in reader if row]
-    except OSError as exc:
-        raise InputError(f"{path}: {exc}")
-    for lineno, row in enumerate(rows, 2):
-        if len(row) != len(header):
-            length = "short" if len(row) < len(header) else "long"
-            raise InputError(f"{path}:{lineno}: {length} row")
+            start = reader.line_num + 1
+            for row in reader:
+                if row:
+                    if len(row) != len(header):
+                        length = "short" if len(row) < len(header) else "long"
+                        raise InputError(f"{path}:{start}: {length} row")
+                    rows.append(row)
+                    lines.append(start)
+                start = reader.line_num + 1
+        except csv.Error as exc:
+            raise InputError(f"{path}:{start}: {exc}")
     columns = list(zip(*rows)) or [()] * len(header)
-    return {name: list(columns[i]) for name, i in {n: i for i, n in enumerate(header)}.items()}
+    index = {n: i for i, n in enumerate(header)}
+    return {name: list(columns[i]) for name, i in index.items()}, lines
 
 
-def _numeric(cols, name, missing, path):
-    import numpy as np
+def _numeric_columns(cols, names, labels, missing, path, lines):
+    """The named columns as rows of floats, NaN where a cell is missing or empty.
 
-    if name not in cols:
-        raise InputError(f"{path}: column {name!r} not found")
-    out = []
-    for i, v in enumerate(cols[name]):
-        if v == missing or v == "":
-            out.append(np.nan)
-            continue
-        try:
-            x = float(v)
-        except ValueError:
-            raise InputError(f"{path}: row {i + 2}, column {name!r}: not a number: {v!r}")
-        if not math.isfinite(x):
-            raise InputError(f"{path}: row {i + 2}, column {name!r}: not finite: {v!r}")
-        out.append(x)
-    return np.asarray(out)
-
-
-def _numeric_columns(cols, names, missing, path):
-    """{name: column as floats} for each distinct name, NaN where a cell is missing or empty.
-
-    Every column goes through one cast, which calls float() on each
-    cell; a missing column or a cell that is not a finite number sends
-    them through _numeric one by one, which names the first of them.
+    Every referenced column, numeric or label, must exist. The numeric
+    columns go through one cast, which calls float() on each cell; when
+    a cell is not a finite number, a scan of the cells, column by
+    column, names the first of them by the line its row starts on.
     """
     import numpy as np
 
-    names = list(dict.fromkeys(names))
-    if all(name in cols for name in names):
-        cells = np.array([cols[name] for name in names], dtype=object)
-        absent = (cells == missing) | (cells == "")
-        cells[absent] = "nan"
-        try:
-            x = cells.astype(float)
-        except ValueError:
-            x = None
-        if x is not None and (np.isfinite(x) | absent).all():
-            return dict(zip(names, x))
-    return {name: _numeric(cols, name, missing, path) for name in names}
+    for name in [*names, *labels]:
+        if name not in cols:
+            raise InputError(f"{path}: column {name!r} not found")
+    cells = np.array([cols[name] for name in names], dtype=object)
+    absent = (cells == missing) | (cells == "")
+    cells[absent] = "nan"
+    try:
+        x = cells.astype(float)
+    except ValueError:
+        x = None
+    if x is None or not (np.isfinite(x) | absent).all():
+        for name, gone in zip(names, absent):
+            for line, v, a in zip(lines, cols[name], gone):
+                if a:
+                    continue
+                try:
+                    number = float(v)
+                except ValueError:
+                    raise InputError(f"{path}: row {line}, column {name!r}: not a number: {v!r}")
+                if not math.isfinite(number):
+                    raise InputError(f"{path}: row {line}, column {name!r}: not finite: {v!r}")
+    return x
 
 
-def _build_component(comp, cols, arrays, keep, spec_dir):
+def _build_component(comp, numbers, labels, keep, spec_dir):
+    """The StructureMatrix of one predictor component over the kept rows."""
     import numpy as np
 
     from . import matpred
 
     kind = comp["type"]
-    n = int(keep.sum())
     if kind == "identity":
-        return matpred.mat_identity(n)
+        return matpred.mat_identity(int(keep.sum()))
     if kind == "compound_symmetry":
-        groups = np.asarray(cols[comp["groups"]])[keep]
-        return matpred.mat_compound_symmetry(groups)
+        return matpred.mat_compound_symmetry(labels[comp["groups"]])
     if kind == "inverse_distance":
-        pos = arrays[comp["positions"]][keep]
-        groups = None
-        if "groups" in comp:
-            groups = np.asarray(cols[comp["groups"]])[keep]
-        return matpred.mat_inverse_distance(pos, comp.get("exponent", 1), groups)
+        groups = labels[comp["groups"]] if "groups" in comp else None
+        return matpred.mat_inverse_distance(numbers[comp["positions"]],
+                                            comp.get("exponent", 1), groups)
     if kind == "pair_indicator":
-        levels = np.asarray(cols[comp["levels"]])[keep]
-        groups = np.asarray(cols[comp["groups"]])[keep]
-        return matpred.mat_pair_indicator(levels, tuple(comp["pair"]), groups)
+        return matpred.mat_pair_indicator(labels[comp["levels"]], tuple(comp["pair"]),
+                                          labels[comp["groups"]])
     # "file", the one type left in the schema's enum
     path = Path(comp["path"])
     if not path.is_absolute():
@@ -194,12 +202,12 @@ def build_model_and_data(doc, data_path, spec_dir):
 
     from . import matpred
     from .functions import CovLinkSpec, LinkSpec, VarianceSpec
-    from .model import ModelSpec, ResponseSpec, complete_case_mask
+    from .model import ModelSpec, ResponseSpec
 
     missing = doc.get("data", {}).get("missing", "NA")
-    cols = read_csv_columns(data_path)
+    cols, lines = read_csv_columns(data_path)
 
-    needed_numeric, labels = [], []
+    needed_numeric, needed_labels = [], []
     for resp in doc["responses"]:
         needed_numeric.append(resp["name"])
         needed_numeric.extend(resp["design_columns"])
@@ -207,32 +215,29 @@ def build_model_and_data(doc, data_path, spec_dir):
             absent = [key for key in COMPONENT_KEYS.get(comp["type"], ()) if key not in comp]
             if absent:
                 raise InputError(f"response {resp['name']!r}: {comp['type']} lacks {absent}")
-            for key in ("groups", "levels"):
-                if key in comp:
-                    if comp[key] not in cols:
-                        raise InputError(f"{data_path}: column {comp[key]!r} not found")
-                    labels.append(comp[key])
+            needed_labels.extend(comp[key] for key in ("groups", "levels") if key in comp)
             if comp["type"] == "inverse_distance":
                 needed_numeric.append(comp["positions"])
-    arrays = _numeric_columns(cols, needed_numeric, missing, data_path)
+    numeric = list(dict.fromkeys(needed_numeric))
+    x = _numeric_columns(cols, numeric, needed_labels, missing, data_path, lines)
+    labels = {name: np.asarray(cols[name]) for name in dict.fromkeys(needed_labels)}
 
-    # a missing label counts as a missing value: NaN where it is, 0 elsewhere
-    present = [np.where(np.isin(cols[name], [missing, ""]), np.nan, 0.0)
-               for name in dict.fromkeys(labels)]
-    keep = complete_case_mask([*arrays.values(), *present])
+    # complete cases: every number finite and no label missing
+    keep = np.logical_and.reduce(
+        [*np.isfinite(x), *(~np.isin(v, [missing, ""]) for v in labels.values())])
     if not keep.any():
         raise InputError(f"{data_path}: no complete cases")
+    numbers = dict(zip(numeric, x[:, keep]))
+    labels = {name: v[keep] for name, v in labels.items()}
 
     responses = []
-    ys = []
     built = {}  # canonical JSON of a component document -> its StructureMatrix
     for resp in doc["responses"]:
-        design = np.column_stack([arrays[c][keep] for c in resp["design_columns"]])
         components = []
         for comp in resp["predictor"]:
             key = json.dumps(comp, sort_keys=True)
             if key not in built:
-                built[key] = _build_component(comp, cols, arrays, keep, spec_dir)
+                built[key] = _build_component(comp, numbers, labels, keep, spec_dir)
             components.append(built[key])
         power = resp.get("power", {})
         variance = VarianceSpec(resp["variance"], power_known=power.get("fixed", True))
@@ -242,17 +247,16 @@ def build_model_and_data(doc, data_path, spec_dir):
                 link=LinkSpec(resp["link"]),
                 variance=variance,
                 covlink=CovLinkSpec(resp["covlink"]),
-                design=design,
+                design=np.column_stack([numbers[c] for c in resp["design_columns"]]),
                 predictor=matpred.MatrixPredictor(tuple(components)),
                 power_value=power.get("value", 1.0),
             )
         )
-        ys.append(arrays[resp["name"]][keep])
 
     between = doc.get("between", "free")
     rho_fixed = None if between == "free" else np.asarray(between, dtype=float)
     model = ModelSpec(tuple(responses), rho_fixed=rho_fixed)
-    return model, np.concatenate(ys), cols, keep
+    return model, np.concatenate([numbers[r["name"]] for r in doc["responses"]]), cols, keep
 
 
 def solver_options(doc, overrides):
@@ -363,17 +367,17 @@ def _read_theta(model, path):
     doc = _read_json(path)
 
     def vector(key, value):
-        v = np.asarray(value, dtype=float)
-        if v.ndim != 1:
+        # a JSON number parses to an int or a float; true, "0.5" and null are not numbers
+        if not isinstance(value, list) or any(type(x) not in (int, float) for x in value):
             raise InputError(f"{path}: {key} must be a list of numbers")
-        return v
+        return np.asarray(value, dtype=float)
 
     try:
         beta = [vector(f"beta[{r}]", b) for r, b in enumerate(doc["beta"])]
         tau = [vector(f"tau[{r}]", t) for r, t in enumerate(doc["tau"])]
         rho = vector("rho", doc.get("rho", []))
         p = vector("p", doc.get("p", [1.0] * model.R))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InputError(f"{path}: bad theta document: {exc}")
     if len(beta) != model.R:
         raise InputError(
@@ -465,41 +469,35 @@ def cmd_check_derivatives(args):
 
 def _read_edges(path):
     edges = []
-    try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    i, j = line.split()
-                    edges.append((int(i), int(j)))
-                except ValueError:
-                    raise InputError(f"{path}:{lineno}: expected 'i j'")
-    except OSError as exc:
-        raise InputError(f"{path}: {exc}")
+    with _reading(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                i, j = line.split()
+                edges.append((int(i), int(j)))
+            except ValueError:
+                raise InputError(f"{path}:{lineno}: expected 'i j'")
     return edges
 
 
 def cmd_build_matrices(args):
     from . import matpred
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.kind == "neighborhood":
-        edges = _read_edges(args.edges)
-        W, Dg = matpred.mat_neighborhood(edges, args.n)
-        matpred.save_structure_matrix(W, out / f"{args.prefix}W.txt")
-        matpred.save_structure_matrix(Dg, out / f"{args.prefix}D.txt")
+        W, Dg = matpred.mat_neighborhood(_read_edges(args.edges), args.n)
+        mats = {"W": W, "D": Dg}
         if args.icar:
-            Z = matpred.mat_sum(Dg, W)
-            matpred.save_structure_matrix(Z, out / f"{args.prefix}Zicar.txt")
+            mats["Zicar"] = matpred.mat_sum(Dg, W)
     else:  # kron
         A = matpred.load_structure_matrix(args.a)
         B = matpred.load_structure_matrix(args.b)
-        matpred.save_structure_matrix(
-            matpred.mat_kronecker(A, B), out / f"{args.prefix}kron.txt"
-        )
+        mats = {"kron": matpred.mat_kronecker(A, B)}
+    out = Path(args.out)  # made once every input has been read
+    out.mkdir(parents=True, exist_ok=True)
+    for name, sm in mats.items():
+        matpred.save_structure_matrix(sm, out / f"{args.prefix}{name}.txt")
     return EXIT_OK
 
 

@@ -304,37 +304,41 @@ def save_structure_matrix(sm, path):
 def load_structure_matrix(path):
     """Read the coordinate-list format written by save_structure_matrix.
 
-    Raises DomainError, naming the file and line, for a malformed line,
-    an index below 1, a lower-triangle or repeated entry and a
-    non-finite value.
+    Raises DomainError, naming the file, for bytes that do not decode,
+    and naming the file and line, for a malformed line, an index below
+    1, a lower-triangle or repeated entry and a non-finite value.
     """
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: {exc}")
     entries = {}  # (i, j), 1-based -> value
     n = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            where = f"{path}:{lineno}"
-            if not line:
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        where = f"{path}:{lineno}"
+        if not line:
+            continue
+        try:
+            if line.startswith("#"):
+                parts = line[1:].split()
+                if len(parts) == 2 and parts[0] == "dim":
+                    n = int(parts[1])
                 continue
-            try:
-                if line.startswith("#"):
-                    parts = line[1:].split()
-                    if len(parts) == 2 and parts[0] == "dim":
-                        n = int(parts[1])
-                    continue
-                si, sj, sv = line.split()
-                i, j, v = int(si), int(sj), float(sv)
-            except ValueError:
-                raise DomainError(f"{where}: malformed line, expected 'i j value' or '# dim n'")
-            if min(i, j) < 1:
-                raise DomainError(f"{where}: index below 1 in entry {i} {j}")
-            if i > j:
-                raise DomainError(f"{where}: lower-triangle entry {i} {j}")
-            if (i, j) in entries:
-                raise DomainError(f"{where}: repeated entry {i} {j}")
-            if not np.isfinite(v):
-                raise DomainError(f"{where}: non-finite value {sv}")
-            entries[i, j] = v
+            si, sj, sv = line.split()
+            i, j, v = int(si), int(sj), float(sv)
+        except ValueError:
+            raise DomainError(f"{where}: malformed line, expected 'i j value' or '# dim n'")
+        if min(i, j) < 1:
+            raise DomainError(f"{where}: index below 1 in entry {i} {j}")
+        if i > j:
+            raise DomainError(f"{where}: lower-triangle entry {i} {j}")
+        if (i, j) in entries:
+            raise DomainError(f"{where}: repeated entry {i} {j}")
+        if not np.isfinite(v):
+            raise DomainError(f"{where}: non-finite value {sv}")
+        entries[i, j] = v
     if n is None:
         if not entries:
             raise DomainError(f"{path}: no dimension header and no entries")

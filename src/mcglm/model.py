@@ -259,12 +259,3 @@ class ThetaPartition:
 
 def make_theta(model, beta, lam):
     return ThetaPartition(beta, lam)
-
-
-def complete_case_mask(arrays):
-    """True where every given 1-d array is finite (complete-case rule)."""
-    mask = None
-    for a in arrays:
-        ok = np.isfinite(np.asarray(a, dtype=float))
-        mask = ok if mask is None else (mask & ok)
-    return mask

@@ -1035,3 +1035,359 @@ def test_threads_option_leaves_caller_environment(tmp_path, monkeypatch, spec_na
     argv = ["--threads", "1", "fit", "--spec", str(tmp_path / spec_name), "--out", str(tmp_path / "o")]
     assert exit_code(argv) == expected
     assert dict(os.environ) == before
+
+
+# One case for each bad input the README's "Command line" section documents.
+# A case makes its files next to gaussian_fixture's spec.json and data.csv
+# (20 rows; data row k is on line k + 1) and returns the argv and the text
+# its one error line starts with after "error: ".
+BAD_INPUTS = {}
+
+
+def bad_input(name, code=1):
+    def register(make):
+        BAD_INPUTS[name] = (make, code)
+        return make
+    return register
+
+
+def _fit(tmp_path, spec, *extra):
+    return ["fit", "--spec", str(spec), "--out", str(tmp_path / "o"), *extra]
+
+
+def _simulate(tmp_path, spec, theta=None, n="1"):
+    path = tmp_path / "theta.json"
+    if isinstance(theta, bytes):
+        path.write_bytes(theta)
+    else:
+        write_json(path, theta or {"beta": [[2.0, 0.7]], "tau": [[1.5]]})
+    return ["simulate", "--spec", str(spec), "--theta", str(path), "--n", n,
+            "--out", str(tmp_path / "o")], path
+
+
+def _edit_spec(spec, edit):
+    doc = json.loads(spec.read_text())
+    edit(doc)
+    write_json(spec, doc)
+
+
+def _edit_data(tmp_path, edit):
+    """data.csv with its lines (line k at index k - 1) passed through edit; its path."""
+    data = tmp_path / "data.csv"
+    lines = data.read_text().splitlines()
+    edit(lines)
+    data.write_text("\n".join(lines) + "\n")
+    return data
+
+
+def _set_cell(lines, line, column, text):
+    cells = lines[line - 1].split(",")
+    cells[column] = text
+    lines[line - 1] = ",".join(cells)
+
+
+@bad_input("missing-data-file")
+def _(tmp_path, spec):
+    data = tmp_path / "nope.csv"
+    return _fit(tmp_path, spec, "--data", str(data)), f"{data}: [Errno 2] No such file"
+
+
+@bad_input("no-data-file-named")
+def _(tmp_path, spec):
+    _edit_spec(spec, lambda doc: doc.pop("data"))
+    return _fit(tmp_path, spec), "no data file: pass --data or set data.path in the spec"
+
+
+@bad_input("empty-data-file")
+def _(tmp_path, spec):
+    (tmp_path / "data.csv").write_text("")
+    return _fit(tmp_path, spec), f"{tmp_path / 'data.csv'}: empty file"
+
+
+@bad_input("missing-column")
+def _(tmp_path, spec):
+    _edit_spec(spec, lambda doc: doc["responses"][0]["design_columns"].append("nope"))
+    return _fit(tmp_path, spec), f"{tmp_path / 'data.csv'}: column 'nope' not found"
+
+
+@bad_input("missing-label-column")
+def _(tmp_path, spec):
+    component = {"type": "compound_symmetry", "groups": "nope"}
+    _edit_spec(spec, lambda doc: doc["responses"][0]["predictor"].append(component))
+    return _fit(tmp_path, spec), f"{tmp_path / 'data.csv'}: column 'nope' not found"
+
+
+@bad_input("non-numeric-cell")
+def _(tmp_path, spec):
+    data = _edit_data(tmp_path, lambda lines: _set_cell(lines, 4, 2, "abc"))
+    return _fit(tmp_path, spec), f"{data}: row 4, column 'x': not a number: 'abc'"
+
+
+@bad_input("non-finite-cell")
+def _(tmp_path, spec):
+    data = _edit_data(tmp_path, lambda lines: _set_cell(lines, 4, 0, "-inf"))
+    return _fit(tmp_path, spec), f"{data}: row 4, column 'y': not finite: '-inf'"
+
+
+@bad_input("short-row")
+def _(tmp_path, spec):
+    data = _edit_data(tmp_path, lambda lines: lines.__setitem__(5, lines[5].rsplit(",", 1)[0]))
+    return _fit(tmp_path, spec), f"{data}:6: short row"
+
+
+@bad_input("long-row")
+def _(tmp_path, spec):
+    data = _edit_data(tmp_path, lambda lines: lines.__setitem__(5, lines[5] + ",7"))
+    return _fit(tmp_path, spec), f"{data}:6: long row"
+
+
+@bad_input("blank-line-then-long-row")
+def _(tmp_path, spec):
+    def edit(lines):
+        lines.insert(4, "")  # line 5 is blank, so the 5th data row starts on line 7
+        lines[6] += ",7"
+    data = _edit_data(tmp_path, edit)
+    return _fit(tmp_path, spec), f"{data}:7: long row"
+
+
+@bad_input("quoted-line-break-then-bad-cell")
+def _(tmp_path, spec):
+    def edit(lines):
+        lines[0] += ",note"
+        lines[1] += ',"two\nlines"'  # the first data row spans lines 2 and 3
+        for k in range(2, len(lines)):
+            lines[k] += ","
+        _set_cell(lines, 4, 2, "abc")  # the 3rd data row, on line 5 of the file
+    data = _edit_data(tmp_path, edit)
+    return _fit(tmp_path, spec), f"{data}: row 5, column 'x': not a number: 'abc'"
+
+
+@bad_input("cell-over-the-csv-field-limit")
+def _(tmp_path, spec):
+    data = _edit_data(tmp_path, lambda lines: _set_cell(lines, 4, 2, "7" * 200000))
+    return _fit(tmp_path, spec), f"{data}:4: field larger than field limit (131072)"
+
+
+@bad_input("undecodable-data-file")
+def _(tmp_path, spec):
+    data = tmp_path / "data.csv"
+    data.write_bytes(data.read_bytes().replace(b",1,", b",1\xff,", 1))
+    return _fit(tmp_path, spec), f"{data}: 'utf-8' codec can't decode byte 0xff"
+
+
+@bad_input("no-complete-cases")
+def _(tmp_path, spec):
+    def edit(lines):
+        for k in range(2, len(lines) + 1):
+            _set_cell(lines, k, 0, "NA")
+    data = _edit_data(tmp_path, edit)
+    return _fit(tmp_path, spec), f"{data}: no complete cases"
+
+
+@bad_input("missing-spec-file")
+def _(tmp_path, spec):
+    return _fit(tmp_path, tmp_path / "nope.json"), f"{tmp_path / 'nope.json'}: [Errno 2]"
+
+
+@bad_input("unparseable-spec")
+def _(tmp_path, spec):
+    spec.write_text("{not json")
+    return _fit(tmp_path, spec), f"{spec}: Expecting property name enclosed in double quotes"
+
+
+@bad_input("undecodable-spec")
+def _(tmp_path, spec):
+    spec.write_bytes(spec.read_bytes().replace(b'"y"', b'"y\xff"', 1))
+    return _fit(tmp_path, spec), f"{spec}: 'utf-8' codec can't decode byte 0xff"
+
+
+@bad_input("schema-violation")
+def _(tmp_path, spec):
+    _edit_spec(spec, lambda doc: doc["responses"][0].pop("link"))
+    return _fit(tmp_path, spec), f"{spec}: schema violation at responses/0"
+
+
+@bad_input("non-finite-spec-number")
+def _(tmp_path, spec):
+    _edit_spec(spec, lambda doc: doc["solver"].update(tol_score=float("nan")))
+    return _fit(tmp_path, spec), f"{spec}: not a finite number: NaN"
+
+
+@bad_input("component-without-its-keys")
+def _(tmp_path, spec):
+    _edit_spec(spec, lambda doc: doc["responses"][0]["predictor"].append({"type": "file"}))
+    return _fit(tmp_path, spec), "response 'y': file lacks ['path']"
+
+
+@bad_input("bad-structure-file")
+def _(tmp_path, spec):
+    (tmp_path / "z.txt").write_text("# dim 20\n0 2 5.0\n")
+    component = {"type": "file", "path": "z.txt"}
+    _edit_spec(spec, lambda doc: doc["responses"][0]["predictor"].append(component))
+    return _fit(tmp_path, spec), f"{tmp_path / 'z.txt'}:2: index below 1 in entry 0 2"
+
+
+@bad_input("missing-structure-file")
+def _(tmp_path, spec):
+    component = {"type": "file", "path": "z.txt"}
+    _edit_spec(spec, lambda doc: doc["responses"][0]["predictor"].append(component))
+    return _fit(tmp_path, spec), f"[Errno 2] No such file or directory: '{tmp_path / 'z.txt'}'"
+
+
+@bad_input("structure-file-of-another-dimension")
+def _(tmp_path, spec):
+    (tmp_path / "z.txt").write_text("# dim 5\n1 1 1.0\n")
+    component = {"type": "file", "path": "z.txt"}
+    _edit_spec(spec, lambda doc: doc["responses"][0]["predictor"].append(component))
+    return _fit(tmp_path, spec), f"{tmp_path / 'z.txt'}: dimension 5 does not match data rows 20"
+
+
+@bad_input("coincident-inverse-distance-positions")
+def _(tmp_path, spec):
+    component = {"type": "inverse_distance", "positions": "one"}
+    _edit_spec(spec, lambda doc: doc["responses"][0]["predictor"].append(component))
+    return _fit(tmp_path, spec), "coincident positions within a group at indices 0 and 1"
+
+
+@bad_input("bad-solver-options")
+def _(tmp_path, spec):
+    _edit_spec(spec, lambda doc: doc["solver"].update(alpha_step=2.0, alpha_max=1.0))
+    return _fit(tmp_path, spec), "require 0 < alpha_step <= alpha_max"
+
+
+@bad_input("missing-option")
+def _(tmp_path, spec):
+    return ["fit", "--out", str(tmp_path / "o")], "the following arguments are required: --spec"
+
+
+@bad_input("unknown-option")
+def _(tmp_path, spec):
+    return _fit(tmp_path, spec, "--no-such-option"), "unrecognized arguments: --no-such-option"
+
+
+@bad_input("unknown-choice")
+def _(tmp_path, spec):
+    return _fit(tmp_path, spec, "--alg", "newton"), "argument --alg: invalid choice: 'newton'"
+
+
+@bad_input("threads-below-one")
+def _(tmp_path, spec):
+    return ["--threads", "0", *_fit(tmp_path, spec)], "--threads must be at least 1, got 0"
+
+
+@bad_input("max-iter-below-one")
+def _(tmp_path, spec):
+    return _fit(tmp_path, spec, "--max-iter", "0"), "max_iter must be >= 1, got 0"
+
+
+@bad_input("replicate-count-below-one")
+def _(tmp_path, spec):
+    return _simulate(tmp_path, spec, n="0")[0], "n_replicates must be >= 1, got 0"
+
+
+@bad_input("missing-theta-file")
+def _(tmp_path, spec):
+    argv, theta = _simulate(tmp_path, spec)
+    theta.unlink()
+    return argv, f"{theta}: [Errno 2]"
+
+
+@bad_input("non-finite-theta-number")
+def _(tmp_path, spec):
+    argv, theta = _simulate(tmp_path, spec, b'{"beta": [[2.0, 0.7]], "tau": [[1e999]]}')
+    return argv, f"{theta}: not a finite number: 1e999"
+
+
+@bad_input("theta-block-not-a-list")
+def _(tmp_path, spec):
+    argv, theta = _simulate(tmp_path, spec, {"beta": [[2.0, 0.7]], "tau": [1.5]})
+    return argv, f"{theta}: tau[0] must be a list of numbers"
+
+
+@bad_input("theta-entries-not-numbers")
+def _(tmp_path, spec):
+    argv, theta = _simulate(tmp_path, spec, {"beta": [[True, "0.5"]], "tau": [[1.5]]})
+    return argv, f"{theta}: beta[0] must be a list of numbers"
+
+
+@bad_input("theta-block-of-the-wrong-length")
+def _(tmp_path, spec):
+    argv, theta = _simulate(tmp_path, spec, {"beta": [[2.0]], "tau": [[1.5]]})
+    return argv, f"{theta}: beta for 'y' has length 1, expected 2"
+
+
+@bad_input("theta-block-missing")
+def _(tmp_path, spec):
+    argv, theta = _simulate(tmp_path, spec, {"beta": [[2.0, 0.7]]})
+    return argv, f"{theta}: bad theta document: 'tau'"
+
+
+@bad_input("theta-rho-not-the-fixed-correlations")
+def _(tmp_path, spec):
+    argv, theta = _simulate(tmp_path, spec, {"beta": [[2.0, 0.7]], "tau": [[1.5]], "rho": [0.9]})
+    return argv, f"{theta}: rho [0.9] differs from the fixed correlations []"
+
+
+@bad_input("mean-outside-the-variance-domain")
+def _(tmp_path, spec):
+    _edit_spec(spec, lambda doc: doc["responses"][0].update(variance="tweedie_power"))
+    theta = {"beta": [[-5.0, 0.0]], "tau": [[1.5]], "p": [1.5]}
+    return _simulate(tmp_path, spec, theta)[0], "tweedie_power variance requires mu > 0"
+
+
+@bad_input("bad-edge-line")
+def _(tmp_path, spec):
+    edges = tmp_path / "edges.txt"
+    edges.write_text("0 1\n0 1 2\n")
+    return (["build-matrices", "neighborhood", "--edges", str(edges), "--n", "3",
+             "--out", str(tmp_path / "o")], f"{edges}:2: expected 'i j'")
+
+
+@bad_input("missing-edge-file")
+def _(tmp_path, spec):
+    edges = tmp_path / "edges.txt"
+    return (["build-matrices", "neighborhood", "--edges", str(edges), "--n", "3",
+             "--out", str(tmp_path / "o")], f"{edges}: [Errno 2]")
+
+
+@bad_input("undecodable-edge-file")
+def _(tmp_path, spec):
+    edges = tmp_path / "edges.txt"
+    edges.write_bytes(b"0 1\n1 2\xff\n")
+    return (["build-matrices", "neighborhood", "--edges", str(edges), "--n", "3",
+             "--out", str(tmp_path / "o")], f"{edges}: 'utf-8' codec can't decode byte 0xff")
+
+
+@bad_input("undecodable-structure-file")
+def _(tmp_path, spec):
+    m = tmp_path / "m.txt"
+    m.write_bytes(b"# dim 2\n1 1 1.0\n2 2 1\xff\n")
+    return (["build-matrices", "kron", "--a", str(m), "--b", str(m), "--out", str(tmp_path / "o")],
+            f"{m}: 'utf-8' codec can't decode byte 0xff")
+
+
+@bad_input("rank-deficient-design", code=2)
+def _(tmp_path, spec):
+    _edit_spec(spec, lambda doc: doc["responses"][0].update(design_columns=["one", "one"]))
+    return ["check-derivatives", "--spec", str(spec)], "check-derivatives failed: "
+
+
+@bad_input("non-pd-theta", code=3)
+def _(tmp_path, spec):
+    theta = {"beta": [[2.0, 0.7]], "tau": [[-1.0]]}
+    return _simulate(tmp_path, spec, theta)[0], "simulate failed: "
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_every_bad_input_gives_one_error_line(tmp_path, capsys, case):
+    make, code = BAD_INPUTS[case]
+    spec, _, _ = gaussian_fixture(tmp_path)
+    argv, message = make(tmp_path, spec)
+    assert exit_code(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert message in lines[0]
+    if code == 1:
+        assert not (tmp_path / "o").exists()

@@ -399,6 +399,13 @@ class TestCoordinateFile:
         with pytest.raises(DomainError, match=f"bad.txt:3: {reason}"):
             load_structure_matrix(str(path))
 
+    def test_rejects_undecodable_bytes(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"# dim 2\n1 1 1.0\n2 2 1\xff\n")
+        with pytest.raises(DomainError) as info:
+            load_structure_matrix(str(path))
+        assert str(info.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xff")
+
     def test_zero_line_is_not_stored(self, tmp_path):
         path = tmp_path / "z.txt"
         path.write_text("# dim 3\n1 1 2.0\n1 2 0.0\n2 2 1.0\n3 3 1.0\n")

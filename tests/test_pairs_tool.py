@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SPEC = importlib.util.spec_from_file_location("pairs", ROOT / "tools" / "pairs.py")
 pairs = importlib.util.module_from_spec(SPEC)
@@ -55,6 +57,30 @@ def test_a_checkout_without_run_py_gives_one_error_line(tmp_path):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0] == f"error: no perfbench/run.py under {tmp_path}"
+
+
+@pytest.mark.parametrize("cached", [("parent",), ("change",), ("parent", "change")])
+def test_bytecode_caches_must_match(tmp_path, monkeypatch, capsys, cached):
+    roots = {side: tmp_path / side for side in ("parent", "change")}
+    for root in roots.values():
+        (root / "perfbench").mkdir(parents=True)
+        (root / "perfbench" / "run.py").write_text("")
+        (root / "src" / "mcglm").mkdir(parents=True)
+    for side in cached:
+        (roots[side] / "src" / "mcglm" / "__pycache__").mkdir()
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    result = {"correct": True, "failed": 0, "attempted": 10,
+              "metrics": {m["name"]: {"value": 1.0} for m in metrics}}
+    monkeypatch.setattr(pairs, "run_bench", lambda *args: result)
+    argv = [str(roots["parent"]), str(roots["change"]), "--workload", "cli-mc", "--pairs", "1"]
+    code = pairs.main(argv)
+    out, err = capsys.readouterr()
+    if len(cached) == 2:
+        assert code == 0 and err == "" and out.startswith("workload cli-mc:")
+    else:
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: only the {cached[0]} checkout has __pycache__ "
+                                    "under src/; setup_s needs matching bytecode caches"]
 
 
 def test_workload_all_runs_every_workload_in_turn(tmp_path, monkeypatch, capsys):

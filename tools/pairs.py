@@ -22,9 +22,11 @@ bound. It reports only: no exit status from the numbers. A checkout
 without ``perfbench/run.py``, or a run that fails, gives one
 ``error:`` line and exit status 2.
 
-Give it checkouts without ``__pycache__`` directories, or with them on
-both sides: ``setup_s`` includes ``import mcglm`` in a fresh
-interpreter, which cached bytecode makes about a millisecond faster.
+So does a pair of checkouts of which exactly one has a ``__pycache__``
+directory under ``src/``: ``setup_s`` includes ``import mcglm`` in a
+fresh interpreter, which cached bytecode makes about a millisecond
+faster, enough to read as a ``setup_s`` change on ``cli-mc``. Give it
+checkouts without bytecode caches, or with them on both sides.
 """
 
 import argparse
@@ -64,6 +66,11 @@ def verdict(parent, change, better, bound):
         "claim": 10 * won >= 9 * len(parent) and gap > qp[2] - qp[0],
         "worse": -gap > bound * abs(qp[1]),
     }
+
+
+def has_bytecode(root):
+    """Whether any ``__pycache__`` directory lies under the checkout's ``src/``."""
+    return any((Path(root) / "src").rglob("__pycache__"))
 
 
 def run_bench(root, workload, seed, seconds):
@@ -118,6 +125,10 @@ def main(argv=None):
         for root in roots.values():
             if not (Path(root) / "perfbench" / "run.py").is_file():
                 raise RuntimeError(f"no perfbench/run.py under {root}")
+        cached = [side for side, root in roots.items() if has_bytecode(root)]
+        if len(cached) == 1:
+            raise RuntimeError(f"only the {cached[0]} checkout has __pycache__ under src/; "
+                               "setup_s needs matching bytecode caches")
         for workload in workloads:
             runs = {"parent": [], "change": []}
             for k in range(1, args.pairs + 1):
