@@ -9,9 +9,10 @@ U_r itself, and for R = 1 so is C_Omega^{-1} (A_dtau). A tau or rho
 moves C_Omega; a power or a beta moves the scale (dC_dscale). In a
 parameter of K_r, the diagonal block (r, r) of dC_Omega is dK_r itself;
 only the off-diagonal blocks, present for R > 1, go through the
-Cholesky-factor derivative. C_Omega, its inverse and every dC_Omega are
-filled by one block writer (_joint), which writes each off-diagonal
-block's mirror as its exact transpose.
+Cholesky-factor derivative. C_Omega and every dC_Omega are filled by
+one block writer (_joint), which writes each off-diagonal block's
+mirror as its exact transpose; for R > 1, C_Omega^{-1} comes from
+C_Omega's joint factor.
 
 Every function takes one matrix per response or, batched, a stack
 (n_units, m, m) of the blocks of independent units of one size; the
@@ -23,7 +24,6 @@ components of one response, (D+1, n_units, m, m), and return one
 derivative per component along that leading axis.
 """
 
-from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
@@ -40,46 +40,15 @@ from .functions import (
     variance_eval,
 )
 from .matpred import assemble_U
-from .model import rho_index_pairs
+from .model import _cached_property, rho_index_pairs
 
 
 def _T(M):
     return M.swapaxes(-1, -2)
 
 
-def _sym(M):
-    return 0.5 * (M + _T(M))
-
-
 def _diag(v):
     return v[..., :, None] * np.eye(v.shape[-1])
-
-
-class _cached_property:
-    """functools.cached_property without its lock: computed on first access, kept in __dict__.
-
-    Python 3.11's functools.cached_property takes an RLock on every first
-    access, which the per-proposal objects (ResponseCovariance,
-    JointCovariance and estfun's StateCovariance and EstimatingState) pay
-    hundreds of times per fit; Python 3.12 dropped that lock. The value
-    is stored in the instance ``__dict__`` under the attribute's name,
-    so a frozen dataclass takes it and a plain assignment (or a
-    ``__dict__`` update) in its place is read as the cached value. Two
-    threads reading it first at once may both compute it.
-    """
-
-    def __init__(self, func):
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __set_name__(self, owner, name):
-        self.attrname = name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.attrname] = self.func(instance)
-        return value
 
 
 def _joint(shape, blocks):
@@ -130,20 +99,22 @@ class ResponseCovariance:
         return cholesky_inverse(self.chol)
 
 
-@dataclass(frozen=True)
 class JointCovariance:
     """Joint correlation C_Omega = Bdiag(chol_r) (Sigma_b kron I) Bdiag(chol_r)^T of the K_r.
 
-    Its lower Cholesky factor is Bdiag(chol_r) (Lb kron I), with Lb the
-    factor of Sigma_b, and block (r, s) of its inverse is
-    (Sigma_b^{-1})_rs chol_r^{-T} chol_s^{-1}, so no joint factorization
-    is taken. C and its factor are formed on first use.
+    Its lower Cholesky factor is C_chol = Bdiag(chol_r) (Lb kron I), with
+    Lb the factor of Sigma_b; generalized_kronecker writes it for R > 1
+    and takes C_inv from it. For R = 1 the factor is chol_1, formed on
+    first use, and C_inv is K_1^{-1}. C is formed on first use.
     """
 
-    C_inv: np.ndarray = field(repr=False)
-    responses: tuple
-    Sb: np.ndarray = field(repr=False)
-    Lb: np.ndarray = field(repr=False)
+    def __init__(self, C_inv, responses, Sb, Lb, C_chol=None):
+        self.C_inv = C_inv
+        self.responses = responses
+        self.Sb = Sb
+        self.Lb = Lb
+        if C_chol is not None:
+            self.C_chol = C_chol
 
     @property
     def N(self):
@@ -168,28 +139,31 @@ class JointCovariance:
 
     @_cached_property
     def C_chol(self):
-        """Block (r, s <= r) is Lb[r, s] chol_r; for R = 1 that is chol_1 itself."""
-        L = np.zeros(self.C_inv.shape)
-        for r in range(self.R):
-            for s in range(r + 1):
-                self.block(L, r, s)[...] = self.Lb[r, s] * self.responses[r].chol
-        return L
+        """chol_1 for R = 1; generalized_kronecker gives every R > 1 its factor."""
+        return self.responses[0].chol
 
 
 _ONE = np.ones((1, 1))  # Sigma_b and its factor for R = 1, read-only
 _ONE.setflags(write=False)
 
 
+@cache
+def _rho_positions(R):
+    """The rows and the columns of rho_index_pairs(R), as two read-only index arrays."""
+    positions = np.array(rho_index_pairs(R), dtype=int).reshape(-1, 2).T
+    positions.setflags(write=False)
+    return positions
+
+
 def sigma_b_from_rho(rho, R):
     """Unit-diagonal symmetric matrix with the lower triangle filled column-wise."""
     rho = np.asarray(rho, dtype=float)
-    pairs = rho_index_pairs(R)
-    if rho.size != len(pairs):
-        raise DomainError(f"rho has length {rho.size}, expected {len(pairs)}")
+    rows, cols = _rho_positions(R)
+    if rho.size != rows.size:
+        raise DomainError(f"rho has length {rho.size}, expected {rows.size}")
     Sb = np.eye(R)
-    for value, (r, c) in zip(rho, pairs):
-        Sb[r, c] = value
-        Sb[c, r] = value
+    Sb[rows, cols] = rho
+    Sb[cols, rows] = rho
     return Sb
 
 
@@ -230,16 +204,18 @@ def variance_scale(mu, var, p):
 def generalized_kronecker(responses, Sb):
     """Couple per-response Cholesky factors through the between correlation.
 
-    The joint factor and inverse come from the per-response factors and
-    the factor of Sigma_b, which raises FactorizationError exactly when C
-    is not positive definite though every K_r is. A 1 x 1 Sigma_b is
-    [1], its own factor, so for R = 1 the joint factor is chol_1 itself
-    and the joint inverse is K_1^{-1}, which needs no factor when it is
-    U_1; Sb is then kept as given, unread and unchecked.
+    The joint factor C_chol = Bdiag(chol_r) (Lb kron I) is written from
+    the per-response factors and the factor Lb of Sigma_b, which raises
+    FactorizationError exactly when C is not positive definite though
+    every K_r is, and the joint inverse comes from it (one LAPACK dpotri
+    for one block). A 1 x 1 Sigma_b is [1], its own factor, so for R = 1
+    the joint factor is chol_1 itself and the joint inverse is K_1^{-1},
+    which needs no factor when it is U_1; Sb is then kept as given,
+    unread and unchecked.
     """
     responses = tuple(responses)
     if len(responses) == 1:
-        return JointCovariance(C_inv=responses[0].inverse, responses=responses, Sb=Sb, Lb=_ONE)
+        return JointCovariance(responses[0].inverse, responses, Sb, _ONE)
     R = len(responses)
     Sb = np.asarray(Sb, dtype=float)
     if Sb.shape != (R, R):
@@ -248,14 +224,13 @@ def generalized_kronecker(responses, Sb):
     if len(dims) != 1:
         raise DomainError("per-response covariances must share one dimension")
     Lb = cholesky_lower(Sb)
-    Sb_inv = cholesky_inverse(Lb)
-    N = responses[0].dim
-    units = np.broadcast_shapes(*(rc.sigma.shape[:-2] for rc in responses))
-    C_inv = _joint(units + (N * R, N * R), {
-        (r, s): Sb_inv[r, s] * (_T(responses[r].chol_inv) @ responses[s].chol_inv)
-        for r in range(R) for s in range(r, R)
-    })
-    return JointCovariance(C_inv=_sym(C_inv), responses=responses, Sb=Sb, Lb=Lb)
+    N = dims.pop()
+    # each K_r's unit axis is 1 or the count of units, so the largest is their broadcast
+    L = np.zeros(max(rc.sigma.shape[:-2] for rc in responses) + (N * R, N * R))
+    for r, rc in enumerate(responses):
+        for s in range(r + 1):
+            L[..., r * N : (r + 1) * N, s * N : (s + 1) * N] = Lb[r, s] * rc.chol
+    return JointCovariance(cholesky_inverse(L), responses, Sb, Lb, C_chol=L)
 
 
 @cache
@@ -301,15 +276,16 @@ def dC_dpar_r(assembly, r, dSigma_r):
     transposes need the Cholesky-factor derivative dL_r, which is not
     formed for R = 1. Each block is written with its exact transpose, so
     the result is symmetric without a final symmetrization. Leading axes
-    of dSigma_r beyond the unit axis carry over to dC.
+    of dSigma_r beyond the unit axis carry over to dC; its unit axis is 1
+    or that of C_Omega.
     """
-    units = np.broadcast_shapes(dSigma_r.shape[:-2], assembly.C_inv.shape[:-2])
+    lead = dSigma_r.shape[: dSigma_r.ndim - assembly.C_inv.ndim]
     blocks, rcs = {(r, r): dSigma_r}, assembly.responses
     if assembly.R > 1:
         dL = chol_deriv(rcs[r].chol, rcs[r].chol_inv, dSigma_r)
         blocks.update({(r, s): assembly.Sb[r, s] * (dL @ _T(rcs[s].chol))
                        for s in range(assembly.R) if s != r})
-    return _joint(units + assembly.C_inv.shape[-2:], blocks)
+    return _joint(lead + assembly.C_inv.shape, blocks)
 
 
 def dSigma_dtau(rc, cl, Z):

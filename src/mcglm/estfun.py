@@ -31,7 +31,6 @@ import numpy as np
 from .covariance import (
     _ONE,
     _T,
-    _cached_property,
     _diag,
     A_dtau,
     build_sigma_r,
@@ -46,6 +45,7 @@ from .covariance import (
 )
 from .errors import SingularMatrixError
 from .functions import link_inverse, link_inverse_deriv, solve, symmetric_eigenvalues
+from .model import _cached_property
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ class StateCovariance:
         A vector read through a stack has the units of one block side by
         side in its last axis.
         """
-        free = any(resp.power_free for resp in self.model.responses)
+        free = self.model.power_free
         return tuple(
             idx.reshape(len(idx) if free else len(g.C_inv), -1, idx.shape[1]).transpose(0, 2, 1)
             for idx, g in zip((grp.joint for grp in self.model.unit_groups), self.groups)
@@ -105,13 +105,13 @@ class StateCovariance:
         leading axis of D+1): A_dtau when C_Omega^{-1} is U, else
         dC_dpar_r(dSigma_dtau). Consecutive dC stacks with one unit axis
         take one C_Omega^{-1} product together. The blocks are
-        concatenated with their unit axes broadcast, since a free
-        power's rows are per unit; a walk that yields one block (one
-        response's taus alone) returns it as it is.
+        concatenated with their unit axes broadcast to the stack's, since
+        a free power's rows are per unit; a walk that yields one block
+        (one response's taus alone) returns it as it is.
         """
         model = self.model
         out = []
-        for grp, joint in zip(model.unit_groups, self.groups):
+        for grp, joint, stack in zip(model.unit_groups, self.groups, self.stacks):
             blocks = []  # A_i stacks, and lists of dC stacks awaiting one product
             for i, (role, r, d) in enumerate(model.lambda_index_map()):
                 if role == "rho":
@@ -133,7 +133,7 @@ class StateCovariance:
                 else:
                     blocks.append([dC])
             blocks = [joint.C_inv @ _stacked(b) if isinstance(b, list) else b for b in blocks]
-            units = np.broadcast_shapes(*(A.shape[1:] for A in blocks))
+            units = (len(stack),) + joint.C_inv.shape[-2:]
             out.append(_stacked([
                 A if A.shape[1:] == units else np.broadcast_to(A, A.shape[:1] + units)
                 for A in blocks
@@ -167,11 +167,12 @@ class EstimatingState:
     one entry per size of unit, laid out as its ``stacks``: D / s (its K
     columns of a unit side by side), r = (y - mu) / s, u and G, computed
     on first use, as are J_beta = D^T G, the quasi-score psi_beta =
-    D^T u, which the iteration record and the beta step both read, and
-    the bias correction. D_units, G_units, J_beta and the bias
-    correction do not read the residual: with_beta hands them on. D_units
-    and r_units read nothing of the covariance: with_lambda hands them on
-    while the scales stay.
+    D^T u, which the iteration record and the beta step both read, the
+    Pearson quadratic form ``quad``, which the record and the cross
+    variability both read, and the bias correction. D_units, G_units,
+    J_beta and the bias correction do not read the residual: with_beta
+    hands them on. D_units and r_units read nothing of the covariance:
+    with_lambda hands them on while the scales stay.
     """
 
     model: object
@@ -230,6 +231,12 @@ class EstimatingState:
         return _frozen(b)
 
     @_cached_property
+    def quad(self):
+        """r^T W_i r = u^T dC_i u = r^T A_i u for every i, summed over units."""
+        return sum(_flat(A @ u) @ r.ravel()
+                   for A, r, u in zip(self.covariance.A_units, self.r_units, self.u_units))
+
+    @_cached_property
     def psi_beta(self):
         """The quasi-score psi_beta = D^T C^{-1} (y - mu) = D^T u, summed over units."""
         K = self.K
@@ -266,12 +273,12 @@ class EstimatingState:
         model = self.model
         theta = self.theta.with_beta(beta)
         mu, D, saturated = _mean_half(model, theta.beta)
-        kinds = {resp.variance.kind for resp in model.responses}
+        kinds = model.variance_kinds
         covariance = self.covariance
         scale = self.scale if kinds == {"constant"} else _scales(model, mu, theta.lam)
         if "poisson_tweedie" in kinds:
             covariance = build_covariance(model, mu, theta.lam)
-        elif any(resp.power_free for resp in model.responses):
+        elif model.power_free:
             # a power's A_i reads the new scales
             covariance = StateCovariance(model, mu, covariance.lam, covariance.groups)
         new = EstimatingState(model=model, theta=theta, y=self.y, mu=mu, residual=self.y - mu,
@@ -290,7 +297,7 @@ class EstimatingState:
         Raises FactorizationError when the new covariance is not PD.
         """
         model, theta = self.model, self.theta.with_lambda(lam)
-        free = any(resp.power_free for resp in model.responses)
+        free = model.power_free
         new = EstimatingState(
             model=model, theta=theta, y=self.y, mu=self.mu, residual=self.residual, D=self.D,
             scale=_scales(model, self.mu, theta.lam) if free else self.scale,
@@ -404,12 +411,6 @@ def _flat(X):
     return X.reshape(X.shape[0], -1)
 
 
-def _quad(state):
-    """r^T W_i r = u^T dC_i u = r^T A_i u for every i, summed over units."""
-    A_units = state.covariance.A_units
-    return sum(_flat(A @ u) @ r.ravel() for A, r, u in zip(A_units, state.r_units, state.u_units))
-
-
 def quasi_score(state):
     """psi_beta = D^T C^{-1} (y - mu) = D^T u, kept by the state."""
     return state.psi_beta
@@ -447,7 +448,7 @@ def sensitivity_beta(state):
 
 def pearson_vector(state):
     """psi_lambda_i = tr(W_i (r r^T - C)) = u^T dC_i u - tr(A_i); the trace is the covariance's."""
-    return _quad(state) - state.covariance.pearson_trace
+    return state.quad - state.covariance.pearson_trace
 
 
 def sensitivity_lambda(state):
@@ -484,9 +485,12 @@ def cross_sensitivity_lb(state):
     + dC_dpar_r(diag f_j), and dC_Omega,i C_Omega^{-1} = A_i^T, so the
     E_j part is -2 diag(A_i) . e_j for every column at once. Only a
     poisson_tweedie response has f (not diagonal for R > 1): one stacked
-    product per response.
+    product per response. A constant variance has no slope, so when
+    every variance is constant the block is zero.
     """
     model, cov, K = state.model, state.covariance, state.K
+    if model.variance_kinds == {"constant"}:
+        return np.zeros((state.Q, K))
     e, f = state.beta_slopes
     S = np.zeros((state.Q, K))
     for idx, grp, g, A in zip(cov.stacks, model.unit_groups, cov.groups, cov.A_units):
@@ -505,8 +509,10 @@ def cross_variability_lb(state):
 
     This is the empirical-third-moment contraction of the triple sum
     with the expectation dropped; the sums over (l, m) and k factorize.
+    Both factors are the state's own: the Pearson quadratic form the
+    iteration record formed and the quasi-score.
     """
-    return np.outer(_quad(state), quasi_score(state))
+    return np.outer(state.quad, quasi_score(state))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -11,9 +11,38 @@ from .functions import CovLinkSpec, LinkSpec, VarianceSpec
 from .matpred import MatrixPredictor, unit_partition
 
 
+class _cached_property:
+    """functools.cached_property without its lock: computed on first access, kept in __dict__.
+
+    Python 3.11's functools.cached_property takes an RLock on every first
+    access, which the per-proposal objects (ThetaPartition, the
+    covariance module's ResponseCovariance and JointCovariance, estfun's
+    StateCovariance and EstimatingState) pay hundreds of times per fit;
+    Python 3.12 dropped that lock. The value is stored in the instance
+    ``__dict__`` under the attribute's name, so a frozen dataclass takes
+    it and a plain assignment (or a ``__dict__`` update) in its place is
+    read as the cached value. Two threads reading it first at once may
+    both compute it.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.attrname = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
+
+
+@cache
 def rho_index_pairs(R):
-    """(row, col) pairs of the lower triangle of Sigma_b, stacked by columns."""
-    return [(r, c) for c in range(R - 1) for r in range(c + 1, R)]
+    """(row, col) pairs of the lower triangle of Sigma_b, stacked by columns; kept per R."""
+    return tuple((r, c) for c in range(R - 1) for r in range(c + 1, R))
 
 
 @dataclass(frozen=True)
@@ -108,6 +137,16 @@ class ModelSpec:
         return self.rho_fixed is None and self.R > 1
 
     @cached_property
+    def power_free(self):
+        """Whether any response's power is estimated."""
+        return any(resp.power_free for resp in self.responses)
+
+    @cached_property
+    def variance_kinds(self):
+        """The set of the responses' variance kinds."""
+        return frozenset(resp.variance.kind for resp in self.responses)
+
+    @cached_property
     def unit_groups(self):
         """Independent units grouped by size, found on first use and kept.
 
@@ -165,9 +204,14 @@ class ModelSpec:
         D.setflags(write=False)
         return D
 
-    def beta_slices(self):
+    @cached_property
+    def _beta_slices(self):
         owners = [r for _, r, _ in self.layout[: self.K]]
-        return [slice(bisect_left(owners, r), bisect_right(owners, r)) for r in range(self.R)]
+        return tuple(slice(bisect_left(owners, r), bisect_right(owners, r)) for r in range(self.R))
+
+    def beta_slices(self):
+        """Each response's slice of beta, formed once per model."""
+        return self._beta_slices
 
     def lambda_index_map(self):
         """Per lambda position: ('rho', i, None) | ('power', r, None) | ('tau', r, d)."""
@@ -246,9 +290,12 @@ class ThetaPartition:
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
         object.__setattr__(self, "lam", np.asarray(self.lam, dtype=float))
 
-    @property
+    @_cached_property
     def flat(self):
-        return np.concatenate([self.beta, self.lam])
+        """theta as one read-only vector (beta, lambda), formed on first use and kept."""
+        flat = np.concatenate([self.beta, self.lam])
+        flat.setflags(write=False)
+        return flat
 
     def with_beta(self, beta):
         return ThetaPartition(beta, self.lam)

@@ -66,8 +66,9 @@ class IterationRecord:
     step that reached theta, ``alpha`` the tuning constant of its lambda
     step and ``pd_retries`` the number of times that step escalated it
     after a non-PD proposal (all 0 for the starting values).
-    ``score_norm`` is the larger of the two score norms, the value the
-    convergence test reads with the larger step norm.
+    ``score_norm`` and ``step_norm`` are the larger of the two score
+    norms and of the two step norms, the values the convergence test
+    reads.
     """
 
     theta: np.ndarray
@@ -81,6 +82,10 @@ class IterationRecord:
     @property
     def score_norm(self):
         return max(self.beta_score_norm, self.lambda_score_norm)
+
+    @property
+    def step_norm(self):
+        return max(self.beta_step_norm, self.lambda_step_norm)
 
 
 @dataclass(frozen=True)
@@ -184,14 +189,14 @@ def initialize(model, y):
     power (plus mu for poisson_tweedie), are taken for all responses at
     once on the mean half: D is block diagonal over responses, so each
     is that response's own IRLS step. They stop once a step vanishes
-    against beta (IRLS_STEP_TOL): with an identity link and a constant
-    variance the first step is the least-squares fit, so the second
-    ends it. Each response's first constant design column starts at the
-    link-scale mean of its response, and a rank-deficient design raises
-    SingularMatrixError naming the beta columns. tau_0 comes from the
-    mean squared Pearson residual (its reciprocal under the inverse
-    covariance link), remaining tau are zero, rho is zero, and the
-    power starts at 1 (tweedie) or 1.5 (poisson_tweedie).
+    against beta (IRLS_STEP_TOL), or after the first step when every
+    link is the identity and every variance constant: that step is the
+    least-squares fit. Each response's first constant design column
+    starts at the link-scale mean of its response, and a rank-deficient
+    design raises SingularMatrixError naming the beta columns. tau_0
+    comes from the mean squared Pearson residual (its reciprocal under
+    the inverse covariance link), remaining tau are zero, rho is zero,
+    and the power starts at 1 (tweedie) or 1.5 (poisson_tweedie).
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     N, resps, slices = model.N, model.responses, model.beta_slices()
@@ -205,6 +210,7 @@ def initialize(model, y):
         return np.concatenate([variance_eval(resp.variance, mu[i], p)
                                for resp, i, p in zip(resps, rows, p0)])
 
+    exact = model.identity_gradient is not None and model.variance_kinds == {"constant"}
     beta = np.zeros(model.K)
     for resp, i, b in zip(resps, rows, slices):
         # crude mean start on the link scale
@@ -224,7 +230,7 @@ def initialize(model, y):
         _check_beta_rank(M)
         step = solve(M, WD.T @ (y - mu))
         beta = beta + step
-        if _max_abs(step) <= IRLS_STEP_TOL * max(1.0, _max_abs(beta)):
+        if exact or _max_abs(step) <= IRLS_STEP_TOL * max(1.0, _max_abs(beta)):
             break
     if not np.all(np.isfinite(beta)):
         raise StepFailureError("degenerate starting fit: non-finite beta")
@@ -239,6 +245,16 @@ def initialize(model, y):
 
 def _max_abs(x):
     return float(np.abs(x).max()) if x.size else 0.0
+
+
+def _record_norms(psi_beta, psi_lambda, step):
+    """The max-abs of psi_beta, psi_lambda and the beta and lambda halves of step, in one pass.
+
+    Every part is non-empty: K >= 1 and Q >= 1.
+    """
+    K, Q = psi_beta.size, psi_lambda.size
+    parts = np.abs(np.concatenate((psi_beta, psi_lambda, step)))
+    return np.maximum.reduceat(parts, (0, K, K + Q, 2 * K + Q)).tolist()
 
 
 def _next_state(state, opts):
@@ -289,17 +305,14 @@ def fit(model, y, opts=None):
     state = build_state(model, y, theta)
 
     for n_iter in range(1, opts.max_iter + 1):
+        beta_score, lambda_score, beta_step, lambda_step = _record_norms(
+            quasi_score(state), _corrected_pearson(state, opts.correct_pearson), step
+        )
         record = IterationRecord(
-            theta.flat.copy(),
-            _max_abs(quasi_score(state)),
-            _max_abs(_corrected_pearson(state, opts.correct_pearson)),
-            alpha,
-            retries,
-            _max_abs(step[: model.K]),
-            _max_abs(step[model.K :]),
+            theta.flat, beta_score, lambda_score, alpha, retries, beta_step, lambda_step
         )
         trace.append(record)
-        if n_iter > 1 and record.score_norm < opts.tol_score and _max_abs(step) < opts.tol_param:
+        if n_iter > 1 and record.score_norm < opts.tol_score and record.step_norm < opts.tol_param:
             converged = True
             break
         if n_iter == opts.max_iter:

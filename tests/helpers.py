@@ -73,6 +73,22 @@ def product_rule_dC(assembly, r, dS):
     return 0.5 * (dC + np.swapaxes(dC, -1, -2))
 
 
+def block_joint_inverse(assembly):
+    """C_Omega^{-1} block by block: (Sigma_b^{-1})_rs chol_r^{-T} chol_s^{-1} (test oracle).
+
+    The inverse of Bdiag(chol_r) (Sigma_b kron I) Bdiag(chol_r)^T written
+    from Sigma_b^{-1} and each response's inverse factor, with no joint
+    factorization, and symmetrized.
+    """
+    Sb_inv = np.linalg.inv(assembly.Sb)
+    inv = [np.linalg.inv(rc.chol) for rc in assembly.responses]
+    out = np.zeros(assembly.C_inv.shape)
+    for r in range(assembly.R):
+        for s in range(assembly.R):
+            assembly.block(out, r, s)[...] = Sb_inv[r, s] * (np.swapaxes(inv[r], -1, -2) @ inv[s])
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
 def _power_part(var):
     """The variance whose V(mu) is the scale's: mu^p alone for poisson_tweedie."""
     return VarianceSpec("tweedie_power") if var.kind == "poisson_tweedie" else var

@@ -36,6 +36,7 @@ from mcglm.estfun import (
 from mcglm.covariance import build_sigma_r, generalized_kronecker, sigma_b_from_rho
 from mcglm.estfun import _MEAN_HALF, _RESIDUAL_FREE, EstimatingState, StateCovariance
 from mcglm.estfun import build_covariance
+from mcglm.model import ThetaPartition
 from mcglm.simulate import SimSpec
 from mcglm.solver import _beta_step
 
@@ -347,6 +348,20 @@ def test_chaser_forms_each_residual_free_sum_once_per_covariance(monkeypatch):
     res = fit(model, y)
     assert res.converged and res.n_alpha_escalations == 0
     assert len(bias) == len(J_beta) == len(trace) == len(S_lambda) == res.n_iter
+
+
+@pytest.mark.parametrize("case", [paired_r2, car_inverse])
+def test_fit_forms_each_records_quadratic_form_and_flat_theta_once(monkeypatch, case):
+    # r^T W_i r is formed once by each record's state and each post-beta state, and the
+    # Godambe cross variability reads the last record's; each recorded theta is
+    # flattened once, for its record and the step that left it
+    model, y, _ = case()
+    quad = count_property(monkeypatch, EstimatingState, "quad")
+    flat = count_property(monkeypatch, ThetaPartition, "flat")
+    res = fit(model, y, SolverOptions(algorithm="reciprocal"))
+    assert res.converged
+    assert len(quad) == 2 * res.n_iter - 1
+    assert len(flat) == res.n_iter
 
 
 # with_lambda keeps mu, D and the residual, and without a free power the scales

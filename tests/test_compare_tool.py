@@ -29,10 +29,14 @@ def test_checkout_compared_with_itself_differs_by_nothing():
     q1, q2, q3 = map(float, quartiles.groups())
     assert 0 < q1 <= q2 <= q3
     assert lines[5] == "fits missing the reference: parent 0/4, change 0/4"
-    assert len(lines) == 6
+    calls = re.fullmatch(
+        r"python calls per fit: parent (\S+), change (\S+), ratio 1\.0000", lines[6]
+    )
+    assert calls and calls[1] == calls[2] and float(calls[1]) > 0
+    assert len(lines) == 7
 
 
-def test_all_workloads_print_six_lines_each():
+def test_all_workloads_print_seven_lines_each():
     src = str(ROOT / "src")
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "compare.py"), src, src,
@@ -41,11 +45,12 @@ def test_all_workloads_print_six_lines_each():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 18
-    assert [line.split(":")[0] for line in lines[::6]] == [
+    assert len(lines) == 21
+    assert [line.split(":")[0] for line in lines[::7]] == [
         "workload paired-r2", "workload car-mc", "workload cli-mc"
     ]
-    assert lines[3::6] == ["largest relative difference: estimates 0, std errors 0"] * 3
-    assert lines[5::6] == [
+    assert lines[3::7] == ["largest relative difference: estimates 0, std errors 0"] * 3
+    assert lines[5::7] == [
         f"fits missing the reference: parent 0/{n}, change 0/{n}" for n in (4, 24, 24)
     ]
+    assert all(line.startswith("python calls per fit: ") for line in lines[6::7])

@@ -37,9 +37,11 @@ from mcglm.covariance import (
     scale_direction,
     variance_scale,
 )
+from mcglm.errors import FactorizationError
 from mcglm.matpred import StructureMatrix
 
 from helpers import (
+    block_joint_inverse,
     car_components,
     gaussian_two_response,
     product_rule_dC,
@@ -159,6 +161,37 @@ class TestGeneralizedKronecker:
         rcs = [rc_from_sigma(random_pd(rng, 5)) for _ in range(2)]
         jc = generalized_kronecker(rcs, sigma_b_from_rho([0.2], 2))
         assert np.max(np.abs(jc.C - jc.C.T)) < 1e-12
+
+
+class TestJointInverse:
+    """For R > 1, C_inv comes from the joint factor C_chol = Bdiag(chol_r) (Lb kron I)."""
+
+    # per response, the unit axis of its stack: 1 (every unit shares the block) or 5
+    AXES = {"shared": (1, 1, 1), "per_unit": (5, 5, 5), "mixed": (1, 5, 1)}
+
+    @staticmethod
+    def responses(R, axes, m=3, seed=30):
+        rng = np.random.default_rng(seed)
+        sigmas = [np.stack([random_pd(rng, m) for _ in range(n)]) for n in axes[:R]]
+        return [rc_from_sigma(sigma) for sigma in sigmas]
+
+    @pytest.mark.parametrize("axes", sorted(AXES))
+    @pytest.mark.parametrize("R, rho", [(2, [0.45]), (3, [0.3, -0.2, 0.25])])
+    def test_inverse_equals_the_block_formula(self, R, rho, axes):
+        rcs = self.responses(R, self.AXES[axes])
+        jc = generalized_kronecker(rcs, sigma_b_from_rho(rho, R))
+        assert jc.C_inv.shape == (max(self.AXES[axes][:R]), 3 * R, 3 * R)
+        assert rel_err(jc.C_inv, block_joint_inverse(jc)) < 1e-13
+        assert np.array_equal(jc.C_inv, np.swapaxes(jc.C_inv, -1, -2))
+        assert rel_err(jc.C_chol @ np.swapaxes(jc.C_chol, -1, -2), jc.C) < 1e-13
+        assert np.array_equal(jc.C_chol, np.tril(jc.C_chol))
+
+    @pytest.mark.parametrize("axes", sorted(AXES))
+    @pytest.mark.parametrize("R, rho", [(2, [1.2]), (3, [0.9, 0.9, -0.9])])
+    def test_non_pd_rho_raises(self, R, rho, axes):
+        rcs = self.responses(R, self.AXES[axes])
+        with pytest.raises(FactorizationError):
+            generalized_kronecker(rcs, sigma_b_from_rho(rho, R))
 
 
 class TestPhiOperator:

@@ -31,9 +31,10 @@ import mcglm.solver
 from mcglm.cli import write_fit_outputs
 from mcglm.estfun import GodambeResult, pearson_vector, quasi_score
 from mcglm.simulate import SimSpec
-from mcglm.solver import alpha_strategy
+from mcglm.solver import _corrected_pearson, _max_abs, alpha_strategy
 
 from helpers import gaussian_two_response, nonpd_instance, random_instance, rel_err, scatter
+from test_beta_step import car_inverse, mean_dependent, paired_r2
 from test_covariance import car_inverse_model
 
 
@@ -277,13 +278,13 @@ class TestInitialize:
         return steps
 
     @pytest.mark.parametrize("R", [1, 2])
-    def test_identity_constant_start_stops_after_two_steps(self, monkeypatch, R):
-        # the first step is the least-squares fit; the second moves nothing and ends it
+    def test_identity_constant_start_stops_after_one_step(self, monkeypatch, R):
+        # the first step is the least-squares fit, so it is the only one
         model = iid_normal(30, 3, seed=23) if R == 1 else gaussian_two_response(N=30, seed=24)[0]
         y = np.random.default_rng(25).normal(3.0, 2.0, 30 * R)
         steps = self.counted_steps(monkeypatch)
         theta0 = initialize(model, y)
-        assert len(steps) == 2
+        assert len(steps) == 1
         ols = np.concatenate([
             np.linalg.lstsq(resp.design, y[r * 30 : (r + 1) * 30], rcond=None)[0]
             for r, resp in enumerate(model.responses)
@@ -566,6 +567,32 @@ class TestFit:
         # point estimates within a few standard errors of the truth
         delta = np.abs(res.theta_hat.flat - theta_true.flat)
         assert np.all(delta < 6.0 * np.maximum(res.std_errors, 0.05))
+
+
+RECORD_CASES = {
+    "paired_r2": paired_r2,
+    "car_inverse": car_inverse,
+    "free_tweedie": lambda: mean_dependent("tweedie"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECORD_CASES))
+def test_record_norms_are_the_max_abs_of_each_score_and_step_half(case):
+    # fit takes the four norms in one pass; each equals its own max-abs, bitwise
+    model, y, _ = RECORD_CASES[case]()
+    assert case != "free_tweedie" or model.power_free
+    res = fit(model, y, SolverOptions(algorithm="reciprocal", max_iter=40))
+    K, prev = model.K, res.trace[0].theta
+    for t in res.trace:
+        state = build_state(model, y, make_theta(model, t.theta[:K], t.theta[K:]))
+        assert t.beta_score_norm == _max_abs(quasi_score(state))
+        assert t.lambda_score_norm == _max_abs(_corrected_pearson(state, True))
+        step = t.theta - prev
+        assert t.beta_step_norm == _max_abs(step[:K])
+        assert t.lambda_step_norm == _max_abs(step[K:])
+        assert t.step_norm == _max_abs(step)
+        prev = t.theta
+    assert len(res.trace) > 2
 
 
 def _two_response_data():

@@ -28,7 +28,15 @@ from mcglm import (
     mat_inverse_distance,
 )
 from mcglm.checks import derivative_report
-from mcglm.covariance import A_dtau, dC_dpar_r, dC_drho, dC_dscale, dSigma_dtau, scale_direction
+from mcglm.covariance import (
+    A_dtau,
+    dC_dpar_r,
+    dC_drho,
+    dC_dscale,
+    dSigma_dtau,
+    scale_direction,
+    sigma_b_from_rho,
+)
 from mcglm.estfun import (
     bias_correction,
     build_covariance,
@@ -41,6 +49,7 @@ from mcglm.estfun import (
 )
 from mcglm.functions import symmetric_inverse
 from mcglm.matpred import assemble_U, unit_partition
+from mcglm.model import rho_index_pairs
 from mcglm.simulate import SimSpec, simulate_gaussian, stacked_mean
 
 from helpers import (
@@ -305,6 +314,61 @@ def test_A_units_equal_one_product_per_entry_bitwise(case):
     cov = build_state(model, y, theta).covariance
     for A, expected in zip(cov.A_units, entrywise_A_units(cov)):
         assert A.shape == expected.shape and np.array_equal(A, expected)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cached_model_facts_equal_their_recomputation(case):
+    model, y, theta = CASES[case]()
+    resps, R = model.responses, model.R
+    assert model.power_free == any(resp.power_free for resp in resps)
+    assert model.variance_kinds == {resp.variance.kind for resp in resps}
+    stops = np.cumsum([resp.k for resp in resps]).tolist()
+    assert model.beta_slices() is model.beta_slices()
+    assert [(s.start, s.stop) for s in model.beta_slices()] == list(zip([0] + stops, stops))
+    pairs = [(r, c) for c in range(R - 1) for r in range(c + 1, R)]
+    assert list(rho_index_pairs(R)) == pairs
+    rho = np.linspace(-0.3, 0.3, len(pairs))
+    Sb = np.eye(R)
+    for value, (r, c) in zip(rho, pairs):
+        Sb[r, c] = Sb[c, r] = value
+    assert np.array_equal(sigma_b_from_rho(rho, R), Sb)
+    # the unit axes the per-proposal path reads off its stacks instead of broadcasting
+    cov = build_state(model, y, theta).covariance
+    for grp, joint in zip(model.unit_groups, cov.groups):
+        units = np.broadcast_shapes(*(rc.sigma.shape[:-2] for rc in joint.responses))
+        assert joint.C_inv.shape == joint.C_chol.shape == units + (R * grp.index.shape[1],) * 2
+        for r, resp in enumerate(resps):
+            dS = dSigma_dtau(joint.responses[r], resp.covlink, grp.predictors[r].blocks)
+            expected = np.broadcast_shapes(dS.shape[:-2], units) + joint.C_inv.shape[-2:]
+            assert dC_dpar_r(joint, r, dS).shape == expected
+
+
+def full_cross_sensitivity(state):
+    """cross_sensitivity_lb's sums taken for every model, constant variances included."""
+    model, cov, K = state.model, state.covariance, state.K
+    e, f = state.beta_slopes
+    S = np.zeros((state.Q, K))
+    for idx, grp, g, A in zip(cov.stacks, model.unit_groups, cov.groups, cov.A_units):
+        E = e[idx].sum(axis=2).reshape(-1, K)
+        S -= 2.0 * np.diagonal(A, axis1=-2, axis2=-1).reshape(len(A), -1) @ E
+        for r, resp in enumerate(model.responses):
+            if resp.variance.kind == "poisson_tweedie":
+                F = np.moveaxis(f[r * model.N + grp.index], -1, 0)
+                dC = dC_dpar_r(g, r, F[..., :, None] * np.eye(F.shape[-1]))
+                S -= A.reshape(len(A), -1) @ np.swapaxes(g.C_inv @ dC, -1, -2).reshape(K, -1).T
+    return S
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cross_sensitivity_is_zero_exactly_when_every_variance_is_constant(case):
+    model, y, theta = CASES[case]()
+    state = build_state(model, y, theta)
+    S, full = cross_sensitivity_lb(state), full_cross_sensitivity(state)
+    assert S.shape == (model.Q, model.K)
+    if model.variance_kinds == {"constant"}:
+        assert np.array_equal(S, np.zeros_like(S)) and np.array_equal(full, S)
+    else:
+        assert np.array_equal(S, full) and np.any(S != 0.0)
 
 
 def test_unit_groups_restrict_each_distinct_component_once(monkeypatch):

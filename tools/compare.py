@@ -17,18 +17,24 @@ relative difference in estimates and in standard errors (each relative
 to the largest magnitude of the parent's vector), and the 25th, 50th
 and 75th percentiles of the per-replicate CPU ratio (change / parent of
 the two back-to-back fits), whose spread shows how far one ratio of
-medians can be trusted, and for each side how many fits miss the
+medians can be trusted, for each side how many fits miss the
 benchmark's reference (the workload module's ``load_reference`` and
-``matches``, at its ``RTOL``), the gate ``perfbench/run.py`` applies.
-``--workload all`` prints these six lines for every workload in turn
-(paired-r2, car-mc, cli-mc). It stops with
-an error when the two disagree on convergence, iteration count or alpha
-escalations, since their times would then not measure the same work.
-Otherwise it reports only: no bound, no exit status from the timings.
+``matches``, at its ``RTOL``), the gate ``perfbench/run.py`` applies,
+and for each side the Python-level calls per fit, counted by one
+``cProfile`` pass over the pool after the timed rounds. The count
+repeats exactly from run to run, so a change bound by Python calls can
+quote it next to the CPU ratio. ``--workload all`` prints these seven
+lines for every workload in turn (paired-r2, car-mc, cli-mc). It stops
+with an error when the two disagree on convergence, iteration count or
+alpha escalations, since their times would then not measure the same
+work. Otherwise it reports only: no bound, no exit status from the
+timings.
 """
 
 import argparse
+import cProfile
 import importlib.util
+import pstats
 import statistics
 import sys
 import tempfile
@@ -85,6 +91,16 @@ def timed_fit(workload, i):
     return time.process_time() - t0, outcome
 
 
+def calls_per_fit(workload):
+    """Python-level function calls per fit, over one cProfile pass of the pool."""
+    profile = cProfile.Profile()
+    profile.enable()
+    for i in range(workload.pool_size):
+        workload.fit(i)
+    profile.disable()
+    return pstats.Stats(profile).total_calls / workload.pool_size
+
+
 def rel_diff(a, b):
     """max |a - b| relative to max |b|; 0 when both fits failed and returned nothing."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -92,7 +108,7 @@ def rel_diff(a, b):
 
 
 def compare(modules, workload_name, rounds, workdir):
-    """Print the six comparison lines for one workload; ``modules`` is (parent, change)."""
+    """Print the seven comparison lines for one workload; ``modules`` is (parent, change)."""
     sides = []
     for tag, module in zip(("parent", "change"), modules):
         if workload_name not in module.WORKLOADS:
@@ -148,6 +164,9 @@ def compare(modules, workload_name, rounds, workdir):
     print(f"per-replicate CPU ratio: 25% {q1:.4f}, 50% {q2:.4f}, 75% {q3:.4f}")
     print(f"fits missing the reference: parent {missed['parent']}/{n}, "
           f"change {missed['change']}/{n}")
+    calls = [calls_per_fit(workload) for workload in sides]
+    print(f"python calls per fit: parent {calls[0]:.6g}, change {calls[1]:.6g}, "
+          f"ratio {calls[1] / calls[0]:.4f}")
 
 
 def main(argv=None):
