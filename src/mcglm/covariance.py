@@ -11,8 +11,9 @@ parameter of K_r, the diagonal block (r, r) of dC_Omega is dK_r itself;
 only the off-diagonal blocks, present for R > 1, go through the
 Cholesky-factor derivative. C_Omega and every dC_Omega are filled by
 one block writer (_joint), which writes each off-diagonal block's
-mirror as its exact transpose; for R > 1, C_Omega^{-1} comes from
-C_Omega's joint factor.
+mirror as its exact transpose. For R > 1, C_Omega^{-1} of one block
+shared by every unit comes from C_Omega's joint factor; a stack of
+per-unit blocks is inverted block by block.
 
 Every function takes one matrix per response or, batched, a stack
 (n_units, m, m) of the blocks of independent units of one size; the
@@ -24,6 +25,7 @@ components of one response, (D+1, n_units, m, m), and return one
 derivative per component along that leading axis.
 """
 
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
@@ -45,6 +47,10 @@ from .model import _cached_property, rho_index_pairs
 
 def _T(M):
     return M.swapaxes(-1, -2)
+
+
+def _sym(M):
+    return 0.5 * (M + _T(M))
 
 
 def _diag(v):
@@ -99,22 +105,30 @@ class ResponseCovariance:
         return cholesky_inverse(self.chol)
 
 
+def _joint_factor(responses, Lb, shape):
+    """Bdiag(chol_r) (Lb kron I) of ``shape``: block (r, s <= r) is Lb[r, s] chol_r."""
+    L = np.zeros(shape)
+    N = responses[0].dim
+    for r, rc in enumerate(responses):
+        for s in range(r + 1):
+            L[..., r * N : (r + 1) * N, s * N : (s + 1) * N] = Lb[r, s] * rc.chol
+    return L
+
+
+@dataclass(frozen=True)
 class JointCovariance:
     """Joint correlation C_Omega = Bdiag(chol_r) (Sigma_b kron I) Bdiag(chol_r)^T of the K_r.
 
     Its lower Cholesky factor is C_chol = Bdiag(chol_r) (Lb kron I), with
-    Lb the factor of Sigma_b; generalized_kronecker writes it for R > 1
-    and takes C_inv from it. For R = 1 the factor is chol_1, formed on
-    first use, and C_inv is K_1^{-1}. C is formed on first use.
+    Lb the factor of Sigma_b; for R = 1 that is chol_1 itself.
+    generalized_kronecker gives C_inv (see there). C and its factor are
+    formed on first use.
     """
 
-    def __init__(self, C_inv, responses, Sb, Lb, C_chol=None):
-        self.C_inv = C_inv
-        self.responses = responses
-        self.Sb = Sb
-        self.Lb = Lb
-        if C_chol is not None:
-            self.C_chol = C_chol
+    C_inv: np.ndarray = field(repr=False)
+    responses: tuple
+    Sb: np.ndarray = field(repr=False)
+    Lb: np.ndarray = field(repr=False)
 
     @property
     def N(self):
@@ -139,8 +153,7 @@ class JointCovariance:
 
     @_cached_property
     def C_chol(self):
-        """chol_1 for R = 1; generalized_kronecker gives every R > 1 its factor."""
-        return self.responses[0].chol
+        return _joint_factor(self.responses, self.Lb, self.C_inv.shape)
 
 
 _ONE = np.ones((1, 1))  # Sigma_b and its factor for R = 1, read-only
@@ -204,18 +217,21 @@ def variance_scale(mu, var, p):
 def generalized_kronecker(responses, Sb):
     """Couple per-response Cholesky factors through the between correlation.
 
-    The joint factor C_chol = Bdiag(chol_r) (Lb kron I) is written from
-    the per-response factors and the factor Lb of Sigma_b, which raises
-    FactorizationError exactly when C is not positive definite though
-    every K_r is, and the joint inverse comes from it (one LAPACK dpotri
-    for one block). A 1 x 1 Sigma_b is [1], its own factor, so for R = 1
-    the joint factor is chol_1 itself and the joint inverse is K_1^{-1},
-    which needs no factor when it is U_1; Sb is then kept as given,
-    unread and unchecked.
+    The joint inverse comes from the per-response factors and the
+    factor Lb of Sigma_b, which raises FactorizationError exactly when C
+    is not positive definite though every K_r is. One block shared by
+    every unit is inverted from its joint factor Bdiag(chol_r) (Lb kron
+    I) by one LAPACK dpotri. A stack of per-unit blocks is inverted block
+    by block, (r, s) being (Sigma_b^{-1})_rs chol_r^{-T} chol_s^{-1}:
+    its m-sized batched products beat a batched inverse of the R m-sized
+    factors (see triangular_inverse). A 1 x 1 Sigma_b is [1], its own
+    factor, so for R = 1 the joint factor is chol_1 itself and the joint
+    inverse is K_1^{-1}, which needs no factor when it is U_1; Sb is
+    then kept as given, unread and unchecked.
     """
     responses = tuple(responses)
     if len(responses) == 1:
-        return JointCovariance(responses[0].inverse, responses, Sb, _ONE)
+        return JointCovariance(C_inv=responses[0].inverse, responses=responses, Sb=Sb, Lb=_ONE)
     R = len(responses)
     Sb = np.asarray(Sb, dtype=float)
     if Sb.shape != (R, R):
@@ -226,11 +242,16 @@ def generalized_kronecker(responses, Sb):
     Lb = cholesky_lower(Sb)
     N = dims.pop()
     # each K_r's unit axis is 1 or the count of units, so the largest is their broadcast
-    L = np.zeros(max(rc.sigma.shape[:-2] for rc in responses) + (N * R, N * R))
-    for r, rc in enumerate(responses):
-        for s in range(r + 1):
-            L[..., r * N : (r + 1) * N, s * N : (s + 1) * N] = Lb[r, s] * rc.chol
-    return JointCovariance(cholesky_inverse(L), responses, Sb, Lb, C_chol=L)
+    units = max(rc.sigma.shape[:-2] for rc in responses)
+    if units in ((), (1,)):
+        C_inv = cholesky_inverse(_joint_factor(responses, Lb, units + (N * R, N * R)))
+    else:
+        Sb_inv = cholesky_inverse(Lb)
+        C_inv = _sym(_joint(units + (N * R, N * R), {
+            (r, s): Sb_inv[r, s] * (_T(responses[r].chol_inv) @ responses[s].chol_inv)
+            for r in range(R) for s in range(r, R)
+        }))
+    return JointCovariance(C_inv=C_inv, responses=responses, Sb=Sb, Lb=Lb)
 
 
 @cache

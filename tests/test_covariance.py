@@ -6,6 +6,7 @@ import pytest
 from mcglm import (
     CovLinkSpec,
     DomainError,
+    JointCovariance,
     LinkSpec,
     MatrixPredictor,
     ModelSpec,
@@ -164,7 +165,7 @@ class TestGeneralizedKronecker:
 
 
 class TestJointInverse:
-    """For R > 1, C_inv comes from the joint factor C_chol = Bdiag(chol_r) (Lb kron I)."""
+    """For R > 1, C_inv of one shared block comes from C_chol = Bdiag(chol_r) (Lb kron I), of a stack block by block."""
 
     # per response, the unit axis of its stack: 1 (every unit shares the block) or 5
     AXES = {"shared": (1, 1, 1), "per_unit": (5, 5, 5), "mixed": (1, 5, 1)}
@@ -185,6 +186,16 @@ class TestJointInverse:
         assert np.array_equal(jc.C_inv, np.swapaxes(jc.C_inv, -1, -2))
         assert rel_err(jc.C_chol @ np.swapaxes(jc.C_chol, -1, -2), jc.C) < 1e-13
         assert np.array_equal(jc.C_chol, np.tril(jc.C_chol))
+
+    @pytest.mark.parametrize("axes", sorted(AXES))
+    @pytest.mark.parametrize("R, rho", [(2, [0.45]), (3, [0.3, -0.2, 0.25])])
+    def test_directly_built_joint_reports_its_factor(self, R, rho, axes):
+        Sb = sigma_b_from_rho(rho, R)
+        rcs = tuple(self.responses(R, self.AXES[axes]))
+        C_inv = generalized_kronecker(rcs, Sb).C_inv
+        jc = JointCovariance(C_inv=C_inv, responses=rcs, Sb=Sb, Lb=np.linalg.cholesky(Sb))
+        assert rel_err(jc.C_chol @ np.swapaxes(jc.C_chol, -1, -2), jc.C) < 1e-13
+        assert rel_err(jc.C_chol @ np.swapaxes(jc.C_chol, -1, -2) @ jc.C_inv, np.eye(3 * R)) < 1e-12
 
     @pytest.mark.parametrize("axes", sorted(AXES))
     @pytest.mark.parametrize("R, rho", [(2, [1.2]), (3, [0.9, 0.9, -0.9])])
