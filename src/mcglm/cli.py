@@ -30,10 +30,6 @@ EXIT_NONPD = 3
 EXIT_DERIV = 4
 
 
-class InputError(Exception):
-    pass
-
-
 @functools.cache
 def _spec_validator():
     """Validator for spec_schema.json, built (and the schema checked) once per process."""
@@ -54,12 +50,12 @@ def _finite(text, parse=float):
 
 @contextlib.contextmanager
 def _reading(path, newline=None):
-    """Open a text input; a file that cannot be opened, read or decoded is one InputError."""
+    """Open a text input; a file that cannot be opened, read or decoded is one DomainError."""
     try:
         with open(path, newline=newline) as fh:
             yield fh
     except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"{path}: {exc}")
+        raise DomainError(f"{path}: {exc}")
 
 
 def _read_json(path):
@@ -70,7 +66,7 @@ def _read_json(path):
         return json.loads(text, parse_float=_finite, parse_constant=_finite,
                           parse_int=functools.partial(_finite, parse=int))
     except ValueError as exc:
-        raise InputError(f"{path}: {exc}")
+        raise DomainError(f"{path}: {exc}")
 
 
 def load_spec_document(path):
@@ -80,7 +76,7 @@ def load_spec_document(path):
     error = best_match(_spec_validator().iter_errors(doc))
     if error is not None:
         where = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise InputError(f"{path}: schema violation at {where}: {error.message}")
+        raise DomainError(f"{path}: schema violation at {where}: {error.message}")
     return doc
 
 
@@ -90,7 +86,7 @@ def resolve_data_path(args, doc):
         return args.data
     path = doc.get("data", {}).get("path")
     if path is None:
-        raise InputError("no data file: pass --data or set data.path in the spec")
+        raise DomainError("no data file: pass --data or set data.path in the spec")
     path = Path(path)
     if not path.is_absolute():
         path = Path(args.spec).parent / path
@@ -112,18 +108,18 @@ def read_csv_columns(path):
         try:
             header = next(reader, None)
             if header is None:
-                raise InputError(f"{path}: empty file")
+                raise DomainError(f"{path}: empty file")
             start = reader.line_num + 1
             for row in reader:
                 if row:
                     if len(row) != len(header):
                         length = "short" if len(row) < len(header) else "long"
-                        raise InputError(f"{path}:{start}: {length} row")
+                        raise DomainError(f"{path}:{start}: {length} row")
                     rows.append(row)
                     lines.append(start)
                 start = reader.line_num + 1
         except csv.Error as exc:
-            raise InputError(f"{path}:{start}: {exc}")
+            raise DomainError(f"{path}:{start}: {exc}")
     columns = list(zip(*rows)) or [()] * len(header)
     index = {n: i for i, n in enumerate(header)}
     return {name: list(columns[i]) for name, i in index.items()}, lines
@@ -141,7 +137,7 @@ def _numeric_columns(cols, names, labels, missing, path, lines):
 
     for name in [*names, *labels]:
         if name not in cols:
-            raise InputError(f"{path}: column {name!r} not found")
+            raise DomainError(f"{path}: column {name!r} not found")
     cells = np.array([cols[name] for name in names], dtype=object)
     absent = (cells == missing) | (cells == "")
     cells[absent] = "nan"
@@ -157,9 +153,9 @@ def _numeric_columns(cols, names, labels, missing, path, lines):
                 try:
                     number = float(v)
                 except ValueError:
-                    raise InputError(f"{path}: row {line}, column {name!r}: not a number: {v!r}")
+                    raise DomainError(f"{path}: row {line}, column {name!r}: not a number: {v!r}")
                 if not math.isfinite(number):
-                    raise InputError(f"{path}: row {line}, column {name!r}: not finite: {v!r}")
+                    raise DomainError(f"{path}: row {line}, column {name!r}: not finite: {v!r}")
     return x
 
 
@@ -187,7 +183,7 @@ def _build_component(comp, numbers, labels, keep, spec_dir):
         path = spec_dir / path
     sm = matpred.load_structure_matrix(str(path))
     if sm.dim != keep.size:
-        raise InputError(f"{path}: dimension {sm.dim} does not match data rows {keep.size}")
+        raise DomainError(f"{path}: dimension {sm.dim} does not match data rows {keep.size}")
     return sm.submatrix(np.flatnonzero(keep))
 
 
@@ -214,7 +210,7 @@ def build_model_and_data(doc, data_path, spec_dir):
         for comp in resp["predictor"]:
             absent = [key for key in COMPONENT_KEYS.get(comp["type"], ()) if key not in comp]
             if absent:
-                raise InputError(f"response {resp['name']!r}: {comp['type']} lacks {absent}")
+                raise DomainError(f"response {resp['name']!r}: {comp['type']} lacks {absent}")
             needed_labels.extend(comp[key] for key in ("groups", "levels") if key in comp)
             if comp["type"] == "inverse_distance":
                 needed_numeric.append(comp["positions"])
@@ -226,7 +222,7 @@ def build_model_and_data(doc, data_path, spec_dir):
     keep = np.logical_and.reduce(
         [*np.isfinite(x), *(~np.isin(v, [missing, ""]) for v in labels.values())])
     if not keep.any():
-        raise InputError(f"{data_path}: no complete cases")
+        raise DomainError(f"{data_path}: no complete cases")
     numbers = dict(zip(numeric, x[:, keep]))
     labels = {name: v[keep] for name, v in labels.items()}
 
@@ -369,7 +365,7 @@ def _read_theta(model, path):
     def vector(key, value):
         # a JSON number parses to an int or a float; true, "0.5" and null are not numbers
         if not isinstance(value, list) or any(type(x) not in (int, float) for x in value):
-            raise InputError(f"{path}: {key} must be a list of numbers")
+            raise DomainError(f"{path}: {key} must be a list of numbers")
         return np.asarray(value, dtype=float)
 
     try:
@@ -378,26 +374,26 @@ def _read_theta(model, path):
         rho = vector("rho", doc.get("rho", []))
         p = vector("p", doc.get("p", [1.0] * model.R))
     except (KeyError, TypeError) as exc:
-        raise InputError(f"{path}: bad theta document: {exc}")
+        raise DomainError(f"{path}: bad theta document: {exc}")
     if len(beta) != model.R:
-        raise InputError(
+        raise DomainError(
             f"{path}: beta has {len(beta)} blocks, expected one per response ({model.R})"
         )
     for b, resp in zip(beta, model.responses):
         if b.size != resp.k:
-            raise InputError(
+            raise DomainError(
                 f"{path}: beta for {resp.name!r} has length {b.size}, expected {resp.k}"
             )
     fixed = model.rho_fixed if model.rho_fixed is not None else np.zeros(0)
     if "rho" in doc and not model.rho_free and not np.array_equal(rho, fixed):
-        raise InputError(
+        raise DomainError(
             f"{path}: rho {rho.tolist()} differs from the fixed correlations "
             f"{fixed.tolist()}; omit it or repeat them"
         )
     try:
         lam = model.pack_lambda(rho, p, tau)
     except DomainError as exc:
-        raise InputError(f"{path}: {exc}")
+        raise DomainError(f"{path}: {exc}")
     return make_theta(model, np.concatenate(beta), lam)
 
 
@@ -478,7 +474,7 @@ def _read_edges(path):
                 i, j = line.split()
                 edges.append((int(i), int(j)))
             except ValueError:
-                raise InputError(f"{path}:{lineno}: expected 'i j'")
+                raise DomainError(f"{path}:{lineno}: expected 'i j'")
     return edges
 
 
@@ -570,17 +566,22 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def main(argv=None):
-    """Run one command; the caller's BLAS thread variables are restored on return."""
+    """Run one command; the caller's BLAS thread variables are restored on return.
+
+    --threads sets those variables, which pin BLAS only when numpy is
+    not loaded yet, as from the console script; a caller that has
+    already imported numpy keeps its own BLAS thread count.
+    """
     args = make_parser().parse_args(argv)
     saved = {var: os.environ.get(var) for var in THREAD_VARS}
     try:
         if args.threads is not None:
             if args.threads < 1:
-                raise InputError(f"--threads must be at least 1, got {args.threads}")
+                raise DomainError(f"--threads must be at least 1, got {args.threads}")
             for var in THREAD_VARS:
                 os.environ[var] = str(args.threads)
         return globals()[args.func](args)
-    except (InputError, DomainError, OSError) as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except McglmError as exc:

@@ -236,11 +236,6 @@ def cholesky_inverse(L):
     return 0.5 * (inv + np.swapaxes(inv, -1, -2))
 
 
-def symmetric_inverse(M):
-    """Inverse of a symmetric positive definite matrix (or stack) via Cholesky."""
-    return cholesky_inverse(cholesky_lower(M))
-
-
 def solve(A, b):
     """x with A x = b for one square matrix A and a vector or matrix b, by one LAPACK dgesv call.
 
@@ -264,7 +259,7 @@ def covlink_apply_inverse(cl, U):
     """Omega = h^{-1}(U): the matrix the covariance link maps to U."""
     if cl.kind == "identity":
         return U.copy()
-    return symmetric_inverse(U)
+    return cholesky_inverse(cholesky_lower(U))
 
 
 def covlink_deriv(cl, omega, Z):

@@ -35,10 +35,6 @@ class StructureMatrix:
     def dim(self):
         return self.data.shape[-1]
 
-    @property
-    def is_sparse(self):
-        return sp.issparse(self.data)
-
     def dense(self):
         """The N x N array of a full structure matrix."""
         return self.data.toarray()
@@ -147,7 +143,7 @@ class MatrixPredictor:
         m, m), only when every component does. A full predictor gives
         its dense (D+1, N, N) stack.
         """
-        data = [z.dense() if z.is_sparse else z.data for z in self.components]
+        data = [z.dense() if sp.issparse(z.data) else z.data for z in self.components]
         Z = np.stack(np.broadcast_arrays(*data))
         Z.setflags(write=False)
         return Z

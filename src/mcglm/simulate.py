@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .estfun import _mean_half, build_state
+from .estfun import build_state
 
 
 @dataclass(frozen=True)
@@ -27,11 +27,6 @@ class SimSpec:
     def __post_init__(self):
         if self.n_replicates < 1:
             raise DomainError(f"n_replicates must be >= 1, got {self.n_replicates}")
-
-
-def stacked_mean(model, theta):
-    """Stacked mean vector M at theta, from the estimating state's mean half."""
-    return _mean_half(model, theta.beta)[0]
 
 
 def simulate_gaussian(spec):

@@ -39,7 +39,7 @@ from mcglm.estfun import (
     variability_lambda,
 )
 from mcglm.matpred import assemble_U
-from mcglm.simulate import SimSpec, stacked_mean
+from mcglm.simulate import SimSpec
 from mcglm.solver import alpha_strategy
 
 from helpers import (

@@ -12,7 +12,15 @@ import pytest
 
 import mcglm
 import mcglm.estfun
-from mcglm.cli import _read_theta, build_model_and_data, load_spec_document, main, solver_options
+from mcglm.cli import (
+    _read_theta,
+    _reading,
+    build_model_and_data,
+    load_spec_document,
+    main,
+    read_csv_columns,
+    solver_options,
+)
 from mcglm.matpred import save_structure_matrix
 from mcglm.model import rho_index_pairs
 from mcglm.simulate import SimSpec, simulate_gaussian
@@ -1391,3 +1399,28 @@ def test_every_bad_input_gives_one_error_line(tmp_path, capsys, case):
     assert message in lines[0]
     if code == 1:
         assert not (tmp_path / "o").exists()
+
+
+def test_readers_raise_domain_error_naming_the_file(tmp_path):
+    # the one bad-input type main maps to exit 1, as the table above checks end to end
+    nan = tmp_path / "nan.json"
+    nan.write_text('{"schema_version": NaN}\n')
+    schema = tmp_path / "schema.json"
+    write_json(schema, {"schema_version": 1})
+    short = tmp_path / "short.csv"
+    short.write_text("y,x\n1,2\n3\n")
+    missing = tmp_path / "missing.txt"
+
+    def read_text(path):
+        with _reading(path) as fh:
+            return fh.read()
+
+    for read, path, message in [
+        (load_spec_document, nan, "not a finite number: NaN"),
+        (load_spec_document, schema, "schema violation at <root>"),
+        (read_csv_columns, short, ":3: short row"),
+        (read_text, missing, "[Errno 2]"),
+    ]:
+        with pytest.raises(mcglm.DomainError) as info:
+            read(path)
+        assert str(info.value).startswith(str(path)) and message in str(info.value)

@@ -221,7 +221,7 @@ class TestStructureMatrixStorage:
 
     def test_sparse_chosen_for_low_density(self):
         sm = mat_identity(100)
-        assert sm.is_sparse
+        assert sp.issparse(sm.data)
 
     def test_dense_input_stored_as_csr(self):
         rng = np.random.default_rng(6)

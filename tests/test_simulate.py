@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from mcglm import DomainError, SimSpec, simulate_counts_marginal, simulate_gaussian
-from mcglm.estfun import build_state
-from mcglm.simulate import stacked_mean
+from mcglm.estfun import _mean_half, build_state
 
 from helpers import gaussian_two_response, random_instance, scatter
 
@@ -13,7 +12,7 @@ from helpers import gaussian_two_response, random_instance, scatter
 class TestStackedMean:
     def test_matches_per_response_links(self):
         model, theta = gaussian_two_response(N=10, seed=0)
-        mean = stacked_mean(model, theta)
+        mean = _mean_half(model, theta.beta)[0]
         for r, (resp, sl) in enumerate(zip(model.responses, model.beta_slices())):
             expected = resp.design @ theta.beta[sl]
             assert np.allclose(mean[r * 10 : (r + 1) * 10], expected)
@@ -48,7 +47,7 @@ class TestGaussian:
         model, theta = gaussian_two_response(N=6, seed=6)
         n_rep = 20_000
         out = simulate_gaussian(SimSpec(model, theta, n_rep, seed=13))
-        mean = stacked_mean(model, theta)
+        mean = _mean_half(model, theta.beta)[0]
         C = scatter(build_state(model, np.zeros(12), theta), "C")
         emp_mean = out.mean(axis=0)
         emp_cov = np.cov(out.T)
@@ -62,7 +61,7 @@ class TestGaussian:
         model, _, theta = random_instance(rng, N=5, R=2)
         n_rep = 20_000
         out = simulate_gaussian(SimSpec(model, theta, n_rep, seed=17))
-        mean = stacked_mean(model, theta)
+        mean = _mean_half(model, theta.beta)[0]
         C = scatter(build_state(model, np.zeros(10), theta), "C")
         sd = np.sqrt(np.diag(C))
         assert np.max(np.abs(out.mean(axis=0) - mean) / (sd / np.sqrt(n_rep))) < 5.0

@@ -38,6 +38,7 @@ from mcglm.covariance import (
     sigma_b_from_rho,
 )
 from mcglm.estfun import (
+    _mean_half,
     bias_correction,
     build_covariance,
     cross_sensitivity_lb,
@@ -47,10 +48,9 @@ from mcglm.estfun import (
     sensitivity_lambda,
     variability_lambda,
 )
-from mcglm.functions import symmetric_inverse
 from mcglm.matpred import assemble_U, unit_partition
 from mcglm.model import rho_index_pairs
-from mcglm.simulate import SimSpec, simulate_gaussian, stacked_mean
+from mcglm.simulate import SimSpec, simulate_gaussian
 
 from helpers import (
     car_components,
@@ -466,7 +466,7 @@ def test_block_simulation_matches_dense_factor():
     cases = [random_instance(rng, R=R) for R in (1, 2, 3) for _ in range(5)]
     cases.append(CASES["car_single_block"]())
     for model, _, theta in cases:
-        mean = stacked_mean(model, theta)
+        mean = _mean_half(model, theta.beta)[0]
         L = scatter(build_state(model, np.zeros_like(mean), theta), "C_chol")
         children = np.random.SeedSequence(3).spawn(4)
         dense = [mean + L @ np.random.default_rng(c).standard_normal(mean.size) for c in children]
@@ -477,7 +477,7 @@ def test_block_simulation_matches_dense_factor():
 def test_shared_block_simulation_equals_per_unit_products():
     # the factor that all units share gives each unit the product its own copy would
     model, _, theta = _shared_pairs()
-    mean = stacked_mean(model, theta)
+    mean = _mean_half(model, theta.beta)[0]
     cov = build_covariance(model, mean, theta.lam)
     (idx,), (joint,) = [grp.joint for grp in model.unit_groups], cov.groups
     assert joint.C_chol.shape[0] == 1
@@ -617,7 +617,7 @@ def test_A_units_equal_C_inv_dC_units(responses, precise):
         assert (g.R == 1 and g.C_inv.shape == U.shape and np.array_equal(g.C_inv, U)) == precise
         if g.R == 1:
             sigma = g.responses[0].sigma
-            assert rel_err(g.C_inv, symmetric_inverse(sigma)) < 1e-12
+            assert rel_err(g.C_inv, np.linalg.inv(sigma)) < 1e-12
             assert rel_err(g.C_chol @ np.swapaxes(g.C_chol, -1, -2), sigma) < 1e-12
 
 
